@@ -7,9 +7,9 @@ Subcommands
     certify     check a run's per-iteration contraction bounds (exit 0 iff satisfied)
     trace-plot  flatten report JSONs into long-format CSV of (k, seconds, rse)
 
-Exit codes: 0 success/converged, 2 usage error, 3 stalled or non-converged,
-4 size-guard refusal. Outputs are deterministic for fixed flags and seeds
-except for wall-clock columns.
+Exit codes: 0 success/converged, 2 usage error, 3 stalled, non-converged or any
+other solver error, 4 size-guard refusal. Outputs are deterministic for fixed
+flags and seeds except for wall-clock columns.
 """
 
 from __future__ import annotations
@@ -22,14 +22,7 @@ from pathlib import Path
 
 from .cgls import CglsConfig
 from .col_methods import COL_METHODS, run_col_method
-from .errors import (
-    GenerationError,
-    RgsolveError,
-    SizeGuardError,
-    StalledError,
-    SubsolverError,
-    UsageError,
-)
+from .errors import GenerationError, RgsolveError, SizeGuardError, UsageError
 from .problems import (
     ProblemInstance,
     gen_randn,
@@ -74,14 +67,15 @@ def _build_instance(kind, m, n, r, sigma1, sigma2, inconsistent, noise_scale, se
     return make_consistent(matrix, seed + 1, meta=meta)
 
 
-def _selection_config(args) -> SelectionConfig:
-    theta = getattr(args, "theta", 0.5)
+def _selection_config(values: dict) -> SelectionConfig:
+    """Build the selection config from command-line flags or a bench config entry."""
+    theta = float(values.get("theta", 0.5))
     return SelectionConfig(
         theta1=theta,
         theta2=theta,
-        eta1=getattr(args, "eta1", 0.5),
-        eta2=getattr(args, "eta2", 0.1),
-        block_size=getattr(args, "block_size", 100),
+        eta1=float(values.get("eta1", 0.5)),
+        eta2=float(values.get("eta2", 0.1)),
+        block_size=int(values.get("block_size", 100)),
     )
 
 
@@ -147,7 +141,7 @@ def cmd_solve(args) -> int:
     instance = load_instance(args.problem_dir)
     if args.method not in ALL_METHODS:
         raise UsageError(f"unknown method {args.method!r}; expected one of {ALL_METHODS}")
-    config = _selection_config(args)
+    config = _selection_config(vars(args))
     stop = StopRule(rse_tol=args.tol, max_iters=args.max_iters)
     reports = _run_cell(args.method, instance, config, stop, args.seed, args.repeats)
 
@@ -183,20 +177,6 @@ def cmd_solve(args) -> int:
             f"reason={rep.termination_reason} CPU={rep.wall_seconds:.4f}s"
         )
     return 0 if all(rep.termination_reason == "converged" for rep in reports) else 3
-
-
-def _method_entry_config(entry: dict) -> tuple[str, SelectionConfig]:
-    method = entry.get("method")
-    if method not in ALL_METHODS:
-        raise UsageError(f"unknown method {method!r} in config")
-    theta = float(entry.get("theta", 0.5))
-    return method, SelectionConfig(
-        theta1=theta,
-        theta2=theta,
-        eta1=float(entry.get("eta1", 0.5)),
-        eta2=float(entry.get("eta2", 0.1)),
-        block_size=int(entry.get("block_size", 100)),
-    )
 
 
 def _method_label(entry: dict) -> str:
@@ -241,7 +221,10 @@ def cmd_bench(args) -> int:
                 float(prob.get("noise_scale", 0.1)), int(seed),
             ))
         for entry in methods:
-            method, sel_config = _method_entry_config(entry)
+            method = entry.get("method")
+            if method not in ALL_METHODS:
+                raise UsageError(f"unknown method {method!r} in config")
+            sel_config = _selection_config(entry)
             cell_reports = []
             status = "ok"
             try:
@@ -319,7 +302,7 @@ def cmd_certify(args) -> int:
             f"instance {instance.A.m}x{instance.A.n} exceeds the certification guard "
             f"(both dimensions must be <= {CERTIFY_DIM_LIMIT})"
         )
-    config = _selection_config(args)
+    config = _selection_config(vars(args))
     stop = StopRule(rse_tol=args.tol, max_iters=args.max_iters)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -376,6 +359,21 @@ def cmd_trace_plot(args) -> int:
     return 0
 
 
+def _add_run_arguments(parser, repeats_default: int, repeats_help: str) -> None:
+    """The problem, method, stop and output flags shared by ``solve`` and ``certify``."""
+    parser.add_argument("problem_dir")
+    parser.add_argument("--method", required=True)
+    parser.add_argument("--theta", type=float, default=0.5)
+    parser.add_argument("--eta1", type=float, default=0.5)
+    parser.add_argument("--eta2", type=float, default=0.1)
+    parser.add_argument("--block-size", dest="block_size", type=int, default=100)
+    parser.add_argument("--tol", type=float, default=1e-4)
+    parser.add_argument("--max-iters", dest="max_iters", type=int, default=1_000_000)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--repeats", type=int, default=repeats_default, help=repeats_help)
+    parser.add_argument("--out", required=True)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rgsolve",
@@ -399,18 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.set_defaults(func=cmd_gen)
 
     solve = sub.add_parser("solve", help="run one method on a problem directory")
-    solve.add_argument("problem_dir")
-    solve.add_argument("--method", required=True)
-    solve.add_argument("--theta", type=float, default=0.5)
-    solve.add_argument("--eta1", type=float, default=0.5)
-    solve.add_argument("--eta2", type=float, default=0.1)
-    solve.add_argument("--block-size", dest="block_size", type=int, default=100)
-    solve.add_argument("--tol", type=float, default=1e-4)
-    solve.add_argument("--max-iters", dest="max_iters", type=int, default=1_000_000)
-    solve.add_argument("--seed", type=int, default=0)
-    solve.add_argument("--repeats", type=int, default=1,
-                       help="averaged repeat count for randomized methods")
-    solve.add_argument("--out", required=True)
+    _add_run_arguments(solve, 1, "averaged repeat count for randomized methods")
     solve.set_defaults(func=cmd_solve)
 
     bench = sub.add_parser("bench", help="run a methods x problems x seeds sweep")
@@ -419,18 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.set_defaults(func=cmd_bench)
 
     certify = sub.add_parser("certify", help="verify per-iteration contraction bounds")
-    certify.add_argument("problem_dir")
-    certify.add_argument("--method", required=True)
-    certify.add_argument("--theta", type=float, default=0.5)
-    certify.add_argument("--eta1", type=float, default=0.5)
-    certify.add_argument("--eta2", type=float, default=0.1)
-    certify.add_argument("--block-size", dest="block_size", type=int, default=100)
-    certify.add_argument("--tol", type=float, default=1e-4)
-    certify.add_argument("--max-iters", dest="max_iters", type=int, default=1_000_000)
-    certify.add_argument("--seed", type=int, default=0)
-    certify.add_argument("--repeats", type=int, default=30,
-                         help="runs for statistical certification of randomized methods")
-    certify.add_argument("--out", required=True)
+    _add_run_arguments(certify, 30, "runs for statistical certification of randomized methods")
     certify.set_defaults(func=cmd_certify)
 
     trace = sub.add_parser("trace-plot", help="flatten report JSONs into plot-ready CSV")
@@ -449,18 +425,15 @@ def main(argv=None) -> int:
     except SizeGuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (UsageError, GenerationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (StalledError, SubsolverError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (UsageError, GenerationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except json.JSONDecodeError as exc:
         print(f"error: malformed JSON: {exc}", file=sys.stderr)
         return 2
+    except RgsolveError as exc:  # stalled, subsolver failure, degenerate step, drift
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -6,19 +6,19 @@ vector is ``y = A.T r``; it drives all selection rules, so adding any
 perturbation from the null space of A.T to b leaves the iterates unchanged.
 ``A.T @ A`` is never formed: products with its columns are realized as
 ``A.T @ (A @ increment)`` with the first factor collapsing onto the touched
-columns. The residual r is carried alongside y for reporting only and both are
-recomputed from scratch every 100 iterations and at termination.
+columns. The residual r is carried alongside y for the step records and both
+are recomputed from scratch every 100 iterations.
 """
 
 from __future__ import annotations
 
-import time
+from dataclasses import dataclass
 
 import numpy as np
 
 from .cgls import CglsConfig, cgls
-from .errors import DegenerateStepError, RgsolveError, UsageError
-from .linalg import DenseMatrix, as_vector
+from .errors import DegenerateStepError, UsageError
+from .linalg import DenseMatrix
 from .selection import (
     SelectionConfig,
     column_losses_from_y,
@@ -26,12 +26,17 @@ from .selection import (
     max_distance_set,
     relaxed_greedy_set,
 )
-from .state import SolveReport, SolveState, StepOutcome, StepRecord, StopRule
+from .state import (
+    MethodFamily,
+    SolveReport,
+    SolveState,
+    StepOutcome,
+    StopRule,
+    check_drift,
+    solve_loop,
+)
 
 COL_METHODS = ("cd", "rgrcd", "rgdc", "amdcd", "rbcd")
-
-_REFRESH_EVERY = 100
-_DRIFT_REL = 1e-8
 
 
 def cd_step(state: SolveState, a: DenseMatrix, b: np.ndarray, j: int) -> StepOutcome:
@@ -47,7 +52,6 @@ def cd_step(state: SolveState, a: DenseMatrix, b: np.ndarray, j: int) -> StepOut
         state.r -= delta * col
         state.y -= delta * a.matvec_transpose(col)
     state.k += 1
-    state.last_set_size = 1
     return StepOutcome(state, 1.0 / sq, converged=(y_j == 0.0))
 
 
@@ -66,7 +70,6 @@ def rgdc_step(state: SolveState, a: DenseMatrix, b: np.ndarray, indices: np.ndar
     h1 = float(y_sel @ y_sel)
     if h1 <= 0.0:
         state.k += 1
-        state.last_set_size = int(indices.size)
         return StepOutcome(state, 0.0, converged=True)
     combined = a.entries_t[indices].T @ y_sel  # A[:, indices] @ y_sel
     h2 = float(combined @ combined)
@@ -77,7 +80,6 @@ def rgdc_step(state: SolveState, a: DenseMatrix, b: np.ndarray, indices: np.ndar
     state.r -= weight * combined
     state.y -= weight * a.matvec_transpose(combined)
     state.k += 1
-    state.last_set_size = int(indices.size)
     return StepOutcome(state, weight)
 
 
@@ -98,9 +100,7 @@ def rgrcd_step(
     if total <= 0.0:
         raise UsageError("y restricted to the selected set is zero")
     j = int(indices[rng.choice(indices.size, p=weights / total)])
-    outcome = cd_step(state, a, b, j)
-    state.last_set_size = int(indices.size)
-    return outcome
+    return cd_step(state, a, b, j)
 
 
 def amdcd_step(state: SolveState, a: DenseMatrix, b: np.ndarray, indices: np.ndarray) -> StepOutcome:
@@ -121,7 +121,6 @@ def amdcd_step(state: SolveState, a: DenseMatrix, b: np.ndarray, indices: np.nda
     state.r -= applied
     state.y -= a.matvec_transpose(applied)
     state.k += 1
-    state.last_set_size = int(indices.size)
     return StepOutcome(state, 1.0)
 
 
@@ -143,31 +142,68 @@ def rbcd_block_step(
     state.r -= applied
     state.y -= a.matvec_transpose(applied)
     state.k += 1
-    state.last_set_size = int(indices.size)
     return StepOutcome(state, 1.0)
 
 
-def _params_for(method: str, config: SelectionConfig) -> dict:
-    if method in ("rgdc", "rgrcd"):
-        return {"theta": config.theta2}
-    if method == "amdcd":
-        return {"eta2": config.eta2}
-    if method == "rbcd":
-        return {"block_size": config.block_size}
-    return {}
+@dataclass
+class _ColFamily(MethodFamily):
+    """Column hooks: y = A.T r next to r, errors in r, and the stationarity floor on ||y||."""
 
+    kind = "column"
+    methods = COL_METHODS
+    params = {"rgdc": ("theta", "theta2"), "rgrcd": ("theta", "theta2"),
+              "amdcd": ("eta2", "eta2"), "rbcd": ("block_size", "block_size")}
 
-def _refresh_col_state(state: SolveState, a: DenseMatrix, b: np.ndarray, atb_norm: float) -> None:
-    fresh_r = b - a.matvec(state.x)
-    fresh_y = a.matvec_transpose(fresh_r)
-    y_scale = max(1.0, atb_norm + float(np.linalg.norm(fresh_y)))
-    drift = float(np.linalg.norm(fresh_y - state.y))
-    if drift > _DRIFT_REL * y_scale:
-        raise RgsolveError(
-            f"y recursion drifted beyond tolerance ({drift:.3e} vs scale {y_scale:.3e})"
+    def __post_init__(self):
+        a = self.a
+        self.state.y = a.matvec_transpose(self.state.r)
+        self.atb_norm = float(np.linalg.norm(a.matvec_transpose(self.b)))
+        self.r_star = self.b - a.matvec(self.x_star) if self.record_steps else None
+        self.sqnorms = a.col_sqnorms
+        self.stall_window = None
+        self.partition = (
+            make_partition(a.n, self.config.block_size) if self.method == "rbcd" else None
         )
-    state.r = fresh_r
-    state.y = fresh_y
+
+    def refresh(self) -> None:
+        fresh_r = self.b - self.a.matvec(self.state.x)
+        fresh_y = self.a.matvec_transpose(fresh_r)
+        check_drift(fresh_y, self.state.y, self.atb_norm, "y")
+        self.state.r = fresh_r
+        self.state.y = fresh_y
+
+    def err_sq(self) -> float:
+        dr = self.state.r - self.r_star
+        return float(dr @ dr)
+
+    def stationary(self) -> bool:
+        return float(np.linalg.norm(self.state.y)) <= self.stop.stationarity_tol * self.atb_norm
+
+    def step(self):
+        state, a, b, config, method = self.state, self.a, self.b, self.config, self.method
+        zero_set = None
+        if method == "cd":
+            selected = np.array([state.k % a.n])
+            cd_step(state, a, b, int(selected[0]))
+        elif method in ("rgrcd", "rgdc"):
+            profile = column_losses_from_y(a, state.y, config.zero_tol)
+            if profile.max_loss <= 0.0:
+                return "stationary"
+            zero_set = profile.zero_set
+            selected = relaxed_greedy_set(profile, config.theta2)
+            if method == "rgdc":
+                rgdc_step(state, a, b, selected)
+            else:
+                rgrcd_step(state, a, b, selected, self.rng)
+        elif method == "amdcd":
+            if not np.any(state.y):
+                return "stationary"
+            selected = max_distance_set(a, state.y, config.eta2)
+            amdcd_step(state, a, b, selected)
+        else:  # rbcd
+            selected = self.partition[int(self.rng.integers(len(self.partition)))]
+            rbcd_block_step(state, a, b, selected, self.cgls_cfg)
+        return selected, zero_set
 
 
 def run_col_method(
@@ -190,111 +226,6 @@ def run_col_method(
     starting point is admissible. Besides the RSE and iteration caps, the run
     stops as stationary when ||y|| falls below stationarity_tol * ||A.T b||.
     """
-    if method not in COL_METHODS:
-        raise UsageError(f"unknown column method {method!r}; expected one of {COL_METHODS}")
-    config = config if config is not None else SelectionConfig()
-    stop = stop if stop is not None else StopRule()
-    rng = np.random.default_rng(seed)
-    b = as_vector(b, a.m, "b")
-    x = np.zeros(a.n) if x0 is None else as_vector(x0, a.n, "x0").copy()
-    if x_star is None:
-        x_star = cgls(a, b, CglsConfig(rel_tol=1e-12))
-    else:
-        x_star = as_vector(x_star, a.n, "x_star")
-    params = _params_for(method, config)
-
-    denom = float(np.linalg.norm(x - x_star))
-    if denom == 0.0:
-        return SolveReport(method, params, seed, 0, 0.0, [0.0], [], [0.0], 0.0,
-                           "converged", x_final=x, step_records=[] if record_steps else None)
-
-    r = b - a.matvec(x)
-    state = SolveState(x=x, r=r, y=a.matvec_transpose(r))
-    atb_norm = float(np.linalg.norm(a.matvec_transpose(b)))
-    r_star = b - a.matvec(x_star) if record_steps else None
-    partition = make_partition(a.n, config.block_size) if method == "rbcd" else None
-    rse = 1.0
-    rse_trace = [1.0]
-    set_sizes: list[int] = []
-    iter_seconds = [0.0]
-    records: list[StepRecord] | None = [] if record_steps else None
-    reason = "max_iters"
-
-    start = time.perf_counter()
-    while True:
-        if rse < stop.rse_tol:
-            reason = "converged"
-            break
-        if float(np.linalg.norm(state.y)) <= stop.stationarity_tol * atb_norm:
-            reason = "stationary"
-            break
-        if state.k >= stop.max_iters:
-            reason = "max_iters"
-            break
-        if state.k and state.k % _REFRESH_EVERY == 0:
-            _refresh_col_state(state, a, b, atb_norm)
-
-        if record_steps:
-            dr = state.r - r_star
-            err_before = float(dr @ dr)
-        else:
-            err_before = 0.0
-        profile = None
-        if method == "cd":
-            selected = np.array([state.k % a.n])
-            cd_step(state, a, b, int(selected[0]))
-        elif method in ("rgrcd", "rgdc"):
-            profile = column_losses_from_y(a, state.y, config.zero_tol)
-            if profile.max_loss <= 0.0:
-                reason = "stationary"
-                break
-            selected = relaxed_greedy_set(profile, config.theta2)
-            if method == "rgdc":
-                rgdc_step(state, a, b, selected)
-            else:
-                rgrcd_step(state, a, b, selected, rng)
-        elif method == "amdcd":
-            if not np.any(state.y):
-                reason = "stationary"
-                break
-            selected = max_distance_set(a, state.y, config.eta2)
-            amdcd_step(state, a, b, selected)
-        else:  # rbcd
-            selected = partition[int(rng.integers(len(partition)))]
-            rbcd_block_step(state, a, b, selected, cgls_cfg)
-
-        rse = float(np.linalg.norm(state.x - x_star) / denom)
-        rse_trace.append(rse)
-        set_sizes.append(int(selected.size))
-        iter_seconds.append(time.perf_counter() - start)
-        if record_steps:
-            dr = state.r - r_star
-            zero_mass = (
-                float(a.col_sqnorms[profile.zero_set].sum()) if profile is not None else 0.0
-            )
-            records.append(StepRecord(
-                k=state.k - 1,
-                indices=np.array(selected, dtype=int),
-                set_energy=float(a.col_sqnorms[selected].sum()),
-                zero_mass=zero_mass,
-                err_sq_before=err_before,
-                err_sq_after=float(dr @ dr),
-            ))
-
-    wall = time.perf_counter() - start
-    state.r = b - a.matvec(state.x)  # recompute at termination
-    state.y = a.matvec_transpose(state.r)
-    return SolveReport(
-        method=method,
-        params=params,
-        seed=seed,
-        iterations=state.k,
-        final_rse=rse_trace[-1],
-        rse_trace=rse_trace,
-        set_size_trace=set_sizes,
-        iter_seconds=iter_seconds,
-        wall_seconds=wall,
-        termination_reason=reason,
-        x_final=state.x.copy(),
-        step_records=records,
-    )
+    return solve_loop(_ColFamily, method, a, b, config=config, stop=stop, x0=x0,
+                      x_star=x_star, seed=seed, cgls_cfg=cgls_cfg,
+                      record_steps=record_steps, reference=cgls)

@@ -115,40 +115,8 @@ def orthonormalize_columns(raw) -> np.ndarray:
     return q * signs
 
 
-def _jacobi_orthogonalize(w: np.ndarray, tol: float = 1e-14, max_sweeps: int = 60) -> None:
-    """One-sided Jacobi: rotate column pairs of ``w`` in place until orthogonal."""
-    n = w.shape[1]
-    if n < 2:
-        return
-    for _ in range(max_sweeps):
-        rotated = False
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                cp = w[:, p]
-                cq = w[:, q]
-                dot_pq = float(cp @ cq)
-                if dot_pq == 0.0:
-                    continue
-                sq_p = float(cp @ cp)
-                sq_q = float(cq @ cq)
-                if abs(dot_pq) <= tol * np.sqrt(sq_p * sq_q):
-                    continue
-                zeta = (sq_q - sq_p) / (2.0 * dot_pq)
-                sign = 1.0 if zeta >= 0.0 else -1.0
-                t = sign / (abs(zeta) + np.hypot(1.0, zeta))
-                cs = 1.0 / np.sqrt(1.0 + t * t)
-                sn = cs * t
-                new_p = cs * cp - sn * cq
-                w[:, q] = sn * cp + cs * cq
-                w[:, p] = new_p
-                rotated = True
-        if not rotated:
-            return
-    raise RgsolveError("jacobi orthogonalization did not converge within the sweep limit")
-
-
 def singular_values(a) -> np.ndarray:
-    """Nonincreasing nonzero singular values of ``a`` via one-sided Jacobi.
+    """Nonincreasing nonzero singular values of ``a`` via LAPACK (``numpy.linalg.svd``).
 
     ``a`` may be a DenseMatrix or a raw 2-D array. Values below
     ``ZERO_SIGMA_REL`` times the largest singular value are treated as zero
@@ -164,11 +132,10 @@ def singular_values(a) -> np.ndarray:
             f"min(m, n) = {min(m, n)} exceeds the {SVD_MIN_DIM_LIMIT} guard; "
             "skip bound verification for this instance"
         )
-    # Work on whichever orientation has the fewer columns.
-    w = np.array(arr.T if m < n else arr, dtype=float)
-    _jacobi_orthogonalize(w)
-    sig = np.sqrt(np.einsum("ij,ij->j", w, w))
-    sig[::-1].sort()
+    try:
+        sig = np.linalg.svd(arr, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise RgsolveError(f"singular value decomposition failed: {exc}") from exc
     if sig.size == 0 or sig[0] == 0.0:
         return np.empty(0)
     return sig[sig >= ZERO_SIGMA_REL * sig[0]]

@@ -3,9 +3,9 @@
 Each step enforces the projection condition that the aggregated constraint
 direction is orthogonal to the new residual. The residual is maintained by the
 cheap recursion ``r -= weight * A @ d`` and recomputed from scratch every 100
-iterations and at termination to bound drift. The row-aggregate update never
-forms ``A @ A.T``: the direction ``d = A.T @ eta`` is assembled from the
-selected rows only, and ``A @ d`` is a plain matvec, keeping memory at O(m*n).
+iterations to bound drift. The row-aggregate update never forms ``A @ A.T``:
+the direction ``d = A.T @ eta`` is assembled from the selected rows only, and
+``A @ d`` is a plain matvec, keeping memory at O(m*n).
 
 Row methods converge to the least-norm solution of consistent systems when
 started in the row space; on inconsistent systems they stall, which the driver
@@ -14,23 +14,25 @@ reports as a distinct termination reason.
 
 from __future__ import annotations
 
-import time
+from dataclasses import dataclass
 
 import numpy as np
 
 from .cgls import CglsConfig, cgls
-from .errors import RgsolveError, StalledError, UsageError
-from .linalg import DenseMatrix, as_vector
+from .errors import StalledError, UsageError
+from .linalg import DenseMatrix
 from .selection import SelectionConfig, gbk_set, make_partition, relaxed_greedy_set, row_losses
-from .state import SolveReport, SolveState, StepOutcome, StepRecord, StopRule
+from .state import (
+    MethodFamily,
+    SolveReport,
+    SolveState,
+    StepOutcome,
+    StopRule,
+    check_drift,
+    solve_loop,
+)
 
 ROW_METHODS = ("kaczmarz", "rgrk", "rgdr", "gbk", "rbk")
-
-# A run is declared stalled when the best RSE fails to improve by this relative
-# amount over 10*m consecutive iterations.
-_STALL_IMPROVEMENT = 1e-3
-_REFRESH_EVERY = 100
-_DRIFT_REL = 1e-8
 
 
 def kaczmarz_step(state: SolveState, a: DenseMatrix, b: np.ndarray, i: int) -> StepOutcome:
@@ -44,7 +46,6 @@ def kaczmarz_step(state: SolveState, a: DenseMatrix, b: np.ndarray, i: int) -> S
         state.x += delta * a.entries[i]
         state.r -= delta * a.matvec(a.entries[i])
     state.k += 1
-    state.last_set_size = 1
     return StepOutcome(state, 1.0 / sq, converged=(residual_i == 0.0))
 
 
@@ -63,7 +64,6 @@ def rgdr_step(state: SolveState, a: DenseMatrix, b: np.ndarray, indices: np.ndar
     g1 = float(r_sel @ r_sel)
     if g1 <= 0.0:
         state.k += 1
-        state.last_set_size = int(indices.size)
         return StepOutcome(state, 0.0, converged=True)
     direction = a.entries[indices].T @ r_sel
     g2 = float(direction @ direction)
@@ -73,7 +73,6 @@ def rgdr_step(state: SolveState, a: DenseMatrix, b: np.ndarray, indices: np.ndar
     state.x += weight * direction
     state.r -= weight * a.matvec(direction)
     state.k += 1
-    state.last_set_size = int(indices.size)
     return StepOutcome(state, weight)
 
 
@@ -94,9 +93,7 @@ def rgrk_step(
     if total <= 0.0:
         raise UsageError("residual restricted to the selected set is zero")
     i = int(indices[rng.choice(indices.size, p=weights / total)])
-    outcome = kaczmarz_step(state, a, b, i)
-    state.last_set_size = int(indices.size)
-    return outcome
+    return kaczmarz_step(state, a, b, i)
 
 
 def block_project_step(
@@ -119,29 +116,62 @@ def block_project_step(
     state.x += correction
     state.r = b - a.matvec(state.x)
     state.k += 1
-    state.last_set_size = int(indices.size)
     return StepOutcome(state, 1.0)
 
 
-def _params_for(method: str, config: SelectionConfig) -> dict:
-    if method in ("rgdr", "rgrk"):
-        return {"theta": config.theta1}
-    if method == "gbk":
-        return {"eta1": config.eta1}
-    if method == "rbk":
-        return {"block_size": config.block_size}
-    return {}
+@dataclass
+class _RowFamily(MethodFamily):
+    """Row hooks: the residual r = b - A x, errors in x, and a stall window of 10*m."""
 
+    kind = "row"
+    methods = ROW_METHODS
+    params = {"rgdr": ("theta", "theta1"), "rgrk": ("theta", "theta1"),
+              "gbk": ("eta1", "eta1"), "rbk": ("block_size", "block_size")}
 
-def _refresh_row_state(state: SolveState, a: DenseMatrix, b: np.ndarray) -> None:
-    fresh = b - a.matvec(state.x)
-    scale = max(1.0, float(np.linalg.norm(b)) + float(np.linalg.norm(fresh)))
-    drift = float(np.linalg.norm(fresh - state.r))
-    if drift > _DRIFT_REL * scale:
-        raise RgsolveError(
-            f"residual recursion drifted beyond tolerance ({drift:.3e} vs scale {scale:.3e})"
+    def __post_init__(self):
+        self.sqnorms = self.a.row_sqnorms
+        self.partition = (
+            make_partition(self.a.m, self.config.block_size) if self.method == "rbk" else None
         )
-    state.r = fresh
+        self.stall_window = 10 * self.a.m
+
+    def refresh(self) -> None:
+        fresh = self.b - self.a.matvec(self.state.x)
+        check_drift(fresh, self.state.r, float(np.linalg.norm(self.b)), "residual")
+        self.state.r = fresh
+
+    def err_sq(self) -> float:
+        return float(np.dot(self.state.x - self.x_star, self.state.x - self.x_star))
+
+    def step(self):
+        state, a, b, config, method = self.state, self.a, self.b, self.config, self.method
+        zero_set = None
+        try:
+            if method == "kaczmarz":
+                selected = np.array([state.k % a.m])
+                kaczmarz_step(state, a, b, int(selected[0]))
+            elif method in ("rgrk", "rgdr", "gbk"):
+                profile = row_losses(a, state.r, config.zero_tol)
+                if profile.max_loss <= 0.0:
+                    # x has not moved since the loop found RSE >= rse_tol, so an
+                    # exactly zero residual away from x* is a stall.
+                    return "stalled"
+                zero_set = profile.zero_set
+                if method == "gbk":
+                    selected = gbk_set(profile, config.eta1)
+                    block_project_step(state, a, b, selected, self.cgls_cfg)
+                else:
+                    selected = relaxed_greedy_set(profile, config.theta1)
+                    if method == "rgdr":
+                        rgdr_step(state, a, b, selected)
+                    else:
+                        rgrk_step(state, a, b, selected, self.rng)
+            else:  # rbk
+                selected = self.partition[int(self.rng.integers(len(self.partition)))]
+                block_project_step(state, a, b, selected, self.cgls_cfg)
+        except StalledError:
+            return "stalled"
+        return selected, zero_set
 
 
 def run_row_method(
@@ -164,122 +194,6 @@ def run_row_method(
     by the CGLS reference at tolerance 1e-12. The default start is the zero
     vector, which lies in the row space as the least-norm guarantee requires.
     """
-    if method not in ROW_METHODS:
-        raise UsageError(f"unknown row method {method!r}; expected one of {ROW_METHODS}")
-    config = config if config is not None else SelectionConfig()
-    stop = stop if stop is not None else StopRule()
-    rng = np.random.default_rng(seed)
-    b = as_vector(b, a.m, "b")
-    x = np.zeros(a.n) if x0 is None else as_vector(x0, a.n, "x0").copy()
-    if x_star is None:
-        x_star = cgls(a, b, CglsConfig(rel_tol=1e-12))
-    else:
-        x_star = as_vector(x_star, a.n, "x_star")
-    params = _params_for(method, config)
-
-    denom = float(np.linalg.norm(x - x_star))
-    if denom == 0.0:
-        return SolveReport(method, params, seed, 0, 0.0, [0.0], [], [0.0], 0.0,
-                           "converged", x_final=x, step_records=[] if record_steps else None)
-
-    state = SolveState(x=x, r=b - a.matvec(x))
-    partition = make_partition(a.m, config.block_size) if method == "rbk" else None
-    rse = 1.0
-    rse_trace = [1.0]
-    set_sizes: list[int] = []
-    iter_seconds = [0.0]
-    records: list[StepRecord] | None = [] if record_steps else None
-    best_rse = rse
-    since_best = 0
-    stall_window = 10 * a.m
-    reason = "max_iters"
-
-    start = time.perf_counter()
-    while True:
-        if rse < stop.rse_tol:
-            reason = "converged"
-            break
-        if state.k >= stop.max_iters:
-            reason = "max_iters"
-            break
-        if since_best >= stall_window:
-            reason = "stalled"
-            break
-        if state.k and state.k % _REFRESH_EVERY == 0:
-            _refresh_row_state(state, a, b)
-
-        err_before = float(np.dot(state.x - x_star, state.x - x_star)) if record_steps else 0.0
-        profile = None
-        try:
-            if method == "kaczmarz":
-                selected = np.array([state.k % a.m])
-                kaczmarz_step(state, a, b, int(selected[0]))
-            elif method in ("rgrk", "rgdr"):
-                profile = row_losses(a, state.r, config.zero_tol)
-                if profile.max_loss <= 0.0:
-                    reason = _zero_loss_reason(state, a, b, x_star, denom, stop)
-                    break
-                selected = relaxed_greedy_set(profile, config.theta1)
-                if method == "rgdr":
-                    rgdr_step(state, a, b, selected)
-                else:
-                    rgrk_step(state, a, b, selected, rng)
-            elif method == "gbk":
-                profile = row_losses(a, state.r, config.zero_tol)
-                if profile.max_loss <= 0.0:
-                    reason = _zero_loss_reason(state, a, b, x_star, denom, stop)
-                    break
-                selected = gbk_set(profile, config.eta1)
-                block_project_step(state, a, b, selected, cgls_cfg)
-            else:  # rbk
-                selected = partition[int(rng.integers(len(partition)))]
-                block_project_step(state, a, b, selected, cgls_cfg)
-        except StalledError:
-            reason = "stalled"
-            break
-
-        rse = float(np.linalg.norm(state.x - x_star) / denom)
-        rse_trace.append(rse)
-        set_sizes.append(int(selected.size))
-        iter_seconds.append(time.perf_counter() - start)
-        if record_steps:
-            zero_mass = (
-                float(a.row_sqnorms[profile.zero_set].sum()) if profile is not None else 0.0
-            )
-            records.append(StepRecord(
-                k=state.k - 1,
-                indices=np.array(selected, dtype=int),
-                set_energy=float(a.row_sqnorms[selected].sum()),
-                zero_mass=zero_mass,
-                err_sq_before=err_before,
-                err_sq_after=float(np.dot(state.x - x_star, state.x - x_star)),
-            ))
-        if rse < best_rse * (1.0 - _STALL_IMPROVEMENT):
-            best_rse = rse
-            since_best = 0
-        else:
-            since_best += 1
-
-    wall = time.perf_counter() - start
-    state.r = b - a.matvec(state.x)  # recompute at termination
-    return SolveReport(
-        method=method,
-        params=params,
-        seed=seed,
-        iterations=state.k,
-        final_rse=rse_trace[-1],
-        rse_trace=rse_trace,
-        set_size_trace=set_sizes,
-        iter_seconds=iter_seconds,
-        wall_seconds=wall,
-        termination_reason=reason,
-        x_final=state.x.copy(),
-        step_records=records,
-    )
-
-
-def _zero_loss_reason(state, a, b, x_star, denom, stop) -> str:
-    """The residual hit exact zero: converged if the iterate reached x*, else stalled."""
-    state.r = b - a.matvec(state.x)
-    rse = float(np.linalg.norm(state.x - x_star) / denom)
-    return "converged" if rse < stop.rse_tol else "stalled"
+    return solve_loop(_RowFamily, method, a, b, config=config, stop=stop, x0=x0,
+                      x_star=x_star, seed=seed, cgls_cfg=cgls_cfg,
+                      record_steps=record_steps, reference=cgls)

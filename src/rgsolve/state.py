@@ -1,14 +1,28 @@
-"""Solver state, stopping rules, and run reports shared by the row and column drivers."""
+"""Solver state, stopping rules, run reports, and the solve loop shared by all ten methods."""
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
-from .errors import UsageError
+from .cgls import CglsConfig
+from .errors import RgsolveError, UsageError
+from .linalg import DenseMatrix, as_vector
+from .selection import SelectionConfig
 
 TERMINATION_REASONS = ("converged", "max_iters", "stalled", "stationary")
+
+# The carried residual (and y) is recomputed from x this often, and the run
+# fails if the recursion drifted by more than _DRIFT_REL of its scale.
+REFRESH_EVERY = 100
+_DRIFT_REL = 1e-8
+
+# A run stalls when the best RSE fails to improve by this relative amount over
+# its family's stall window.
+_STALL_IMPROVEMENT = 1e-3
 
 
 @dataclass
@@ -19,7 +33,6 @@ class SolveState:
     r: np.ndarray
     y: np.ndarray | None = None
     k: int = 0
-    last_set_size: int = 0
 
 
 @dataclass
@@ -114,3 +127,148 @@ class SolveReport:
             termination_reason=data["termination_reason"],
             x_final=None if x_final is None else np.asarray(x_final, dtype=float),
         )
+
+
+def check_drift(fresh: np.ndarray, carried: np.ndarray, base_norm: float, name: str) -> None:
+    """Raise when a vector carried by recursion has drifted from its fresh recomputation."""
+    scale = max(1.0, base_norm + float(np.linalg.norm(fresh)))
+    drift = float(np.linalg.norm(fresh - carried))
+    if drift > _DRIFT_REL * scale:
+        raise RgsolveError(
+            f"{name} recursion drifted beyond tolerance ({drift:.3e} vs scale {scale:.3e})"
+        )
+
+
+@dataclass
+class MethodFamily:
+    """What the row or the column methods supply to ``solve_loop``.
+
+    ``params`` maps a method to its reported parameter and its config field.
+    ``__post_init__`` completes the start state and sets ``sqnorms`` (summed by
+    step records) and ``stall_window`` (iterations without a 0.1% RSE gain
+    before the run stalls, checked after the iteration cap; None for no stall
+    rule). ``refresh()`` recomputes the carried vectors, raising on drift;
+    ``err_sq()`` is the squared error step records carry; ``step()`` advances
+    ``state`` by one iteration and returns ``(selected, zero_set or None)``, or
+    a termination reason when nothing is left to select. ``stationary()`` is
+    an extra stop rule checked before the iteration cap.
+    """
+
+    kind: ClassVar[str]
+    methods: ClassVar[tuple[str, ...]]
+    params: ClassVar[dict[str, tuple[str, str]]]
+
+    method: str
+    a: DenseMatrix
+    b: np.ndarray
+    x_star: np.ndarray
+    state: SolveState
+    config: SelectionConfig
+    stop: StopRule
+    rng: np.random.Generator
+    cgls_cfg: CglsConfig | None
+    record_steps: bool
+
+    def stationary(self) -> bool:
+        return False
+
+
+def solve_loop(family: type[MethodFamily], method: str, a: DenseMatrix, b, *, config, stop,
+               x0, x_star, seed, cgls_cfg, record_steps, reference) -> SolveReport:
+    """Iterate ``method`` of ``family`` until a stop rule fires.
+
+    ``reference`` is the CGLS solver that supplies ``x_star`` when it is not
+    given. The family modules pass the ``cgls`` they import, looked up when
+    they call, so a wrapper installed on that module attribute sees the solve.
+    """
+    if method not in family.methods:
+        raise UsageError(
+            f"unknown {family.kind} method {method!r}; expected one of {family.methods}"
+        )
+    config = config if config is not None else SelectionConfig()
+    stop = stop if stop is not None else StopRule()
+    rng = np.random.default_rng(seed)
+    b = as_vector(b, a.m, "b")
+    x = np.zeros(a.n) if x0 is None else as_vector(x0, a.n, "x0").copy()
+    if x_star is None:
+        x_star = reference(a, b, CglsConfig(rel_tol=1e-12))
+    else:
+        x_star = as_vector(x_star, a.n, "x_star")
+    params = {}
+    if method in family.params:
+        name, field_name = family.params[method]
+        params[name] = getattr(config, field_name)
+
+    denom = float(np.linalg.norm(x - x_star))
+    if denom == 0.0:
+        return SolveReport(method, params, seed, 0, 0.0, [0.0], [], [0.0], 0.0,
+                           "converged", x_final=x, step_records=[] if record_steps else None)
+
+    state = SolveState(x=x, r=b - a.matvec(x))
+    fam = family(method=method, a=a, b=b, x_star=x_star, state=state, config=config,
+                 stop=stop, rng=rng, cgls_cfg=cgls_cfg, record_steps=record_steps)
+    rse = 1.0
+    rse_trace = [1.0]
+    set_sizes: list[int] = []
+    iter_seconds = [0.0]
+    records: list[StepRecord] | None = [] if record_steps else None
+    best_rse = rse
+    since_best = 0
+
+    start = time.perf_counter()
+    while True:
+        if rse < stop.rse_tol:
+            reason = "converged"
+            break
+        if fam.stationary():
+            reason = "stationary"
+            break
+        if state.k >= stop.max_iters:
+            reason = "max_iters"
+            break
+        if fam.stall_window is not None and since_best >= fam.stall_window:
+            reason = "stalled"
+            break
+        if state.k and state.k % REFRESH_EVERY == 0:
+            fam.refresh()
+
+        err_before = fam.err_sq() if record_steps else 0.0
+        outcome = fam.step()
+        if isinstance(outcome, str):
+            reason = outcome
+            break
+        selected, zero_set = outcome
+        rse = float(np.linalg.norm(state.x - x_star) / denom)
+        rse_trace.append(rse)
+        set_sizes.append(int(selected.size))
+        iter_seconds.append(time.perf_counter() - start)
+        if record_steps:
+            records.append(StepRecord(
+                k=state.k - 1,
+                indices=np.array(selected, dtype=int),
+                set_energy=float(fam.sqnorms[selected].sum()),
+                zero_mass=float(fam.sqnorms[zero_set].sum()) if zero_set is not None else 0.0,
+                err_sq_before=err_before,
+                err_sq_after=fam.err_sq(),
+            ))
+        if rse < best_rse * (1.0 - _STALL_IMPROVEMENT):
+            best_rse = rse
+            since_best = 0
+        else:
+            since_best += 1
+
+    wall = time.perf_counter() - start
+    return SolveReport(
+        method=method,
+        params=params,
+        seed=seed,
+        iterations=state.k,
+        final_rse=rse_trace[-1],
+        rse_trace=rse_trace,
+        set_size_trace=set_sizes,
+        iter_seconds=iter_seconds,
+        wall_seconds=wall,
+        termination_reason=reason,
+        x_final=state.x.copy(),
+        step_records=records,
+    )

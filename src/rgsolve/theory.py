@@ -79,6 +79,27 @@ def _relaxation(theta: float, frob_sq: float, active_energy: float) -> float:
     return theta * frob_sq / active_energy + (1.0 - theta)
 
 
+def _aggregate_factor(a, row_kind, indices, zero_mass, theta, sigma_min) -> tuple[float, dict]:
+    """Per-step bound 1 - relax * (set energy / ||A||_F^2) * sigma_min^2 / sigma_max(subset)^2."""
+    active_energy = a.frob_sq - zero_mass
+    relax = _relaxation(theta, a.frob_sq, active_energy)
+    sqnorms = a.row_sqnorms if row_kind else a.col_sqnorms
+    energy_fraction = float(sqnorms[indices].sum()) / a.frob_sq
+    if sigma_min is None:
+        sigma_min = sigma_extremes(a)[1]
+    sub = a.entries[indices] if row_kind else a.entries[:, indices]
+    sigma_max_sub = float(singular_values(sub)[0])
+    factor = _clamp_factor(1.0 - relax * energy_fraction * sigma_min**2 / sigma_max_sub**2)
+    return factor, {
+        "relaxation_factor": relax,
+        "active_energy": active_energy,
+        "zero_set_mass": zero_mass,
+        "sigma_min": sigma_min,
+        "sigma_max_subset": sigma_max_sub,
+        "set_energy_fraction": energy_fraction,
+    }
+
+
 def rgdr_factor(
     a: DenseMatrix,
     indices: np.ndarray,
@@ -91,12 +112,7 @@ def rgdr_factor(
         raise UsageError("rgdr_factor expects a row loss profile")
     indices = np.asarray(indices, dtype=int)
     zero_mass = float(a.row_sqnorms[profile.zero_set].sum())
-    relax = _relaxation(theta1, a.frob_sq, a.frob_sq - zero_mass)
-    energy_fraction = float(a.row_sqnorms[indices].sum()) / a.frob_sq
-    if sigma_min is None:
-        sigma_min = sigma_extremes(a)[1]
-    sigma_max_sub = float(singular_values(a.entries[indices])[0])
-    return _clamp_factor(1.0 - relax * energy_fraction * sigma_min**2 / sigma_max_sub**2)
+    return _aggregate_factor(a, True, indices, zero_mass, theta1, sigma_min)[0]
 
 
 def rgdc_factor(
@@ -111,38 +127,30 @@ def rgdc_factor(
         raise UsageError("rgdc_factor expects a column loss profile")
     indices = np.asarray(indices, dtype=int)
     zero_mass = float(a.col_sqnorms[profile.zero_set].sum())
-    relax = _relaxation(theta2, a.frob_sq, a.frob_sq - zero_mass)
-    energy_fraction = float(a.col_sqnorms[indices].sum()) / a.frob_sq
+    return _aggregate_factor(a, False, indices, zero_mass, theta2, sigma_min)[0]
+
+
+def _randomized_factor(a, theta, sqnorms, sigma_min, kind) -> float:
+    """Global expected factor ``1 - relax * sigma_min^2 / ||A||_F^2`` of a randomized method."""
+    if not 0.0 <= theta <= 1.0:
+        raise UsageError(f"theta must lie in [0, 1], got {theta}")
+    active = a.frob_sq - float(sqnorms.min())
+    if active <= 0.0:
+        raise UsageError(f"single-{kind} matrix admits no relaxed expected factor")
+    relax = _relaxation(theta, a.frob_sq, active)
     if sigma_min is None:
         sigma_min = sigma_extremes(a)[1]
-    sigma_max_sub = float(singular_values(a.entries[:, indices])[0])
-    return _clamp_factor(1.0 - relax * energy_fraction * sigma_min**2 / sigma_max_sub**2)
+    return _clamp_factor(1.0 - relax * sigma_min**2 / a.frob_sq)
 
 
 def rgrk_factor(a: DenseMatrix, theta1: float, sigma_min: float | None = None) -> float:
     """Global expected contraction factor for the randomized row method."""
-    if not 0.0 <= theta1 <= 1.0:
-        raise UsageError(f"theta must lie in [0, 1], got {theta1}")
-    active = a.frob_sq - float(a.row_sqnorms.min())
-    if active <= 0.0:
-        raise UsageError("single-row matrix admits no relaxed expected factor")
-    relax = theta1 * a.frob_sq / active + (1.0 - theta1)
-    if sigma_min is None:
-        sigma_min = sigma_extremes(a)[1]
-    return _clamp_factor(1.0 - relax * sigma_min**2 / a.frob_sq)
+    return _randomized_factor(a, theta1, a.row_sqnorms, sigma_min, "row")
 
 
 def rgrcd_factor(a: DenseMatrix, theta2: float, sigma_min: float | None = None) -> float:
     """Global expected contraction factor for the randomized coordinate method."""
-    if not 0.0 <= theta2 <= 1.0:
-        raise UsageError(f"theta must lie in [0, 1], got {theta2}")
-    active = a.frob_sq - float(a.col_sqnorms.min())
-    if active <= 0.0:
-        raise UsageError("single-column matrix admits no relaxed expected factor")
-    relax = theta2 * a.frob_sq / active + (1.0 - theta2)
-    if sigma_min is None:
-        sigma_min = sigma_extremes(a)[1]
-    return _clamp_factor(1.0 - relax * sigma_min**2 / a.frob_sq)
+    return _randomized_factor(a, theta2, a.col_sqnorms, sigma_min, "column")
 
 
 def flops_rgdr(m: int, n: int, set_size: int) -> int:
@@ -186,16 +194,10 @@ def certify_run(
         sigma_min = sigma_extremes(a)[1]
 
     row_kind = report.method == "rgdr"
-    sqnorms = a.row_sqnorms if row_kind else a.col_sqnorms
     certificates = []
     for rec in report.step_records:
-        active_energy = a.frob_sq - rec.zero_mass
-        relax = _relaxation(theta, a.frob_sq, active_energy)
-        energy_fraction = float(sqnorms[rec.indices].sum()) / a.frob_sq
-        sub = a.entries[rec.indices] if row_kind else a.entries[:, rec.indices]
-        sigma_max_sub = float(singular_values(sub)[0])
-        factor = _clamp_factor(
-            1.0 - relax * energy_fraction * sigma_min**2 / sigma_max_sub**2
+        factor, components = _aggregate_factor(
+            a, row_kind, rec.indices, rec.zero_mass, theta, sigma_min
         )
         ratio = rec.err_sq_after / rec.err_sq_before if rec.err_sq_before > 0.0 else 0.0
         certificates.append(BoundCertificate(
@@ -203,14 +205,7 @@ def certify_run(
             factor_theoretical=factor,
             ratio_measured=ratio,
             satisfied=bool(ratio <= factor + slack),
-            components={
-                "relaxation_factor": relax,
-                "active_energy": active_energy,
-                "zero_set_mass": rec.zero_mass,
-                "sigma_min": sigma_min,
-                "sigma_max_subset": sigma_max_sub,
-                "set_energy_fraction": energy_fraction,
-            },
+            components=components,
         ))
     return certificates
 

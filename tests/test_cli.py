@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from rgsolve.cli import main
+from rgsolve.errors import DegenerateStepError, RgsolveError
 
 
 def run_cli(*argv):
@@ -124,6 +125,21 @@ def test_solve_unknown_method_exits_2(tmp_path, small_problem):
 def test_solve_missing_problem_dir_exits_2(tmp_path):
     assert run_cli("solve", str(tmp_path / "nope"), "--method", "rgdr",
                    "--out", str(tmp_path / "x")) == 2
+
+
+@pytest.mark.parametrize("runner, method, error", [
+    ("run_col_method", "rgdc", DegenerateStepError("selected columns cancel exactly")),
+    ("run_row_method", "rgdr", RgsolveError("residual recursion drifted beyond tolerance")),
+])
+def test_solver_errors_exit_3_with_one_error_line(tmp_path, small_problem, capsys,
+                                                  monkeypatch, runner, method, error):
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(f"rgsolve.cli.{runner}", fail)
+    code = run_cli("solve", str(small_problem), "--method", method, "--out", str(tmp_path / "x"))
+    assert code == 3
+    assert capsys.readouterr().err == f"error: {error}\n"
 
 
 def test_bench_small_sweep(tmp_path):

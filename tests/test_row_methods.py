@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from rgsolve import (
+    COL_METHODS,
+    ROW_METHODS,
     CglsConfig,
     DenseMatrix,
     SelectionConfig,
@@ -19,6 +21,7 @@ from rgsolve import (
     rgdr_step,
     rgrk_step,
     row_losses,
+    run_col_method,
     run_row_method,
 )
 
@@ -262,3 +265,26 @@ def test_set_size_trace_matches_iterations():
     assert len(report.set_size_trace) == report.iterations
     assert len(report.rse_trace) == report.iterations + 1
     assert len(report.iter_seconds) == report.iterations + 1
+
+
+@pytest.mark.parametrize("method", ROW_METHODS + COL_METHODS)
+def test_solve_loop_contract_for_every_method(method):
+    a = gen_randn(40, 10, 3)
+    inst = make_consistent(a, 4)
+    config = SelectionConfig(block_size=3)
+    is_row = method in ROW_METHODS
+    run, other = (run_row_method, run_col_method) if is_row else (run_col_method, run_row_method)
+
+    capped = run(method, a, inst.b, config=config, x_star=inst.x_star, seed=0,
+                 stop=StopRule(rse_tol=1e-12, max_iters=5))
+    assert capped.termination_reason == "max_iters"
+    assert capped.iterations == 5
+    assert len(capped.rse_trace) == 6
+    assert len(capped.set_size_trace) == 5
+
+    at_solution = run(method, a, inst.b, config=config, x0=inst.x_star, x_star=inst.x_star)
+    assert at_solution.termination_reason == "converged"
+    assert at_solution.iterations == 0
+
+    with pytest.raises(UsageError, match=f"unknown {'column' if is_row else 'row'} method"):
+        other(method, a, inst.b, config=config, x_star=inst.x_star)
