@@ -199,6 +199,13 @@ def cmd_bench(args) -> int:
         raise UsageError("bench config lists no problems")
     if not seeds:
         raise UsageError("bench config lists no seeds")
+    for prob in problems:
+        for key in ("m", "n"):
+            value = prob.get(key)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise UsageError(
+                    f"bench config problem {key} must be a positive integer, got {value!r}"
+                )
     stop = StopRule(
         rse_tol=float(config.get("tol", 1e-4)),
         max_iters=int(config.get("max_iters", 1_000_000)),
@@ -211,7 +218,7 @@ def cmd_bench(args) -> int:
     any_failure = False
     for prob in problems:
         kind = prob.get("kind", "randn")
-        m, n = int(prob["m"]), int(prob["n"])
+        m, n = prob["m"], prob["n"]
         inconsistent = prob.get("case", "consistent") == "inconsistent"
         instances = []
         for seed in seeds:

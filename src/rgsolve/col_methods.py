@@ -4,10 +4,12 @@ Column methods update coordinates of x using columns of A and converge to the
 least-squares solution whether or not the system is consistent. The working
 vector is ``y = A.T r``; it drives all selection rules, so adding any
 perturbation from the null space of A.T to b leaves the iterates unchanged.
-``A.T @ A`` is never formed: products with its columns are realized as
-``A.T @ (A @ increment)`` with the first factor collapsing onto the touched
-columns. The residual r is carried alongside y for the step records and both
-are recomputed from scratch every 100 iterations.
+A step on the column set S with weights w moves y by ``w @ G[S]``, rows of the
+Gram matrix ``G = A.T @ A`` that the matrix caches on first use: O(s*n) per
+step, independent of m. On wide matrices (n > m), where no Gram is kept, the
+move is ``A.T @ (A[:, S] @ w)`` instead. The residual r is carried alongside y
+for the step records and the RBCD subsolves (O(m*s) per step), and both are
+recomputed from scratch every 100 iterations.
 """
 
 from __future__ import annotations
@@ -39,6 +41,12 @@ from .state import (
 COL_METHODS = ("cd", "rgrcd", "rgdc", "amdcd", "rbcd")
 
 
+def _normal_product(a: DenseMatrix, indices, w, applied: np.ndarray) -> np.ndarray:
+    """``A.T @ applied`` for ``applied = A[:, indices] @ w``, through the Gram when A has one."""
+    gram = a.gram
+    return a.matvec_transpose(applied) if gram is None else np.dot(w, gram[indices])
+
+
 def cd_step(state: SolveState, a: DenseMatrix, b: np.ndarray, j: int) -> StepOutcome:
     """Exactly minimize the residual along coordinate ``j``."""
     sq = float(a.col_sqnorms[j])
@@ -50,7 +58,7 @@ def cd_step(state: SolveState, a: DenseMatrix, b: np.ndarray, j: int) -> StepOut
         col = a.column(j)
         state.x[j] += delta
         state.r -= delta * col
-        state.y -= delta * a.matvec_transpose(col)
+        state.y -= delta * _normal_product(a, j, 1.0, col)
     state.k += 1
     return StepOutcome(state, 1.0 / sq, converged=(y_j == 0.0))
 
@@ -78,7 +86,7 @@ def rgdc_step(state: SolveState, a: DenseMatrix, b: np.ndarray, indices: np.ndar
     weight = h1 / h2
     state.x[indices] += weight * y_sel
     state.r -= weight * combined
-    state.y -= weight * a.matvec_transpose(combined)
+    state.y -= weight * _normal_product(a, indices, y_sel, combined)
     state.k += 1
     return StepOutcome(state, weight)
 
@@ -119,7 +127,7 @@ def amdcd_step(state: SolveState, a: DenseMatrix, b: np.ndarray, indices: np.nda
     state.x[indices] += weights
     applied = a.entries_t[indices].T @ weights  # A @ increment
     state.r -= applied
-    state.y -= a.matvec_transpose(applied)
+    state.y -= _normal_product(a, indices, weights, applied)
     state.k += 1
     return StepOutcome(state, 1.0)
 
@@ -140,7 +148,7 @@ def rbcd_block_step(
     state.x[indices] += correction
     applied = sub @ correction
     state.r -= applied
-    state.y -= a.matvec_transpose(applied)
+    state.y -= _normal_product(a, indices, correction, applied)
     state.k += 1
     return StepOutcome(state, 1.0)
 

@@ -30,7 +30,11 @@ class DenseMatrix:
 
     The entry array and a contiguous transposed copy are both kept so row and
     column sweeps are O(m*n) without repeated transposition; matrices in scope
-    fit desk memory. Instances are safe to share across concurrent solves.
+    fit desk memory. The Gram matrix ``A.T @ A`` (n*n floats) is built on the
+    first ``gram`` access and kept, but only when n <= m, where it is no larger
+    than either copy of A. Instances are safe to share across concurrent
+    solves: the Gram is published only once complete, and a race at worst
+    builds it twice.
     """
 
     def __init__(self, entries):
@@ -48,6 +52,16 @@ class DenseMatrix:
         self.frob_sq = float(self.row_sqnorms.sum())
         for a in (self.entries, self.entries_t, self.row_sqnorms, self.col_sqnorms):
             a.setflags(write=False)
+        self._gram = None
+
+    @property
+    def gram(self) -> np.ndarray | None:
+        """Read-only ``A.T @ A``, built once on first use; None when n > m."""
+        if self._gram is None and self.n <= self.m:
+            g = self.entries.T @ self.entries
+            g.setflags(write=False)
+            self._gram = g
+        return self._gram
 
     @property
     def m(self) -> int:

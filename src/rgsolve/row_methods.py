@@ -1,11 +1,13 @@
 """Row-action methods: Kaczmarz, RGRK, RGDR, GBK, and RBK.
 
 Each step enforces the projection condition that the aggregated constraint
-direction is orthogonal to the new residual. The residual is maintained by the
-cheap recursion ``r -= weight * A @ d`` and recomputed from scratch every 100
-iterations to bound drift. The row-aggregate update never forms ``A @ A.T``:
-the direction ``d = A.T @ eta`` is assembled from the selected rows only, and
-``A @ d`` is a plain matvec, keeping memory at O(m*n).
+direction is orthogonal to the new residual. The greedy and block methods carry
+the residual by the recursion ``r -= weight * A @ d`` and recompute it from
+scratch every 100 iterations to bound drift. The row-aggregate update never
+forms ``A @ A.T``: the direction ``d = A.T @ eta`` is assembled from the
+selected rows only, and ``A @ d`` is a plain matvec, keeping memory at O(m*n).
+Cyclic Kaczmarz selects without looking at r, so it carries none: each step
+reads ``b_i - a_i . x`` in O(n).
 
 Row methods converge to the least-norm solution of consistent systems when
 started in the row space; on inconsistent systems they stall, which the driver
@@ -36,15 +38,21 @@ ROW_METHODS = ("kaczmarz", "rgrk", "rgdr", "gbk", "rbk")
 
 
 def kaczmarz_step(state: SolveState, a: DenseMatrix, b: np.ndarray, i: int) -> StepOutcome:
-    """Project the iterate onto the hyperplane of row ``i``."""
+    """Project the iterate onto the hyperplane of row ``i``.
+
+    The residual entry is read from the carried ``state.r``, which the step
+    keeps up to date, or computed as ``b_i - a_i . x`` when ``state.r`` is None.
+    """
     sq = float(a.row_sqnorms[i])
     if sq <= 0.0:
         raise UsageError(f"zero row {i} cannot drive a projection step")
-    residual_i = float(state.r[i])
+    row = a.entries[i]
+    residual_i = float(b[i] - row @ state.x) if state.r is None else float(state.r[i])
     if residual_i != 0.0:
         delta = residual_i / sq
-        state.x += delta * a.entries[i]
-        state.r -= delta * a.matvec(a.entries[i])
+        state.x += delta * row
+        if state.r is not None:
+            state.r -= delta * a.matvec(row)
     state.k += 1
     return StepOutcome(state, 1.0 / sq, converged=(residual_i == 0.0))
 
@@ -121,7 +129,8 @@ def block_project_step(
 
 @dataclass
 class _RowFamily(MethodFamily):
-    """Row hooks: the residual r = b - A x, errors in x, and a stall window of 10*m."""
+    """Row hooks: the residual r = b - A x (none for cyclic Kaczmarz), errors in x,
+    and a stall window of 10*m."""
 
     kind = "row"
     methods = ROW_METHODS
@@ -129,6 +138,8 @@ class _RowFamily(MethodFamily):
               "gbk": ("eta1", "eta1"), "rbk": ("block_size", "block_size")}
 
     def __post_init__(self):
+        if self.method == "kaczmarz":
+            self.state.r = None
         self.sqnorms = self.a.row_sqnorms
         self.partition = (
             make_partition(self.a.m, self.config.block_size) if self.method == "rbk" else None
@@ -136,6 +147,8 @@ class _RowFamily(MethodFamily):
         self.stall_window = 10 * self.a.m
 
     def refresh(self) -> None:
+        if self.state.r is None:
+            return
         fresh = self.b - self.a.matvec(self.state.x)
         check_drift(fresh, self.state.r, float(np.linalg.norm(self.b)), "residual")
         self.state.r = fresh

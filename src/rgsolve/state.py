@@ -27,10 +27,14 @@ _STALL_IMPROVEMENT = 1e-3
 
 @dataclass
 class SolveState:
-    """Evolving iterate: x, residual r = b - A x, and (column methods) y = A.T r."""
+    """Evolving iterate: x, residual r = b - A x, and (column methods) y = A.T r.
+
+    ``r`` is None for cyclic Kaczmarz, which reads single residual entries
+    from x and b instead of carrying the vector.
+    """
 
     x: np.ndarray
-    r: np.ndarray
+    r: np.ndarray | None
     y: np.ndarray | None = None
     k: int = 0
 

@@ -175,6 +175,21 @@ def test_bench_empty_methods_exits_2(tmp_path):
     assert run_cli("bench", str(cfg), "--out", str(tmp_path / "o")) == 2
 
 
+@pytest.mark.parametrize("problem", [
+    {"kind": "randn", "n": 3},
+    {"kind": "randn", "m": 0, "n": 3},
+    {"kind": "randn", "m": 10, "n": 2.5},
+    {"kind": "randn", "m": "10", "n": 3},
+])
+def test_bench_problem_without_positive_integer_dims_exits_2(tmp_path, capsys, problem):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"problems": [problem], "methods": [{"method": "rgdr"}],
+                               "seeds": [0]}))
+    assert run_cli("bench", str(cfg), "--out", str(tmp_path / "o")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bench config problem ") and err.count("\n") == 1
+
+
 def test_certify_deterministic_pass(tmp_path):
     prob = tmp_path / "prob"
     assert run_cli("gen", "--kind", "randn", "--m", "100", "--n", "50",

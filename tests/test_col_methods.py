@@ -1,9 +1,15 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+from rgsolve import col_methods
 from rgsolve import (
+    COL_METHODS,
     DegenerateStepError,
     DenseMatrix,
+    RgsolveError,
     SelectionConfig,
     SolveState,
     StopRule,
@@ -276,3 +282,93 @@ def test_residual_error_monotone_for_column_methods():
         current = float(np.linalg.norm(state.r - r_star)) ** 2
         assert current <= previous * (1.0 + 1e-12)
         previous = current
+
+
+COLUMN_STEPS = {
+    "cd": lambda s, a, b, idx: cd_step(s, a, b, int(idx[0])),
+    "rgdc": rgdc_step,
+    "amdcd": amdcd_step,
+    "rbcd": rbcd_block_step,
+}
+
+
+@pytest.mark.parametrize("shape", [(40, 12), (12, 40)], ids=["tall", "wide"])
+@pytest.mark.parametrize("step", sorted(COLUMN_STEPS))
+def test_column_steps_keep_y_equal_to_a_t_r(shape, step):
+    # Tall matrices update y through rows of the cached Gram, wide ones through A.T
+    rng = np.random.default_rng(31)
+    a = DenseMatrix(rng.standard_normal(shape))
+    b = rng.standard_normal(a.m)
+    for _ in range(5):
+        state = fresh_state(a, b, x=rng.standard_normal(a.n))
+        indices = rng.choice(a.n, size=4, replace=False)
+        COLUMN_STEPS[step](state, a, b, indices)
+        scale = max(1.0, float(np.linalg.norm(state.y)))
+        assert np.linalg.norm(state.y - a.matvec_transpose(state.r)) <= 1e-12 * scale
+        np.testing.assert_allclose(state.r, b - a.matvec(state.x), rtol=0, atol=1e-12)
+    assert (a.gram is None) == (a.n > a.m)
+
+
+def test_gram_is_cached_read_only_and_tall_only():
+    tall = gen_randn(30, 7, 32)
+    assert tall.gram is tall.gram
+    assert not tall.gram.flags.writeable
+    np.testing.assert_array_equal(tall.gram, tall.entries.T @ tall.entries)
+    square = gen_randn(6, 6, 33)
+    np.testing.assert_array_equal(square.gram, square.entries.T @ square.entries)
+
+    wide = gen_randn(7, 30, 34)
+    inst = make_consistent(wide, 35)
+    for method in COL_METHODS:
+        run_col_method(method, wide, inst.b, x_star=inst.x_star, seed=0,
+                       stop=StopRule(rse_tol=1e-6, max_iters=300))
+    assert wide.gram is None
+
+
+def test_concurrent_solves_share_one_matrix():
+    # Every thread may race to build the Gram; each must still see a complete one.
+    a = gen_randn(300, 60, 36)
+    inst = make_consistent(a, 37)
+    serial = run_col_method("rgdc", gen_randn(300, 60, 36), inst.b, x_star=inst.x_star)
+    results = []
+
+    def solve():
+        report = run_col_method("rgdc", a, inst.b, x_star=inst.x_star)
+        results.append((report.iterations, report.x_final.tobytes()))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=solve) for _ in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [(serial.iterations, serial.x_final.tobytes())] * len(threads)
+
+
+DRIFT_STEPS = {"cd": "cd_step", "rgrcd": "cd_step", "rgdc": "rgdc_step",
+               "amdcd": "amdcd_step", "rbcd": "rbcd_block_step"}
+
+
+@pytest.mark.parametrize("method", COL_METHODS)
+def test_refresh_catches_drift_in_carried_y(monkeypatch, method):
+    a = gen_randn(200, 40, 11)
+    inst = make_consistent(a, 12)
+    name = DRIFT_STEPS[method]
+    original = getattr(col_methods, name)
+
+    def perturbed(state, *args, **kwargs):
+        outcome = original(state, *args, **kwargs)
+        if state.k == 20:
+            state.y[0] += 1e-3
+        return outcome
+
+    monkeypatch.setattr(col_methods, name, perturbed)
+    with pytest.raises(RgsolveError, match="y recursion drifted"):
+        run_col_method(method, a, inst.b, x_star=inst.x_star, seed=0,
+                       config=SelectionConfig(block_size=5),
+                       stop=StopRule(rse_tol=1e-300, max_iters=1000))

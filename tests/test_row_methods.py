@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from rgsolve import row_methods
 from rgsolve import (
     COL_METHODS,
     ROW_METHODS,
     CglsConfig,
     DenseMatrix,
+    RgsolveError,
     SelectionConfig,
     SolveState,
     StalledError,
@@ -258,6 +260,46 @@ def test_residual_recursion_stays_consistent_over_long_runs():
     # the driver re-verifies r = b - A x every 100 iterations and raises on drift
     assert report.iterations > 200
     assert report.termination_reason == "converged"
+
+
+@pytest.mark.parametrize("method, name", [("rgrk", "kaczmarz_step"), ("rgdr", "rgdr_step")])
+def test_refresh_catches_drift_in_carried_residual(monkeypatch, method, name):
+    a = gen_randn(200, 40, 11)
+    inst = make_consistent(a, 12)
+    original = getattr(row_methods, name)
+
+    def perturbed(state, *args, **kwargs):
+        outcome = original(state, *args, **kwargs)
+        if state.k == 20:
+            state.r[0] += 1e-3
+        return outcome
+
+    monkeypatch.setattr(row_methods, name, perturbed)
+    with pytest.raises(RgsolveError, match="residual recursion drifted"):
+        run_row_method(method, a, inst.b, x_star=inst.x_star, seed=0,
+                       stop=StopRule(rse_tol=1e-300, max_iters=1000))
+
+
+def test_cyclic_kaczmarz_carries_no_residual_across_refreshes(monkeypatch):
+    a = gen_randn(30, 20, 30)
+    inst = make_consistent(a, 31)
+    carried = []
+    original = row_methods.kaczmarz_step
+
+    def watched(state, *args):
+        carried.append(state.r is not None)
+        return original(state, *args)
+
+    monkeypatch.setattr(row_methods, "kaczmarz_step", watched)
+    gemvs = []
+    matvec = DenseMatrix.matvec
+    monkeypatch.setattr(DenseMatrix, "matvec", lambda self, x: gemvs.append(1) or matvec(self, x))
+    report = run_row_method("kaczmarz", a, inst.b, x_star=inst.x_star,
+                            stop=StopRule(rse_tol=1e-10, max_iters=5000))
+    assert report.iterations > 300
+    assert report.termination_reason == "converged"
+    assert len(carried) == report.iterations and not any(carried)
+    assert len(gemvs) <= 1  # at most the start residual: no per-step or refresh GEMV
 
 
 def test_set_size_trace_matches_iterations():
