@@ -1,11 +1,10 @@
 """Conjugate gradient on the normal equations (CGLS).
 
-Used for the block pseudoinverse applications in the block-projection methods
-and as the high-precision reference for minimum-norm least-squares solutions.
-Starting from a zero guess the returned iterate is the minimum-norm solution,
-which is what block pseudoinverse semantics require. The stopping measure is
-the normal-equations residual ||M.T (rhs - M w)||, which stays well defined
-for inconsistent subproblems.
+The high-precision reference for minimum-norm least-squares solutions: the
+``x*`` oracle of the generators and of the solve loop when no ``x_star`` is
+given. Starting from a zero guess the returned iterate is the minimum-norm
+solution. The stopping measure is the normal-equations residual
+||M.T (rhs - M w)||, which stays well defined for inconsistent systems.
 """
 
 from __future__ import annotations
@@ -22,8 +21,8 @@ from .linalg import DenseMatrix
 class CglsConfig:
     """Tolerance on the relative normal-equations residual and iteration budget.
 
-    ``max_iters`` defaults to 2 * min(rows, cols) + 10 for the subproblem at
-    hand when left unset.
+    ``max_iters`` defaults to 2 * min(rows, cols) + 10 for the matrix at hand
+    when left unset.
     """
 
     rel_tol: float = 1e-12

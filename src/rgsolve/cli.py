@@ -187,9 +187,20 @@ def _method_label(entry: dict) -> str:
     return " ".join(parts)
 
 
+def _config_number(config: dict, key: str, default, kind):
+    """``kind(config[key])``, or a usage error naming the entry when it is not a number."""
+    value = config.get(key, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise UsageError(f"bench config {key} must be a number, got {value!r}") from None
+
+
 def cmd_bench(args) -> int:
     with open(args.config, "r", encoding="ascii") as fh:
         config = json.load(fh)
+    if not isinstance(config, dict):
+        raise UsageError("bench config must be a JSON object")
     problems = config.get("problems", [])
     methods = config.get("methods", [])
     seeds = config.get("seeds", [])
@@ -199,6 +210,9 @@ def cmd_bench(args) -> int:
         raise UsageError("bench config lists no problems")
     if not seeds:
         raise UsageError("bench config lists no seeds")
+    for entry in (*problems, *methods):
+        if not isinstance(entry, dict):
+            raise UsageError(f"bench config problems and methods must be objects, got {entry!r}")
     for prob in problems:
         for key in ("m", "n"):
             value = prob.get(key)
@@ -207,10 +221,10 @@ def cmd_bench(args) -> int:
                     f"bench config problem {key} must be a positive integer, got {value!r}"
                 )
     stop = StopRule(
-        rse_tol=float(config.get("tol", 1e-4)),
-        max_iters=int(config.get("max_iters", 1_000_000)),
+        rse_tol=_config_number(config, "tol", 1e-4, float),
+        max_iters=_config_number(config, "max_iters", 1_000_000, int),
     )
-    repeats = int(config.get("repeats", 30))
+    repeats = _config_number(config, "repeats", 30, int)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

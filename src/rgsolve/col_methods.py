@@ -7,9 +7,11 @@ perturbation from the null space of A.T to b leaves the iterates unchanged.
 A step on the column set S with weights w moves y by ``w @ G[S]``, rows of the
 Gram matrix ``G = A.T @ A`` that the matrix caches on first use: O(s*n) per
 step, independent of m. On wide matrices (n > m), where no Gram is kept, the
-move is ``A.T @ (A[:, S] @ w)`` instead. The residual r is carried alongside y
-for the step records and the RBCD subsolves (O(m*s) per step), and both are
-recomputed from scratch every 100 iterations.
+move is ``A.T @ (A[:, S] @ w)`` instead. RBCD solves the s x s system
+``G[S, S] w = y[S]`` by Cholesky (on wide matrices it forms ``A_S.T @ A_S``).
+The residual r is carried alongside y for the step records and the column
+error metric (O(m*s) per step), and both are recomputed from scratch every
+100 iterations.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 
 from .cgls import CglsConfig, cgls
 from .errors import DegenerateStepError, UsageError
-from .linalg import DenseMatrix
+from .linalg import DenseMatrix, _min_norm_solve
 from .selection import (
     SelectionConfig,
     column_losses_from_y,
@@ -132,21 +134,22 @@ def amdcd_step(state: SolveState, a: DenseMatrix, b: np.ndarray, indices: np.nda
     return StepOutcome(state, 1.0)
 
 
-def rbcd_block_step(
-    state: SolveState,
-    a: DenseMatrix,
-    b: np.ndarray,
-    indices: np.ndarray,
-    cgls_cfg: CglsConfig | None = None,
-) -> StepOutcome:
-    """Least-squares-solve the residual against the selected columns and apply it."""
+def rbcd_block_step(state: SolveState, a: DenseMatrix, b: np.ndarray, indices: np.ndarray) -> StepOutcome:
+    """Least-squares-solve the residual against the selected columns and apply it.
+
+    The correction is the minimum-norm solution of ``G[S, S] w = y[S]``, the
+    normal equations of ``A_S w = r`` (least squares on ``A_S`` when the block
+    Gram is numerically singular).
+    """
     indices = np.asarray(indices, dtype=int)
     if indices.size == 0:
         raise UsageError("empty index set")
-    sub = a.entries[:, indices]
-    correction = cgls(sub, state.r, cgls_cfg)
+    cols = a.entries_t[indices]  # A[:, indices].T
+    gram = a.gram
+    block_gram = cols @ cols.T if gram is None else gram[np.ix_(indices, indices)]
+    correction = _min_norm_solve(cols.T, state.r, block_gram, state.y[indices])
     state.x[indices] += correction
-    applied = sub @ correction
+    applied = correction @ cols
     state.r -= applied
     state.y -= _normal_product(a, indices, correction, applied)
     state.k += 1
@@ -164,6 +167,7 @@ class _ColFamily(MethodFamily):
 
     def __post_init__(self):
         a = self.a
+        self.state.r = self.b - a.matvec(self.state.x)
         self.state.y = a.matvec_transpose(self.state.r)
         self.atb_norm = float(np.linalg.norm(a.matvec_transpose(self.b)))
         self.r_star = self.b - a.matvec(self.x_star) if self.record_steps else None
@@ -210,7 +214,7 @@ class _ColFamily(MethodFamily):
             amdcd_step(state, a, b, selected)
         else:  # rbcd
             selected = self.partition[int(self.rng.integers(len(self.partition)))]
-            rbcd_block_step(state, a, b, selected, self.cgls_cfg)
+            rbcd_block_step(state, a, b, selected)
         return selected, zero_set
 
 
@@ -230,7 +234,8 @@ def run_col_method(
     """Iterate the chosen column method until the stop rule fires.
 
     RSE is measured against the least-squares solution ``x_star``; when not
-    supplied it is computed once by the CGLS reference at tolerance 1e-12. Any
+    supplied it is computed once by the CGLS reference, configured by
+    ``cgls_cfg`` (default tolerance 1e-12), which has no other use. Any
     starting point is admissible. Besides the RSE and iteration caps, the run
     stops as stationary when ||y|| falls below stationarity_tol * ||A.T b||.
     """

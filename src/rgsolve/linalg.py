@@ -1,4 +1,4 @@
-"""Dense matrix/vector primitives: cached norms, orthonormalization, small-scale SVD."""
+"""Dense matrix/vector primitives: cached norms, block solves, orthonormalization, small-scale SVD."""
 
 from __future__ import annotations
 
@@ -97,6 +97,32 @@ class DenseMatrix:
 
     def __repr__(self) -> str:
         return f"DenseMatrix({self.m}x{self.n})"
+
+
+def _min_norm_solve(sub: np.ndarray, rhs: np.ndarray, gram: np.ndarray,
+                    normal_rhs: np.ndarray | None = None) -> np.ndarray:
+    """Minimum-norm least-squares solution ``w`` of ``sub @ w = rhs`` through an s x s Gram.
+
+    Row blocks (``normal_rhs`` None): ``gram`` is ``sub @ sub.T`` and
+    ``w = sub.T @ gram^-1 rhs``, refined once against ``rhs - sub @ w`` (the
+    corrected seminormal equations), which takes the error from about
+    cond(sub)^2 * eps to cond(sub) * eps. Column blocks: ``gram`` is
+    ``sub.T @ sub``, ``normal_rhs`` stands for ``sub.T @ rhs``, and
+    ``w = gram^-1 normal_rhs``. Cholesky vets the Gram. When it fails, or the
+    smallest squared pivot is below ``ZERO_SIGMA_REL`` times the largest
+    diagonal entry, the block is rank deficient in float64, and
+    ``numpy.linalg.lstsq`` on ``sub`` gives the minimum-norm answer instead.
+    """
+    try:
+        pivots = np.diagonal(np.linalg.cholesky(gram))
+    except np.linalg.LinAlgError:
+        pivots = None
+    if pivots is None or pivots.min() ** 2 < ZERO_SIGMA_REL * np.diagonal(gram).max():
+        return np.linalg.lstsq(sub, rhs, rcond=None)[0]
+    if normal_rhs is None:
+        w = np.linalg.solve(gram, rhs) @ sub
+        return w + np.linalg.solve(gram, rhs - sub @ w) @ sub
+    return np.linalg.solve(gram, normal_rhs)
 
 
 def matvec(a: DenseMatrix, x) -> np.ndarray:

@@ -1,13 +1,15 @@
 """Row-action methods: Kaczmarz, RGRK, RGDR, GBK, and RBK.
 
 Each step enforces the projection condition that the aggregated constraint
-direction is orthogonal to the new residual. The greedy and block methods carry
-the residual by the recursion ``r -= weight * A @ d`` and recompute it from
-scratch every 100 iterations to bound drift. The row-aggregate update never
-forms ``A @ A.T``: the direction ``d = A.T @ eta`` is assembled from the
-selected rows only, and ``A @ d`` is a plain matvec, keeping memory at O(m*n).
-Cyclic Kaczmarz selects without looking at r, so it carries none: each step
-reads ``b_i - a_i . x`` in O(n).
+direction is orthogonal to the new residual. RGRK and RGDR carry the residual
+by the recursion ``r -= weight * A @ d`` and recompute it from scratch every
+100 iterations to bound drift. The row-aggregate update never forms
+``A @ A.T``: the direction ``d = A.T @ eta`` is assembled from the selected
+rows only, and ``A @ d`` is a plain matvec, keeping memory at O(m*n). A block
+projection solves the s x s system of the selected rows' Gram ``A_S @ A_S.T``
+by Cholesky. GBK selects on all of r, so it recomputes r in full after each
+block step. Cyclic Kaczmarz and RBK select without looking at r, so they
+carry none: each step reads ``b_S - A_S @ x`` for its rows, in O(s*n).
 
 Row methods converge to the least-norm solution of consistent systems when
 started in the row space; on inconsistent systems they stall, which the driver
@@ -22,7 +24,7 @@ import numpy as np
 
 from .cgls import CglsConfig, cgls
 from .errors import StalledError, UsageError
-from .linalg import DenseMatrix
+from .linalg import DenseMatrix, _min_norm_solve
 from .selection import SelectionConfig, gbk_set, make_partition, relaxed_greedy_set, row_losses
 from .state import (
     MethodFamily,
@@ -104,33 +106,29 @@ def rgrk_step(
     return kaczmarz_step(state, a, b, i)
 
 
-def block_project_step(
-    state: SolveState,
-    a: DenseMatrix,
-    b: np.ndarray,
-    indices: np.ndarray,
-    cgls_cfg: CglsConfig | None = None,
-) -> StepOutcome:
+def block_project_step(state: SolveState, a: DenseMatrix, b: np.ndarray, indices: np.ndarray) -> StepOutcome:
     """Project the iterate orthogonally onto the solution set of the selected rows.
 
-    The block pseudoinverse is applied through CGLS (minimum-norm correction);
-    the residual is recomputed in full afterwards rather than by recursion.
+    The correction is the minimum-norm solution of ``A_S dx = b_S - A_S x``,
+    ``A_S.T K^-1 (b_S - A_S x)`` with ``K = A_S A_S.T`` vetted by Cholesky and
+    refined once (least squares on ``A_S`` when K is numerically singular). A
+    carried residual is recomputed in full afterwards rather than by recursion.
     """
     indices = np.asarray(indices, dtype=int)
     if indices.size == 0:
         raise UsageError("empty index set")
     sub = a.entries[indices]
-    correction = cgls(sub, b[indices] - sub @ state.x, cgls_cfg)
-    state.x += correction
-    state.r = b - a.matvec(state.x)
+    state.x += _min_norm_solve(sub, b[indices] - sub @ state.x, sub @ sub.T)
+    if state.r is not None:
+        state.r = b - a.matvec(state.x)
     state.k += 1
     return StepOutcome(state, 1.0)
 
 
 @dataclass
 class _RowFamily(MethodFamily):
-    """Row hooks: the residual r = b - A x (none for cyclic Kaczmarz), errors in x,
-    and a stall window of 10*m."""
+    """Row hooks: the residual r = b - A x (none for cyclic Kaczmarz and RBK),
+    errors in x, and a stall window of 10*m."""
 
     kind = "row"
     methods = ROW_METHODS
@@ -138,8 +136,8 @@ class _RowFamily(MethodFamily):
               "gbk": ("eta1", "eta1"), "rbk": ("block_size", "block_size")}
 
     def __post_init__(self):
-        if self.method == "kaczmarz":
-            self.state.r = None
+        if self.method not in ("kaczmarz", "rbk"):
+            self.state.r = self.b - self.a.matvec(self.state.x)
         self.sqnorms = self.a.row_sqnorms
         self.partition = (
             make_partition(self.a.m, self.config.block_size) if self.method == "rbk" else None
@@ -172,7 +170,7 @@ class _RowFamily(MethodFamily):
                 zero_set = profile.zero_set
                 if method == "gbk":
                     selected = gbk_set(profile, config.eta1)
-                    block_project_step(state, a, b, selected, self.cgls_cfg)
+                    block_project_step(state, a, b, selected)
                 else:
                     selected = relaxed_greedy_set(profile, config.theta1)
                     if method == "rgdr":
@@ -181,7 +179,7 @@ class _RowFamily(MethodFamily):
                         rgrk_step(state, a, b, selected, self.rng)
             else:  # rbk
                 selected = self.partition[int(self.rng.integers(len(self.partition)))]
-                block_project_step(state, a, b, selected, self.cgls_cfg)
+                block_project_step(state, a, b, selected)
         except StalledError:
             return "stalled"
         return selected, zero_set
@@ -204,8 +202,9 @@ def run_row_method(
 
     The relative solution error (RSE) is ||x_k - x*|| / ||x_0 - x*|| with
     ``x_star`` the least-norm solution; when not supplied it is computed once
-    by the CGLS reference at tolerance 1e-12. The default start is the zero
-    vector, which lies in the row space as the least-norm guarantee requires.
+    by the CGLS reference, configured by ``cgls_cfg`` (default tolerance
+    1e-12), which has no other use. The default start is the zero vector,
+    which lies in the row space as the least-norm guarantee requires.
     """
     return solve_loop(_RowFamily, method, a, b, config=config, stop=stop, x0=x0,
                       x_star=x_star, seed=seed, cgls_cfg=cgls_cfg,

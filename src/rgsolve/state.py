@@ -29,8 +29,8 @@ _STALL_IMPROVEMENT = 1e-3
 class SolveState:
     """Evolving iterate: x, residual r = b - A x, and (column methods) y = A.T r.
 
-    ``r`` is None for cyclic Kaczmarz, which reads single residual entries
-    from x and b instead of carrying the vector.
+    ``r`` is None for cyclic Kaczmarz and RBK, which read the residual entries
+    of their rows from x and b instead of carrying the vector.
     """
 
     x: np.ndarray
@@ -148,7 +148,8 @@ class MethodFamily:
     """What the row or the column methods supply to ``solve_loop``.
 
     ``params`` maps a method to its reported parameter and its config field.
-    ``__post_init__`` completes the start state and sets ``sqnorms`` (summed by
+    ``__post_init__`` completes the start state (the carried residual, if the
+    method keeps one, and y) and sets ``sqnorms`` (summed by
     step records) and ``stall_window`` (iterations without a 0.1% RSE gain
     before the run stalls, checked after the iteration cap; None for no stall
     rule). ``refresh()`` recomputes the carried vectors, raising on drift;
@@ -170,7 +171,6 @@ class MethodFamily:
     config: SelectionConfig
     stop: StopRule
     rng: np.random.Generator
-    cgls_cfg: CglsConfig | None
     record_steps: bool
 
     def stationary(self) -> bool:
@@ -181,9 +181,10 @@ def solve_loop(family: type[MethodFamily], method: str, a: DenseMatrix, b, *, co
                x0, x_star, seed, cgls_cfg, record_steps, reference) -> SolveReport:
     """Iterate ``method`` of ``family`` until a stop rule fires.
 
-    ``reference`` is the CGLS solver that supplies ``x_star`` when it is not
-    given. The family modules pass the ``cgls`` they import, looked up when
-    they call, so a wrapper installed on that module attribute sees the solve.
+    ``reference`` is the CGLS solver that supplies ``x_star``, with ``cgls_cfg``
+    (default tolerance 1e-12), when it is not given. The family modules pass
+    the ``cgls`` they import, looked up when they call, so a wrapper installed
+    on that module attribute sees the solve.
     """
     if method not in family.methods:
         raise UsageError(
@@ -195,7 +196,7 @@ def solve_loop(family: type[MethodFamily], method: str, a: DenseMatrix, b, *, co
     b = as_vector(b, a.m, "b")
     x = np.zeros(a.n) if x0 is None else as_vector(x0, a.n, "x0").copy()
     if x_star is None:
-        x_star = reference(a, b, CglsConfig(rel_tol=1e-12))
+        x_star = reference(a, b, cgls_cfg or CglsConfig(rel_tol=1e-12))
     else:
         x_star = as_vector(x_star, a.n, "x_star")
     params = {}
@@ -208,9 +209,9 @@ def solve_loop(family: type[MethodFamily], method: str, a: DenseMatrix, b, *, co
         return SolveReport(method, params, seed, 0, 0.0, [0.0], [], [0.0], 0.0,
                            "converged", x_final=x, step_records=[] if record_steps else None)
 
-    state = SolveState(x=x, r=b - a.matvec(x))
+    state = SolveState(x=x, r=None)
     fam = family(method=method, a=a, b=b, x_star=x_star, state=state, config=config,
-                 stop=stop, rng=rng, cgls_cfg=cgls_cfg, record_steps=record_steps)
+                 stop=stop, rng=rng, record_steps=record_steps)
     rse = 1.0
     rse_trace = [1.0]
     set_sizes: list[int] = []

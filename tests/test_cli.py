@@ -190,6 +190,26 @@ def test_bench_problem_without_positive_integer_dims_exits_2(tmp_path, capsys, p
     assert err.startswith("error: bench config problem ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("config", [
+    [],
+    {"problems": [5], "methods": [{"method": "rgdr"}], "seeds": [0]},
+    {"problems": [{"kind": "randn", "m": 10, "n": 2}], "methods": ["rgdr"], "seeds": [0]},
+    {"problems": [{"kind": "randn", "m": 10, "n": 2}], "methods": [{"method": "rgdr"}],
+     "seeds": [0], "tol": "abc"},
+    {"problems": [{"kind": "randn", "m": 10, "n": 2}], "methods": [{"method": "rgdr"}],
+     "seeds": [0], "max_iters": [3]},
+    {"problems": [{"kind": "randn", "m": 10, "n": 2}], "methods": [{"method": "rgdr"}],
+     "seeds": [0], "repeats": "many"},
+], ids=["not-an-object", "problem-5", "method-string", "tol", "max_iters", "repeats"])
+def test_bench_malformed_config_entries_exit_2(tmp_path, capsys, config):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(config))
+    assert run_cli("bench", str(cfg), "--out", str(tmp_path / "o")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bench config ") and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
 def test_certify_deterministic_pass(tmp_path):
     prob = tmp_path / "prob"
     assert run_cli("gen", "--kind", "randn", "--m", "100", "--n", "50",

@@ -194,6 +194,50 @@ def test_rbcd_identity():
     np.testing.assert_allclose(state.x, [1.0, 2.0], atol=1e-12)
 
 
+def _assert_col_block_is_min_norm(a, b, indices, x):
+    state = fresh_state(a, b, x)
+    rbcd_block_step(state, a, b, indices)
+    expected = x.copy()
+    expected[indices] += np.linalg.lstsq(a.entries[:, indices], b - a.matvec(x), rcond=None)[0]
+    assert np.linalg.norm(state.x - expected) <= 1e-8 * np.linalg.norm(expected)
+
+
+DUPLICATED = np.array([0, 1, 2, 5, 8, 9, 10])  # columns 8-10 repeat columns 0-2
+
+
+def test_rbcd_duplicated_columns_is_min_norm_on_tall_matrices():
+    cholesky_passed = 0
+    for seed in range(30):
+        rng = np.random.default_rng(seed)
+        base = rng.standard_normal((40, 8))
+        a = DenseMatrix(np.hstack([base, base[:, :3]]))
+        try:
+            np.linalg.cholesky(a.gram[np.ix_(DUPLICATED, DUPLICATED)])
+            cholesky_passed += 1  # only the pivot guard keeps this block off Cholesky
+        except np.linalg.LinAlgError:
+            pass
+        _assert_col_block_is_min_norm(a, rng.standard_normal(40), DUPLICATED,
+                                      rng.standard_normal(11))
+    assert cholesky_passed > 0
+
+
+def test_rbcd_duplicated_columns_is_min_norm_on_wide_matrices():
+    rng = np.random.default_rng(50)
+    base = rng.standard_normal((6, 8))
+    a = DenseMatrix(np.hstack([base, base[:, :3]]))
+    _assert_col_block_is_min_norm(a, rng.standard_normal(6), DUPLICATED, rng.standard_normal(11))
+    assert a.gram is None
+
+
+@pytest.mark.parametrize("spread", [1e3, 1e7])
+def test_rbcd_ill_conditioned_columns_is_min_norm(spread):
+    # spread 1e3 stays on the Cholesky path; 1e7 trips the pivot guard
+    a = gen_smatrix(60, 20, 20, spread, 1.0, 51)
+    rng = np.random.default_rng(52)
+    _assert_col_block_is_min_norm(a, rng.standard_normal(60), np.arange(20),
+                                  rng.standard_normal(20))
+
+
 def test_run_rgdc_hand_instance():
     report = run_col_method("rgdc", DIAG, B_DIAG, config=SelectionConfig(theta2=0.5),
                             x_star=np.array([1.0, 2.0]))

@@ -16,6 +16,7 @@ from rgsolve import (
     block_project_step,
     cgls,
     gen_randn,
+    gen_smatrix,
     kaczmarz_step,
     make_consistent,
     make_inconsistent,
@@ -172,6 +173,37 @@ def test_block_project_full_rows_reaches_least_norm():
     np.testing.assert_allclose(state.x, x_true, rtol=1e-8)
 
 
+def _assert_row_block_is_min_norm(a, b, indices, x):
+    state = SolveState(x=x.copy(), r=None)
+    block_project_step(state, a, b, indices)
+    sub = a.entries[indices]
+    expected = x + np.linalg.lstsq(sub, b[indices] - sub @ x, rcond=None)[0]
+    assert np.linalg.norm(state.x - expected) <= 1e-8 * np.linalg.norm(expected)
+
+
+def test_block_project_duplicated_rows_is_min_norm():
+    rng = np.random.default_rng(40)
+    base = rng.standard_normal((8, 12))
+    a = DenseMatrix(np.vstack([base, base[:3]]))  # rows 8-10 repeat rows 0-2
+    b = rng.standard_normal(11)  # inconsistent on the repeated rows
+    _assert_row_block_is_min_norm(a, b, np.array([0, 1, 2, 5, 8, 9, 10]), rng.standard_normal(12))
+
+
+def test_block_project_more_rows_than_columns_is_min_norm():
+    rng = np.random.default_rng(41)
+    a = DenseMatrix(rng.standard_normal((12, 5)))
+    _assert_row_block_is_min_norm(a, rng.standard_normal(12), np.arange(12), rng.standard_normal(5))
+
+
+@pytest.mark.parametrize("spread", [1e3, 1e5, 1e7])
+def test_block_project_ill_conditioned_rows_is_min_norm(spread):
+    # 1e3 and 1e5 stay on the Cholesky path (1e5 reaches 1e-8 only through the
+    # refinement step); 1e7 trips the pivot guard
+    a = gen_smatrix(20, 60, 20, spread, 1.0, 42)
+    rng = np.random.default_rng(43)
+    _assert_row_block_is_min_norm(a, rng.standard_normal(20), np.arange(20), rng.standard_normal(60))
+
+
 def test_run_rgdr_hand_instance():
     report = run_row_method("rgdr", DIAG, B_DIAG, config=SelectionConfig(theta1=0.5),
                             x_star=np.array([1.0, 2.0]))
@@ -299,7 +331,41 @@ def test_cyclic_kaczmarz_carries_no_residual_across_refreshes(monkeypatch):
     assert report.iterations > 300
     assert report.termination_reason == "converged"
     assert len(carried) == report.iterations and not any(carried)
-    assert len(gemvs) <= 1  # at most the start residual: no per-step or refresh GEMV
+    assert gemvs == []  # no start, per-step or refresh GEMV
+
+
+def test_rbk_carries_no_residual_across_refreshes(monkeypatch):
+    a = gen_randn(60, 20, 44)
+    inst = make_consistent(a, 45)
+    carried = []
+    original = row_methods.block_project_step
+
+    def watched(state, *args):
+        carried.append(state.r is not None)
+        return original(state, *args)
+
+    monkeypatch.setattr(row_methods, "block_project_step", watched)
+    gemvs = []
+    matvec = DenseMatrix.matvec
+    monkeypatch.setattr(DenseMatrix, "matvec", lambda self, x: gemvs.append(1) or matvec(self, x))
+    report = run_row_method("rbk", a, inst.b, x_star=inst.x_star, seed=46,
+                            config=SelectionConfig(block_size=2),
+                            stop=StopRule(rse_tol=1e-10, max_iters=5000))
+    assert report.iterations > 300
+    assert report.termination_reason == "converged"
+    assert len(carried) == report.iterations and not any(carried)
+    assert gemvs == []  # no start, per-step or refresh GEMV
+
+
+def test_rbk_solves_ill_conditioned_square_blocks():
+    # 2000x100 with 100-row blocks: every block is a square Gaussian matrix. The one
+    # drawn here has condition number 6.4e3, on which CGLS at tolerance 1e-12 does
+    # not converge within its default cap of 210 iterations.
+    a = gen_randn(2000, 100, 403012)
+    inst = make_consistent(a, 403013)
+    report = run_row_method("rbk", a, inst.b, x_star=inst.x_star, seed=403012,
+                            stop=StopRule(rse_tol=1e-4))
+    assert report.termination_reason == "converged"
 
 
 def test_set_size_trace_matches_iterations():
