@@ -39,6 +39,7 @@ from .theory import certificates_to_csv, certify_randomized, certify_run
 
 RANDOMIZED_METHODS = ("rgrk", "rbk", "rgrcd", "rbcd")
 ALL_METHODS = ROW_METHODS + COL_METHODS
+GENERATOR_KINDS = ("randn", "smatrix")
 
 
 def _json_dump(payload: dict, path: Path) -> None:
@@ -69,13 +70,13 @@ def _build_instance(kind, m, n, r, sigma1, sigma2, inconsistent, noise_scale, se
 
 def _selection_config(values: dict) -> SelectionConfig:
     """Build the selection config from command-line flags or a bench config entry."""
-    theta = float(values.get("theta", 0.5))
+    theta = _config_number(values.get("theta", 0.5), "theta", float)
     return SelectionConfig(
         theta1=theta,
         theta2=theta,
-        eta1=float(values.get("eta1", 0.5)),
-        eta2=float(values.get("eta2", 0.1)),
-        block_size=int(values.get("block_size", 100)),
+        eta1=_config_number(values.get("eta1", 0.5), "eta1", float),
+        eta2=_config_number(values.get("eta2", 0.1), "eta2", float),
+        block_size=_config_number(values.get("block_size", 100), "block_size", int),
     )
 
 
@@ -187,9 +188,8 @@ def _method_label(entry: dict) -> str:
     return " ".join(parts)
 
 
-def _config_number(config: dict, key: str, default, kind):
-    """``kind(config[key])``, or a usage error naming the entry when it is not a number."""
-    value = config.get(key, default)
+def _config_number(value, key: str, kind):
+    """``kind(value)``, or a usage error naming the bench config entry when it is not a number."""
     try:
         return kind(value)
     except (TypeError, ValueError, OverflowError):
@@ -204,6 +204,9 @@ def cmd_bench(args) -> int:
     problems = config.get("problems", [])
     methods = config.get("methods", [])
     seeds = config.get("seeds", [])
+    for key, value in (("problems", problems), ("methods", methods), ("seeds", seeds)):
+        if not isinstance(value, list):
+            raise UsageError(f"bench config {key} must be a list, got {value!r}")
     if not methods:
         raise UsageError("bench config lists no methods")
     if not problems:
@@ -214,44 +217,54 @@ def cmd_bench(args) -> int:
         if not isinstance(entry, dict):
             raise UsageError(f"bench config problems and methods must be objects, got {entry!r}")
     for prob in problems:
-        for key in ("m", "n"):
+        if prob.get("kind", "randn") not in GENERATOR_KINDS:
+            raise UsageError(f"bench config problem kind must be one of {GENERATOR_KINDS}, "
+                             f"got {prob['kind']!r}")
+        for key in ("m", "n") if prob.get("r") is None else ("m", "n", "r"):
             value = prob.get(key)
             if isinstance(value, bool) or not isinstance(value, int) or value < 1:
                 raise UsageError(
                     f"bench config problem {key} must be a positive integer, got {value!r}"
                 )
     stop = StopRule(
-        rse_tol=_config_number(config, "tol", 1e-4, float),
-        max_iters=_config_number(config, "max_iters", 1_000_000, int),
+        rse_tol=_config_number(config.get("tol", 1e-4), "tol", float),
+        max_iters=_config_number(config.get("max_iters", 1_000_000), "max_iters", int),
     )
-    repeats = _config_number(config, "repeats", 30, int)
+    repeats = _config_number(config.get("repeats", 30), "repeats", int)
+    seeds = [_config_number(seed, "seed", int) for seed in seeds]
+    generator_numbers = [
+        [_config_number(prob.get(key, default), key, float)
+         for key, default in (("sigma1", 1.25), ("sigma2", 1.0), ("noise_scale", 0.1))]
+        for prob in problems
+    ]
+    sel_configs = []
+    for entry in methods:
+        if entry.get("method") not in ALL_METHODS:
+            raise UsageError(f"bench config method must be one of {ALL_METHODS}, "
+                             f"got {entry.get('method')!r}")
+        sel_configs.append(_selection_config(entry))
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
     any_failure = False
-    for prob in problems:
+    for prob, (sigma1, sigma2, noise_scale) in zip(problems, generator_numbers):
         kind = prob.get("kind", "randn")
         m, n = prob["m"], prob["n"]
         inconsistent = prob.get("case", "consistent") == "inconsistent"
-        instances = []
-        for seed in seeds:
-            instances.append(_build_instance(
-                kind, m, n, prob.get("r"), float(prob.get("sigma1", 1.25)),
-                float(prob.get("sigma2", 1.0)), inconsistent,
-                float(prob.get("noise_scale", 0.1)), int(seed),
-            ))
-        for entry in methods:
-            method = entry.get("method")
-            if method not in ALL_METHODS:
-                raise UsageError(f"unknown method {method!r} in config")
-            sel_config = _selection_config(entry)
+        instances = [
+            _build_instance(kind, m, n, prob.get("r"), sigma1, sigma2, inconsistent,
+                            noise_scale, seed)
+            for seed in seeds
+        ]
+        for entry, sel_config in zip(methods, sel_configs):
+            method = entry["method"]
             cell_reports = []
             status = "ok"
             try:
                 for seed, instance in zip(seeds, instances):
                     cell_reports.extend(
-                        _run_cell(method, instance, sel_config, stop, int(seed), repeats)
+                        _run_cell(method, instance, sel_config, stop, seed, repeats)
                     )
             except RgsolveError as exc:
                 status = f"error: {exc}"
@@ -403,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate a synthetic problem directory")
-    gen.add_argument("--kind", choices=("randn", "smatrix"), required=True)
+    gen.add_argument("--kind", choices=GENERATOR_KINDS, required=True)
     gen.add_argument("--m", type=int, required=True)
     gen.add_argument("--n", type=int, required=True)
     gen.add_argument("--r", type=int, default=None, help="rank (smatrix; default min(m, n))")

@@ -16,15 +16,17 @@ error metric (O(m*s) per step), and both are recomputed from scratch every
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cgls import CglsConfig, cgls
 from .errors import DegenerateStepError, UsageError
-from .linalg import DenseMatrix, _min_norm_solve
+from .linalg import DenseMatrix, _block_index, _min_norm_solve
 from .selection import (
     SelectionConfig,
+    _inverse_cdf_draw,
     column_losses_from_y,
     make_partition,
     max_distance_set,
@@ -109,7 +111,7 @@ def rgrcd_step(
     total = float(weights.sum())
     if total <= 0.0:
         raise UsageError("y restricted to the selected set is zero")
-    j = int(indices[rng.choice(indices.size, p=weights / total)])
+    j = int(indices[_inverse_cdf_draw(weights / total, rng)])
     return cd_step(state, a, b, j)
 
 
@@ -144,14 +146,15 @@ def rbcd_block_step(state: SolveState, a: DenseMatrix, b: np.ndarray, indices: n
     indices = np.asarray(indices, dtype=int)
     if indices.size == 0:
         raise UsageError("empty index set")
-    cols = a.entries_t[indices]  # A[:, indices].T
+    block = _block_index(indices)
+    cols = a.entries_t[block]  # A[:, indices].T
     gram = a.gram
-    block_gram = cols @ cols.T if gram is None else gram[np.ix_(indices, indices)]
-    correction = _min_norm_solve(cols.T, state.r, block_gram, state.y[indices])
-    state.x[indices] += correction
+    block_gram = cols @ cols.T if gram is None else gram[block][:, block]
+    correction = _min_norm_solve(cols.T, state.r, block_gram, state.y[block])
+    state.x[block] += correction
     applied = correction @ cols
     state.r -= applied
-    state.y -= _normal_product(a, indices, correction, applied)
+    state.y -= _normal_product(a, block, correction, applied)
     state.k += 1
     return StepOutcome(state, 1.0)
 
@@ -164,6 +167,7 @@ class _ColFamily(MethodFamily):
     methods = COL_METHODS
     params = {"rgdc": ("theta", "theta2"), "rgrcd": ("theta", "theta2"),
               "amdcd": ("eta2", "eta2"), "rbcd": ("block_size", "block_size")}
+    refresh_moves_err = True
 
     def __post_init__(self):
         a = self.a
@@ -189,11 +193,12 @@ class _ColFamily(MethodFamily):
         return float(dr @ dr)
 
     def stationary(self) -> bool:
-        return float(np.linalg.norm(self.state.y)) <= self.stop.stationarity_tol * self.atb_norm
+        y = self.state.y
+        return math.sqrt(y @ y) <= self.stop.stationarity_tol * self.atb_norm
 
     def step(self):
         state, a, b, config, method = self.state, self.a, self.b, self.config, self.method
-        zero_set = None
+        profile = None
         if method == "cd":
             selected = np.array([state.k % a.n])
             cd_step(state, a, b, int(selected[0]))
@@ -201,7 +206,6 @@ class _ColFamily(MethodFamily):
             profile = column_losses_from_y(a, state.y, config.zero_tol)
             if profile.max_loss <= 0.0:
                 return "stationary"
-            zero_set = profile.zero_set
             selected = relaxed_greedy_set(profile, config.theta2)
             if method == "rgdc":
                 rgdc_step(state, a, b, selected)
@@ -215,7 +219,7 @@ class _ColFamily(MethodFamily):
         else:  # rbcd
             selected = self.partition[int(self.rng.integers(len(self.partition)))]
             rbcd_block_step(state, a, b, selected)
-        return selected, zero_set
+        return selected, profile
 
 
 def run_col_method(

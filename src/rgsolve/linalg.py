@@ -25,16 +25,24 @@ def as_vector(v, length: int | None = None, name: str = "vector") -> np.ndarray:
     return arr
 
 
+def _first_zero(sqnorms: np.ndarray) -> int | None:
+    """Index of the first zero entry of ``sqnorms``, or None when all are positive."""
+    i = int(np.argmin(sqnorms))
+    return i if sqnorms[i] <= 0.0 else None
+
+
 class DenseMatrix:
     """Immutable dense coefficient matrix with cached row/column squared norms.
 
     The entry array and a contiguous transposed copy are both kept so row and
     column sweeps are O(m*n) without repeated transposition; matrices in scope
-    fit desk memory. The Gram matrix ``A.T @ A`` (n*n floats) is built on the
-    first ``gram`` access and kept, but only when n <= m, where it is no larger
-    than either copy of A. Instances are safe to share across concurrent
-    solves: the Gram is published only once complete, and a race at worst
-    builds it twice.
+    fit desk memory. The energy weights (squared norms over ``frob_sq``) and
+    the first zero row and column (``zero_row``, ``zero_col``; None when there
+    is none) are computed once here, so selection reads them at no cost. The
+    Gram matrix ``A.T @ A`` (n*n floats) is built on the first ``gram``
+    access and kept, but only when n <= m, where it is no larger than either
+    copy of A. Instances are safe to share across concurrent solves: the Gram
+    is published only once complete, and a race at worst builds it twice.
     """
 
     def __init__(self, entries):
@@ -50,7 +58,15 @@ class DenseMatrix:
         self.row_sqnorms = np.einsum("ij,ij->i", arr, arr)
         self.col_sqnorms = np.einsum("ij,ij->j", arr, arr)
         self.frob_sq = float(self.row_sqnorms.sum())
-        for a in (self.entries, self.entries_t, self.row_sqnorms, self.col_sqnorms):
+        # Energy weights ||a_i||^2 / ||A||_F^2 and ||A_j||^2 / ||A||_F^2 for the greedy
+        # thresholds; an all-zero matrix has none, and selection rejects its zero rows first.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            self.row_weights = self.row_sqnorms / self.frob_sq
+            self.col_weights = self.col_sqnorms / self.frob_sq
+        self.zero_row = _first_zero(self.row_sqnorms)
+        self.zero_col = _first_zero(self.col_sqnorms)
+        for a in (self.entries, self.entries_t, self.row_sqnorms, self.col_sqnorms,
+                  self.row_weights, self.col_weights):
             a.setflags(write=False)
         self._gram = None
 
@@ -123,6 +139,14 @@ def _min_norm_solve(sub: np.ndarray, rhs: np.ndarray, gram: np.ndarray,
         w = np.linalg.solve(gram, rhs) @ sub
         return w + np.linalg.solve(gram, rhs - sub @ w) @ sub
     return np.linalg.solve(gram, normal_rhs)
+
+
+def _block_index(indices: np.ndarray):
+    """Index that gathers ``indices`` (nonempty): ``slice(lo, hi)``, which gives a view, when
+    they are the run lo, ..., hi - 1 (a ``make_partition`` block), else the array itself."""
+    if (np.diff(indices) == 1).all():
+        return slice(int(indices[0]), int(indices[-1]) + 1)
+    return indices
 
 
 def matvec(a: DenseMatrix, x) -> np.ndarray:

@@ -24,8 +24,15 @@ import numpy as np
 
 from .cgls import CglsConfig, cgls
 from .errors import StalledError, UsageError
-from .linalg import DenseMatrix, _min_norm_solve
-from .selection import SelectionConfig, gbk_set, make_partition, relaxed_greedy_set, row_losses
+from .linalg import DenseMatrix, _block_index, _min_norm_solve
+from .selection import (
+    SelectionConfig,
+    _inverse_cdf_draw,
+    gbk_set,
+    make_partition,
+    relaxed_greedy_set,
+    row_losses,
+)
 from .state import (
     MethodFamily,
     SolveReport,
@@ -102,7 +109,7 @@ def rgrk_step(
     total = float(weights.sum())
     if total <= 0.0:
         raise UsageError("residual restricted to the selected set is zero")
-    i = int(indices[rng.choice(indices.size, p=weights / total)])
+    i = int(indices[_inverse_cdf_draw(weights / total, rng)])
     return kaczmarz_step(state, a, b, i)
 
 
@@ -117,8 +124,9 @@ def block_project_step(state: SolveState, a: DenseMatrix, b: np.ndarray, indices
     indices = np.asarray(indices, dtype=int)
     if indices.size == 0:
         raise UsageError("empty index set")
-    sub = a.entries[indices]
-    state.x += _min_norm_solve(sub, b[indices] - sub @ state.x, sub @ sub.T)
+    rows = _block_index(indices)
+    sub = a.entries[rows]
+    state.x += _min_norm_solve(sub, b[rows] - sub @ state.x, sub @ sub.T)
     if state.r is not None:
         state.r = b - a.matvec(state.x)
     state.k += 1
@@ -134,6 +142,7 @@ class _RowFamily(MethodFamily):
     methods = ROW_METHODS
     params = {"rgdr": ("theta", "theta1"), "rgrk": ("theta", "theta1"),
               "gbk": ("eta1", "eta1"), "rbk": ("block_size", "block_size")}
+    refresh_moves_err = False
 
     def __post_init__(self):
         if self.method not in ("kaczmarz", "rbk"):
@@ -152,11 +161,12 @@ class _RowFamily(MethodFamily):
         self.state.r = fresh
 
     def err_sq(self) -> float:
-        return float(np.dot(self.state.x - self.x_star, self.state.x - self.x_star))
+        dx = self.state.x - self.x_star
+        return float(dx @ dx)
 
     def step(self):
         state, a, b, config, method = self.state, self.a, self.b, self.config, self.method
-        zero_set = None
+        profile = None
         try:
             if method == "kaczmarz":
                 selected = np.array([state.k % a.m])
@@ -167,7 +177,6 @@ class _RowFamily(MethodFamily):
                     # x has not moved since the loop found RSE >= rse_tol, so an
                     # exactly zero residual away from x* is a stall.
                     return "stalled"
-                zero_set = profile.zero_set
                 if method == "gbk":
                     selected = gbk_set(profile, config.eta1)
                     block_project_step(state, a, b, selected)
@@ -182,7 +191,7 @@ class _RowFamily(MethodFamily):
                 block_project_step(state, a, b, selected)
         except StalledError:
             return "stalled"
-        return selected, zero_set
+        return selected, profile
 
 
 def run_row_method(

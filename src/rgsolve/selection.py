@@ -11,6 +11,7 @@ scaled correlation. All functions here are pure and safe to call concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -30,8 +31,12 @@ class LossProfile:
     weights: np.ndarray
     max_loss: float
     weighted_mean: float
-    zero_set: np.ndarray  # indices whose loss is below zero_tol
     zero_tol: float
+
+    @cached_property
+    def zero_set(self) -> np.ndarray:
+        """Indices whose loss is below ``zero_tol``, found on first access."""
+        return (self.losses < self.zero_tol).nonzero()[0]
 
 
 @dataclass
@@ -60,14 +65,11 @@ class SelectionConfig:
             raise UsageError(f"zero_tol must be positive when given, got {self.zero_tol}")
 
 
-def _make_profile(kind, losses, sqnorms, frob_sq, zero_tol) -> LossProfile:
+def _make_profile(kind, losses, weights, zero_tol) -> LossProfile:
     max_loss = float(losses.max())
-    weights = sqnorms / frob_sq
-    weighted_mean = float(weights @ losses)
     if zero_tol is None:
         zero_tol = max(1e-14 * max_loss, _ZERO_TOL_FLOOR)
-    zero_set = np.flatnonzero(losses < zero_tol)
-    return LossProfile(kind, losses, weights, max_loss, weighted_mean, zero_set, zero_tol)
+    return LossProfile(kind, losses, weights, max_loss, float(weights @ losses), zero_tol)
 
 
 def row_losses(a: DenseMatrix, r, zero_tol: float | None = None) -> LossProfile:
@@ -75,10 +77,9 @@ def row_losses(a: DenseMatrix, r, zero_tol: float | None = None) -> LossProfile:
     r = np.asarray(r, dtype=float)
     if r.shape != (a.m,):
         raise UsageError(f"residual must have length {a.m}, got shape {r.shape}")
-    if a.row_sqnorms.min() <= 0.0:
-        i = int(np.argmin(a.row_sqnorms))
-        raise UsageError(f"zero row {i} unsupported by greedy selection")
-    return _make_profile("row", r * r / a.row_sqnorms, a.row_sqnorms, a.frob_sq, zero_tol)
+    if a.zero_row is not None:
+        raise UsageError(f"zero row {a.zero_row} unsupported by greedy selection")
+    return _make_profile("row", r * r / a.row_sqnorms, a.row_weights, zero_tol)
 
 
 def column_losses_from_y(a: DenseMatrix, y, zero_tol: float | None = None) -> LossProfile:
@@ -86,10 +87,9 @@ def column_losses_from_y(a: DenseMatrix, y, zero_tol: float | None = None) -> Lo
     y = np.asarray(y, dtype=float)
     if y.shape != (a.n,):
         raise UsageError(f"y must have length {a.n}, got shape {y.shape}")
-    if a.col_sqnorms.min() <= 0.0:
-        j = int(np.argmin(a.col_sqnorms))
-        raise UsageError(f"zero column {j} unsupported by greedy selection")
-    return _make_profile("column", y * y / a.col_sqnorms, a.col_sqnorms, a.frob_sq, zero_tol)
+    if a.zero_col is not None:
+        raise UsageError(f"zero column {a.zero_col} unsupported by greedy selection")
+    return _make_profile("column", y * y / a.col_sqnorms, a.col_weights, zero_tol)
 
 
 def column_losses(a: DenseMatrix, r, zero_tol: float | None = None) -> LossProfile:
@@ -113,7 +113,7 @@ def relaxed_greedy_set(profile: LossProfile, theta: float) -> np.ndarray:
         raise ConvergedSignal("all losses are zero; stop iterating instead of selecting")
     threshold = theta * profile.max_loss + (1.0 - theta) * profile.weighted_mean
     threshold = min(threshold, profile.max_loss)
-    return np.flatnonzero(profile.losses >= threshold)
+    return (profile.losses >= threshold).nonzero()[0]
 
 
 def gbk_set(profile: LossProfile, eta1: float) -> np.ndarray:
@@ -123,7 +123,7 @@ def gbk_set(profile: LossProfile, eta1: float) -> np.ndarray:
     if profile.max_loss <= 0.0:
         raise ConvergedSignal("all losses are zero; stop iterating instead of selecting")
     threshold = min(eta1 * profile.max_loss, profile.max_loss)
-    return np.flatnonzero(profile.losses >= threshold)
+    return (profile.losses >= threshold).nonzero()[0]
 
 
 def max_distance_set(a: DenseMatrix, y, eta2: float) -> np.ndarray:
@@ -133,14 +133,25 @@ def max_distance_set(a: DenseMatrix, y, eta2: float) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     if y.shape != (a.n,):
         raise UsageError(f"y must have length {a.n}, got shape {y.shape}")
-    if a.col_sqnorms.min() <= 0.0:
-        j = int(np.argmin(a.col_sqnorms))
-        raise UsageError(f"zero column {j} unsupported by greedy selection")
+    if a.zero_col is not None:
+        raise UsageError(f"zero column {a.zero_col} unsupported by greedy selection")
     dist = np.abs(y) / np.sqrt(a.col_sqnorms)
     d_max = float(dist.max())
     if d_max <= 0.0:
         raise ConvergedSignal("all distances are zero; stop iterating instead of selecting")
-    return np.flatnonzero(d_max - dist <= eta2)
+    return (d_max - dist <= eta2).nonzero()[0]
+
+
+def _inverse_cdf_draw(p: np.ndarray, rng: np.random.Generator) -> int:
+    """Index drawn with probabilities ``p`` (nonnegative, summing to one).
+
+    This is numpy's own algorithm for ``rng.choice(p.size, p=p)``, without its
+    argument checks: the same single ``rng.random()`` and the same inverse
+    CDF, so it returns the same index and leaves the stream in the same state.
+    """
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
 
 
 def make_partition(count: int, block_size: int) -> list[np.ndarray]:

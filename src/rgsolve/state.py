@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import ClassVar
@@ -153,15 +154,19 @@ class MethodFamily:
     step records) and ``stall_window`` (iterations without a 0.1% RSE gain
     before the run stalls, checked after the iteration cap; None for no stall
     rule). ``refresh()`` recomputes the carried vectors, raising on drift;
-    ``err_sq()`` is the squared error step records carry; ``step()`` advances
-    ``state`` by one iteration and returns ``(selected, zero_set or None)``, or
-    a termination reason when nothing is left to select. ``stationary()`` is
-    an extra stop rule checked before the iteration cap.
+    ``err_sq()`` is the squared error step records carry, and
+    ``refresh_moves_err`` says whether a refresh changes it (it does when the
+    error reads the carried residual). ``step()`` advances ``state`` by one
+    iteration and returns ``(selected, profile or None)``, the loss profile
+    whose zero set the step records sum, or a termination reason when nothing
+    is left to select. ``stationary()`` is an extra stop rule checked before
+    the iteration cap.
     """
 
     kind: ClassVar[str]
     methods: ClassVar[tuple[str, ...]]
     params: ClassVar[dict[str, tuple[str, str]]]
+    refresh_moves_err: ClassVar[bool]
 
     method: str
     a: DenseMatrix
@@ -219,6 +224,8 @@ def solve_loop(family: type[MethodFamily], method: str, a: DenseMatrix, b, *, co
     records: list[StepRecord] | None = [] if record_steps else None
     best_rse = rse
     since_best = 0
+    # A step's error before is the previous step's error after, unless a refresh intervened.
+    err_sq = fam.err_sq() if record_steps else 0.0
 
     start = time.perf_counter()
     while True:
@@ -236,25 +243,29 @@ def solve_loop(family: type[MethodFamily], method: str, a: DenseMatrix, b, *, co
             break
         if state.k and state.k % REFRESH_EVERY == 0:
             fam.refresh()
+            if record_steps and fam.refresh_moves_err:
+                err_sq = fam.err_sq()
 
-        err_before = fam.err_sq() if record_steps else 0.0
         outcome = fam.step()
         if isinstance(outcome, str):
             reason = outcome
             break
-        selected, zero_set = outcome
-        rse = float(np.linalg.norm(state.x - x_star) / denom)
+        selected, profile = outcome
+        dx = state.x - x_star
+        rse = math.sqrt(dx @ dx) / denom
         rse_trace.append(rse)
         set_sizes.append(int(selected.size))
         iter_seconds.append(time.perf_counter() - start)
         if record_steps:
+            err_before, err_sq = err_sq, fam.err_sq()
             records.append(StepRecord(
                 k=state.k - 1,
                 indices=np.array(selected, dtype=int),
                 set_energy=float(fam.sqnorms[selected].sum()),
-                zero_mass=float(fam.sqnorms[zero_set].sum()) if zero_set is not None else 0.0,
+                zero_mass=(float(fam.sqnorms[profile.zero_set].sum())
+                           if profile is not None else 0.0),
                 err_sq_before=err_before,
-                err_sq_after=fam.err_sq(),
+                err_sq_after=err_sq,
             ))
         if rse < best_rse * (1.0 - _STALL_IMPROVEMENT):
             best_rse = rse

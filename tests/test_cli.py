@@ -180,6 +180,8 @@ def test_bench_empty_methods_exits_2(tmp_path):
     {"kind": "randn", "m": 0, "n": 3},
     {"kind": "randn", "m": 10, "n": 2.5},
     {"kind": "randn", "m": "10", "n": 3},
+    {"kind": "smatrix", "m": 10, "n": 4, "r": "abc"},
+    {"kind": "smatrix", "m": 10, "n": 4, "r": 0},
 ])
 def test_bench_problem_without_positive_integer_dims_exits_2(tmp_path, capsys, problem):
     cfg = tmp_path / "bad.json"
@@ -200,7 +202,26 @@ def test_bench_problem_without_positive_integer_dims_exits_2(tmp_path, capsys, p
      "seeds": [0], "max_iters": [3]},
     {"problems": [{"kind": "randn", "m": 10, "n": 2}], "methods": [{"method": "rgdr"}],
      "seeds": [0], "repeats": "many"},
-], ids=["not-an-object", "problem-5", "method-string", "tol", "max_iters", "repeats"])
+    {"problems": [{"kind": "smatrix", "m": 10, "n": 2, "sigma1": "abc"}],
+     "methods": [{"method": "rgdr"}], "seeds": [0]},
+    {"problems": [{"kind": "randn", "m": 10, "n": 2, "noise_scale": None}],
+     "methods": [{"method": "rgdr"}], "seeds": [0]},
+    {"problems": [{"kind": "randn", "m": 10, "n": 2}],
+     "methods": [{"method": "rgdr", "theta": "x"}], "seeds": [0]},
+    {"problems": [{"kind": "randn", "m": 10, "n": 2}],
+     "methods": [{"method": "rbk", "block_size": [2]}], "seeds": [0]},
+    {"problems": [{"kind": "randn", "m": 10, "n": 2}], "methods": [{"method": "rgdr"}],
+     "seeds": ["a"]},
+    {"problems": [{"kind": "randn", "m": 10, "n": 2}], "methods": [{"method": "rgdr"}],
+     "seeds": 5},
+    {"problems": [{"kind": "randn", "m": 10, "n": 2}], "methods": 5, "seeds": [0]},
+    {"problems": [{"kind": "nope", "m": 10, "n": 2}], "methods": [{"method": "rgdr"}],
+     "seeds": [0]},
+    {"problems": [{"kind": "randn", "m": 10, "n": 2}], "methods": [{"method": "nope"}],
+     "seeds": [0]},
+], ids=["not-an-object", "problem-5", "method-string", "tol", "max_iters", "repeats",
+        "sigma1", "noise_scale", "theta", "block_size", "seed", "seeds-not-a-list",
+        "methods-not-a-list", "unknown-kind", "unknown-method"])
 def test_bench_malformed_config_entries_exit_2(tmp_path, capsys, config):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps(config))

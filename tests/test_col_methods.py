@@ -27,6 +27,7 @@ from rgsolve import (
     rgrcd_step,
     run_col_method,
 )
+from rgsolve.state import REFRESH_EVERY
 
 DIAG = DenseMatrix([[1.0, 0.0], [0.0, 2.0]])
 B_DIAG = np.array([1.0, 4.0])
@@ -416,3 +417,46 @@ def test_refresh_catches_drift_in_carried_y(monkeypatch, method):
         run_col_method(method, a, inst.b, x_star=inst.x_star, seed=0,
                        config=SelectionConfig(block_size=5),
                        stop=StopRule(rse_tol=1e-300, max_iters=1000))
+
+
+@pytest.mark.parametrize("method", ["rgrcd", "rgdc", "amdcd"])
+def test_greedy_column_methods_reject_a_zero_column(method):
+    a = DenseMatrix([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 1.0]])
+    with pytest.raises(UsageError, match="^zero column 1 unsupported by greedy selection$"):
+        run_col_method(method, a, np.array([1.0, 2.0, 3.0]), x_star=np.array([1.0, 0.0, 2.0]),
+                       seed=0)
+
+
+def test_step_records_equal_a_fresh_recomputation_across_refreshes(monkeypatch):
+    a = gen_randn(200, 50, 5)
+    inst = make_consistent(a, 6)
+    r_star = inst.b - a.matvec(inst.x_star)
+    fresh = []
+    original_losses = col_methods.column_losses_from_y
+    original_step = col_methods.rgrcd_step
+
+    def err_sq(r):
+        d = r - r_star
+        return float(d @ d)
+
+    def losses(*args, **kwargs):
+        profile = original_losses(*args, **kwargs)
+        zero = np.flatnonzero(profile.losses < profile.zero_tol)
+        fresh.append({"zero_mass": float(a.col_sqnorms[zero].sum())})
+        return profile
+
+    def step(state, *args, **kwargs):
+        # After a refresh, r is the recomputed b - A x, so the error before reads it.
+        fresh[-1]["err_sq_before"] = err_sq(state.r)
+        outcome = original_step(state, *args, **kwargs)
+        fresh[-1]["err_sq_after"] = err_sq(state.r)
+        return outcome
+
+    monkeypatch.setattr(col_methods, "column_losses_from_y", losses)
+    monkeypatch.setattr(col_methods, "rgrcd_step", step)
+    report = run_col_method("rgrcd", a, inst.b, x_star=inst.x_star, seed=3, record_steps=True)
+    assert report.termination_reason == "converged"
+    assert report.iterations > 2 * REFRESH_EVERY
+    assert len(report.step_records) == len(fresh) == report.iterations
+    for rec, want in zip(report.step_records, fresh):
+        assert {k: getattr(rec, k) for k in want} == want

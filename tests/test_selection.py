@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from rgsolve import (
     ConvergedSignal,
@@ -7,12 +9,14 @@ from rgsolve import (
     SelectionConfig,
     UsageError,
     column_losses,
+    column_losses_from_y,
     gbk_set,
     make_partition,
     max_distance_set,
     relaxed_greedy_set,
     row_losses,
 )
+from rgsolve.selection import _inverse_cdf_draw
 
 DIAG = DenseMatrix([[1.0, 0.0], [0.0, 2.0]])
 
@@ -191,3 +195,56 @@ def test_zero_set_uses_relative_tolerance():
     prof = row_losses(a, r)
     np.testing.assert_array_equal(prof.zero_set, [1, 2])
     assert 0 not in prof.zero_set
+
+
+def test_zero_set_is_the_below_tolerance_indices_found_once():
+    rng = np.random.default_rng(4)
+    a = DenseMatrix(rng.standard_normal((40, 12)))
+    r = rng.standard_normal(40)
+    r[::3] = 0.0
+    r[1::7] *= 1e-9
+    for zero_tol in (None, 1e-12, 1e-30):
+        for prof in (row_losses(a, r, zero_tol), column_losses(a, r, zero_tol)):
+            np.testing.assert_array_equal(prof.zero_set,
+                                          np.flatnonzero(prof.losses < prof.zero_tol))
+            assert prof.zero_set is prof.zero_set
+
+
+def test_direct_loss_calls_still_validate_shapes():
+    a, r = random_case(0)
+    with pytest.raises(UsageError, match="residual must have length 25"):
+        row_losses(a, r[:-1])
+    with pytest.raises(UsageError, match="residual must have length 25"):
+        row_losses(a, np.zeros((25, 1)))
+    with pytest.raises(UsageError, match="y must have length 10"):
+        column_losses_from_y(a, np.zeros(11))
+    with pytest.raises(UsageError, match="y must have length 10"):
+        max_distance_set(a, np.zeros(9), 0.1)
+
+
+def test_loss_calls_reject_zero_rows_and_columns_by_index():
+    a = DenseMatrix([[1.0, 0.0, 2.0], [0.0, 0.0, 0.0], [3.0, 0.0, 1.0]])
+    with pytest.raises(UsageError, match="^zero row 1 unsupported by greedy selection$"):
+        row_losses(a, np.ones(3))
+    with pytest.raises(UsageError, match="^zero column 1 unsupported by greedy selection$"):
+        column_losses_from_y(a, np.ones(3))
+    with pytest.raises(UsageError, match="^zero column 1 unsupported by greedy selection$"):
+        max_distance_set(a, np.ones(3), 0.1)
+
+
+_WEIGHT = st.one_of(
+    st.sampled_from([0.0, 1.0, 2.0]),  # zeros and ties
+    st.floats(min_value=0.0, max_value=1e12, allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(weights=st.lists(_WEIGHT, min_size=1, max_size=60),
+       seed=st.integers(min_value=0, max_value=2**63 - 1))
+def test_inverse_cdf_draw_is_generator_choice(weights, seed):
+    w = np.array(weights)
+    assume(w.sum() > 0.0)
+    p = w / w.sum()
+    ours, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert _inverse_cdf_draw(p, ours) == numpys.choice(len(w), p=p)
+    assert ours.bit_generator.state == numpys.bit_generator.state
