@@ -9,15 +9,7 @@ residual-weighted combination of the selected rows or columns.
 """
 
 from .cgls import CglsConfig, cgls
-from .col_methods import (
-    COL_METHODS,
-    amdcd_step,
-    cd_step,
-    rbcd_block_step,
-    rgdc_step,
-    rgrcd_step,
-    run_col_method,
-)
+from .col_methods import COL_METHODS, run_col_method
 from .errors import (
     ConvergedSignal,
     DegenerateStepError,
@@ -31,8 +23,6 @@ from .errors import (
 from .linalg import (
     DenseMatrix,
     as_vector,
-    matvec,
-    matvec_transpose,
     orthonormalize_columns,
     sigma_extremes,
     singular_values,
@@ -47,18 +37,10 @@ from .problems import (
     make_inconsistent,
     save_instance,
 )
-from .row_methods import (
-    ROW_METHODS,
-    block_project_step,
-    kaczmarz_step,
-    rgdr_step,
-    rgrk_step,
-    run_row_method,
-)
+from .row_methods import ROW_METHODS, run_row_method
 from .selection import (
     LossProfile,
     SelectionConfig,
-    column_losses,
     column_losses_from_y,
     gbk_set,
     make_partition,
@@ -66,7 +48,7 @@ from .selection import (
     relaxed_greedy_set,
     row_losses,
 )
-from .state import SolveReport, SolveState, StepOutcome, StepRecord, StopRule
+from .state import SolveReport, StepRecord, StopRule
 from .theory import (
     AggregateCertificate,
     BoundCertificate,
@@ -99,49 +81,35 @@ __all__ = [
     "SelectionConfig",
     "SizeGuardError",
     "SolveReport",
-    "SolveState",
     "StalledError",
-    "StepOutcome",
     "StepRecord",
     "StopRule",
     "SubsolverError",
     "UsageError",
-    "amdcd_step",
     "as_vector",
-    "block_project_step",
-    "cd_step",
     "certificates_to_csv",
     "certify_randomized",
     "certify_run",
     "cgls",
-    "column_losses",
     "column_losses_from_y",
     "flops_rgdc",
     "flops_rgdr",
     "gbk_set",
     "gen_randn",
     "gen_smatrix",
-    "kaczmarz_step",
     "load_instance",
     "make_consistent",
     "make_inconsistent",
     "make_partition",
-    "matvec",
-    "matvec_transpose",
     "max_distance_set",
     "orthonormalize_columns",
-    "rbcd_block_step",
     "read_matrix",
     "read_vector",
     "relaxed_greedy_set",
     "rgdc_factor",
-    "rgdc_step",
     "rgdr_factor",
-    "rgdr_step",
     "rgrcd_factor",
-    "rgrcd_step",
     "rgrk_factor",
-    "rgrk_step",
     "row_losses",
     "run_col_method",
     "run_row_method",

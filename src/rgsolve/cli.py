@@ -35,7 +35,7 @@ from .problems import (
 from .row_methods import ROW_METHODS, run_row_method
 from .selection import SelectionConfig
 from .state import SolveReport, StopRule
-from .theory import certificates_to_csv, certify_randomized, certify_run
+from .theory import _check_certify_size, certificates_to_csv, certify_randomized, certify_run
 
 RANDOMIZED_METHODS = ("rgrk", "rbk", "rgrcd", "rbcd")
 ALL_METHODS = ROW_METHODS + COL_METHODS
@@ -329,13 +329,7 @@ def cmd_certify(args) -> int:
         raise UsageError(
             "certification supports rgdr, rgdc (per-step) and rgrk, rgrcd (statistical)"
         )
-    from .theory import CERTIFY_DIM_LIMIT
-
-    if max(instance.A.m, instance.A.n) > CERTIFY_DIM_LIMIT:
-        raise SizeGuardError(
-            f"instance {instance.A.m}x{instance.A.n} exceeds the certification guard "
-            f"(both dimensions must be <= {CERTIFY_DIM_LIMIT})"
-        )
+    _check_certify_size(instance.A)
     config = _selection_config(vars(args))
     stop = StopRule(rse_tol=args.tol, max_iters=args.max_iters)
     out = Path(args.out)

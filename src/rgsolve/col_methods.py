@@ -22,11 +22,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cgls import CglsConfig, cgls
-from .errors import DegenerateStepError, UsageError
+from .errors import ConvergedSignal, DegenerateStepError, UsageError
 from .linalg import DenseMatrix, _block_index, _min_norm_solve
 from .selection import (
     SelectionConfig,
-    _inverse_cdf_draw,
+    _draw_by_square,
     column_losses_from_y,
     make_partition,
     max_distance_set,
@@ -36,7 +36,6 @@ from .state import (
     MethodFamily,
     SolveReport,
     SolveState,
-    StepOutcome,
     StopRule,
     check_drift,
     solve_loop,
@@ -51,7 +50,7 @@ def _normal_product(a: DenseMatrix, indices, w, applied: np.ndarray) -> np.ndarr
     return a.matvec_transpose(applied) if gram is None else np.dot(w, gram[indices])
 
 
-def cd_step(state: SolveState, a: DenseMatrix, b: np.ndarray, j: int) -> StepOutcome:
+def cd_step(state: SolveState, a: DenseMatrix, j: int) -> None:
     """Exactly minimize the residual along coordinate ``j``."""
     sq = float(a.col_sqnorms[j])
     if sq <= 0.0:
@@ -59,15 +58,13 @@ def cd_step(state: SolveState, a: DenseMatrix, b: np.ndarray, j: int) -> StepOut
     y_j = float(state.y[j])
     if y_j != 0.0:
         delta = y_j / sq
-        col = a.column(j)
+        col = a.entries_t[j]
         state.x[j] += delta
         state.r -= delta * col
         state.y -= delta * _normal_product(a, j, 1.0, col)
-    state.k += 1
-    return StepOutcome(state, 1.0 / sq, converged=(y_j == 0.0))
 
 
-def rgdc_step(state: SolveState, a: DenseMatrix, b: np.ndarray, indices: np.ndarray) -> StepOutcome:
+def rgdc_step(state: SolveState, a: DenseMatrix, indices: np.ndarray) -> None:
     """Aggregate the selected coordinates, weighted by y, into one correction.
 
     With xi supported on ``indices`` carrying the values of y there, the update
@@ -75,14 +72,10 @@ def rgdc_step(state: SolveState, a: DenseMatrix, b: np.ndarray, indices: np.ndar
     new y. Raises DegenerateStepError if ``A xi`` vanishes, which requires the
     selected columns to cancel exactly.
     """
-    indices = np.asarray(indices, dtype=int)
-    if indices.size == 0:
-        raise UsageError("empty index set")
     y_sel = state.y[indices]
     h1 = float(y_sel @ y_sel)
     if h1 <= 0.0:
-        state.k += 1
-        return StepOutcome(state, 0.0, converged=True)
+        return
     combined = a.entries_t[indices].T @ y_sel  # A[:, indices] @ y_sel
     h2 = float(combined @ combined)
     if h2 <= 0.0:
@@ -91,39 +84,20 @@ def rgdc_step(state: SolveState, a: DenseMatrix, b: np.ndarray, indices: np.ndar
     state.x[indices] += weight * y_sel
     state.r -= weight * combined
     state.y -= weight * _normal_product(a, indices, y_sel, combined)
-    state.k += 1
-    return StepOutcome(state, weight)
 
 
-def rgrcd_step(
-    state: SolveState,
-    a: DenseMatrix,
-    b: np.ndarray,
-    indices: np.ndarray,
-    rng: np.random.Generator,
-) -> StepOutcome:
+def rgrcd_step(state: SolveState, a: DenseMatrix, indices: np.ndarray, rng: np.random.Generator) -> None:
     """Sample one coordinate from the selected set with probability proportional
     to its squared y value, then apply the coordinate step."""
-    indices = np.asarray(indices, dtype=int)
-    if indices.size == 0:
-        raise UsageError("empty index set")
-    weights = state.y[indices] ** 2
-    total = float(weights.sum())
-    if total <= 0.0:
-        raise UsageError("y restricted to the selected set is zero")
-    j = int(indices[_inverse_cdf_draw(weights / total, rng)])
-    return cd_step(state, a, b, j)
+    cd_step(state, a, _draw_by_square(state.y, indices, rng))
 
 
-def amdcd_step(state: SolveState, a: DenseMatrix, b: np.ndarray, indices: np.ndarray) -> StepOutcome:
+def amdcd_step(state: SolveState, a: DenseMatrix, indices: np.ndarray) -> None:
     """Update every selected coordinate simultaneously with its own weight y_j / ||col_j||^2.
 
     Pseudoinverse-free: correlated columns in the set are not reconciled, so
     the combined move can overshoot; the rule is applied exactly as stated.
     """
-    indices = np.asarray(indices, dtype=int)
-    if indices.size == 0:
-        raise UsageError("empty index set")
     sq = a.col_sqnorms[indices]
     if sq.min() <= 0.0:
         raise UsageError("zero column cannot drive a coordinate step")
@@ -132,20 +106,15 @@ def amdcd_step(state: SolveState, a: DenseMatrix, b: np.ndarray, indices: np.nda
     applied = a.entries_t[indices].T @ weights  # A @ increment
     state.r -= applied
     state.y -= _normal_product(a, indices, weights, applied)
-    state.k += 1
-    return StepOutcome(state, 1.0)
 
 
-def rbcd_block_step(state: SolveState, a: DenseMatrix, b: np.ndarray, indices: np.ndarray) -> StepOutcome:
+def rbcd_block_step(state: SolveState, a: DenseMatrix, indices: np.ndarray) -> None:
     """Least-squares-solve the residual against the selected columns and apply it.
 
     The correction is the minimum-norm solution of ``G[S, S] w = y[S]``, the
     normal equations of ``A_S w = r`` (least squares on ``A_S`` when the block
     Gram is numerically singular).
     """
-    indices = np.asarray(indices, dtype=int)
-    if indices.size == 0:
-        raise UsageError("empty index set")
     block = _block_index(indices)
     cols = a.entries_t[block]  # A[:, indices].T
     gram = a.gram
@@ -155,8 +124,6 @@ def rbcd_block_step(state: SolveState, a: DenseMatrix, b: np.ndarray, indices: n
     applied = correction @ cols
     state.r -= applied
     state.y -= _normal_product(a, block, correction, applied)
-    state.k += 1
-    return StepOutcome(state, 1.0)
 
 
 @dataclass
@@ -197,28 +164,27 @@ class _ColFamily(MethodFamily):
         return math.sqrt(y @ y) <= self.stop.stationarity_tol * self.atb_norm
 
     def step(self):
-        state, a, b, config, method = self.state, self.a, self.b, self.config, self.method
+        state, a, config, method = self.state, self.a, self.config, self.method
         profile = None
-        if method == "cd":
-            selected = np.array([state.k % a.n])
-            cd_step(state, a, b, int(selected[0]))
-        elif method in ("rgrcd", "rgdc"):
-            profile = column_losses_from_y(a, state.y, config.zero_tol)
-            if profile.max_loss <= 0.0:
-                return "stationary"
-            selected = relaxed_greedy_set(profile, config.theta2)
-            if method == "rgdc":
-                rgdc_step(state, a, b, selected)
-            else:
-                rgrcd_step(state, a, b, selected, self.rng)
-        elif method == "amdcd":
-            if not np.any(state.y):
-                return "stationary"
-            selected = max_distance_set(a, state.y, config.eta2)
-            amdcd_step(state, a, b, selected)
-        else:  # rbcd
-            selected = self.partition[int(self.rng.integers(len(self.partition)))]
-            rbcd_block_step(state, a, b, selected)
+        try:
+            if method == "cd":
+                selected = np.array([state.k % a.n])
+                cd_step(state, a, int(selected[0]))
+            elif method in ("rgrcd", "rgdc"):
+                profile = column_losses_from_y(a, state.y, config.zero_tol)
+                selected = relaxed_greedy_set(profile, config.theta2)
+                if method == "rgdc":
+                    rgdc_step(state, a, selected)
+                else:
+                    rgrcd_step(state, a, selected, self.rng)
+            elif method == "amdcd":
+                selected = max_distance_set(a, state.y, config.eta2)
+                amdcd_step(state, a, selected)
+            else:  # rbcd
+                selected = self.partition[int(self.rng.integers(len(self.partition)))]
+                rbcd_block_step(state, a, selected)
+        except ConvergedSignal:
+            return "stationary"
         return selected, profile
 
 

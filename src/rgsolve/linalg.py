@@ -107,10 +107,6 @@ class DenseMatrix:
             )
         return self.entries_t @ r
 
-    def column(self, j: int) -> np.ndarray:
-        """Contiguous view of column ``j``."""
-        return self.entries_t[j]
-
     def __repr__(self) -> str:
         return f"DenseMatrix({self.m}x{self.n})"
 
@@ -147,14 +143,6 @@ def _block_index(indices: np.ndarray):
     if (np.diff(indices) == 1).all():
         return slice(int(indices[0]), int(indices[-1]) + 1)
     return indices
-
-
-def matvec(a: DenseMatrix, x) -> np.ndarray:
-    return a.matvec(x)
-
-
-def matvec_transpose(a: DenseMatrix, r) -> np.ndarray:
-    return a.matvec_transpose(r)
 
 
 def orthonormalize_columns(raw) -> np.ndarray:

@@ -23,11 +23,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cgls import CglsConfig, cgls
-from .errors import StalledError, UsageError
+from .errors import ConvergedSignal, StalledError, UsageError
 from .linalg import DenseMatrix, _block_index, _min_norm_solve
 from .selection import (
     SelectionConfig,
-    _inverse_cdf_draw,
+    _draw_by_square,
     gbk_set,
     make_partition,
     relaxed_greedy_set,
@@ -37,7 +37,6 @@ from .state import (
     MethodFamily,
     SolveReport,
     SolveState,
-    StepOutcome,
     StopRule,
     check_drift,
     solve_loop,
@@ -46,7 +45,7 @@ from .state import (
 ROW_METHODS = ("kaczmarz", "rgrk", "rgdr", "gbk", "rbk")
 
 
-def kaczmarz_step(state: SolveState, a: DenseMatrix, b: np.ndarray, i: int) -> StepOutcome:
+def kaczmarz_step(state: SolveState, a: DenseMatrix, b: np.ndarray, i: int) -> None:
     """Project the iterate onto the hyperplane of row ``i``.
 
     The residual entry is read from the carried ``state.r``, which the step
@@ -62,11 +61,9 @@ def kaczmarz_step(state: SolveState, a: DenseMatrix, b: np.ndarray, i: int) -> S
         state.x += delta * row
         if state.r is not None:
             state.r -= delta * a.matvec(row)
-    state.k += 1
-    return StepOutcome(state, 1.0 / sq, converged=(residual_i == 0.0))
 
 
-def rgdr_step(state: SolveState, a: DenseMatrix, b: np.ndarray, indices: np.ndarray) -> StepOutcome:
+def rgdr_step(state: SolveState, a: DenseMatrix, indices: np.ndarray) -> None:
     """Aggregate the selected rows, weighted by their residuals, into one projection.
 
     With eta the residual masked to ``indices``, the update is
@@ -74,14 +71,10 @@ def rgdr_step(state: SolveState, a: DenseMatrix, b: np.ndarray, indices: np.ndar
     matching recursion. Raises StalledError when ``A.T eta`` vanishes, which
     means the selected residual lies outside the range of A.
     """
-    indices = np.asarray(indices, dtype=int)
-    if indices.size == 0:
-        raise UsageError("empty index set")
     r_sel = state.r[indices]
     g1 = float(r_sel @ r_sel)
     if g1 <= 0.0:
-        state.k += 1
-        return StepOutcome(state, 0.0, converged=True)
+        return
     direction = a.entries[indices].T @ r_sel
     g2 = float(direction @ direction)
     if g2 <= 0.0:
@@ -89,8 +82,6 @@ def rgdr_step(state: SolveState, a: DenseMatrix, b: np.ndarray, indices: np.ndar
     weight = g1 / g2
     state.x += weight * direction
     state.r -= weight * a.matvec(direction)
-    state.k += 1
-    return StepOutcome(state, weight)
 
 
 def rgrk_step(
@@ -99,21 +90,13 @@ def rgrk_step(
     b: np.ndarray,
     indices: np.ndarray,
     rng: np.random.Generator,
-) -> StepOutcome:
+) -> None:
     """Sample one row from the selected set with probability proportional to its
     squared residual, then apply the single-row projection."""
-    indices = np.asarray(indices, dtype=int)
-    if indices.size == 0:
-        raise UsageError("empty index set")
-    weights = state.r[indices] ** 2
-    total = float(weights.sum())
-    if total <= 0.0:
-        raise UsageError("residual restricted to the selected set is zero")
-    i = int(indices[_inverse_cdf_draw(weights / total, rng)])
-    return kaczmarz_step(state, a, b, i)
+    kaczmarz_step(state, a, b, _draw_by_square(state.r, indices, rng))
 
 
-def block_project_step(state: SolveState, a: DenseMatrix, b: np.ndarray, indices: np.ndarray) -> StepOutcome:
+def block_project_step(state: SolveState, a: DenseMatrix, b: np.ndarray, indices: np.ndarray) -> None:
     """Project the iterate orthogonally onto the solution set of the selected rows.
 
     The correction is the minimum-norm solution of ``A_S dx = b_S - A_S x``,
@@ -121,16 +104,11 @@ def block_project_step(state: SolveState, a: DenseMatrix, b: np.ndarray, indices
     refined once (least squares on ``A_S`` when K is numerically singular). A
     carried residual is recomputed in full afterwards rather than by recursion.
     """
-    indices = np.asarray(indices, dtype=int)
-    if indices.size == 0:
-        raise UsageError("empty index set")
     rows = _block_index(indices)
     sub = a.entries[rows]
     state.x += _min_norm_solve(sub, b[rows] - sub @ state.x, sub @ sub.T)
     if state.r is not None:
         state.r = b - a.matvec(state.x)
-    state.k += 1
-    return StepOutcome(state, 1.0)
 
 
 @dataclass
@@ -173,23 +151,20 @@ class _RowFamily(MethodFamily):
                 kaczmarz_step(state, a, b, int(selected[0]))
             elif method in ("rgrk", "rgdr", "gbk"):
                 profile = row_losses(a, state.r, config.zero_tol)
-                if profile.max_loss <= 0.0:
-                    # x has not moved since the loop found RSE >= rse_tol, so an
-                    # exactly zero residual away from x* is a stall.
-                    return "stalled"
                 if method == "gbk":
                     selected = gbk_set(profile, config.eta1)
                     block_project_step(state, a, b, selected)
                 else:
                     selected = relaxed_greedy_set(profile, config.theta1)
                     if method == "rgdr":
-                        rgdr_step(state, a, b, selected)
+                        rgdr_step(state, a, selected)
                     else:
                         rgrk_step(state, a, b, selected, self.rng)
             else:  # rbk
                 selected = self.partition[int(self.rng.integers(len(self.partition)))]
                 block_project_step(state, a, b, selected)
-        except StalledError:
+        except (ConvergedSignal, StalledError):
+            # A zero residual away from x* (the loop found RSE >= rse_tol) is a stall too.
             return "stalled"
         return selected, profile
 

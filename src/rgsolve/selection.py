@@ -22,13 +22,12 @@ from .linalg import DenseMatrix
 _ZERO_TOL_FLOOR = 1e-300
 
 
-@dataclass(frozen=True)
+@dataclass
 class LossProfile:
-    """Per-index losses with their energy weights and zero-loss bookkeeping."""
+    """Per-index losses with their energy-weighted mean and zero-loss bookkeeping."""
 
     kind: str  # "row" or "column"
     losses: np.ndarray
-    weights: np.ndarray
     max_loss: float
     weighted_mean: float
     zero_tol: float
@@ -69,7 +68,7 @@ def _make_profile(kind, losses, weights, zero_tol) -> LossProfile:
     max_loss = float(losses.max())
     if zero_tol is None:
         zero_tol = max(1e-14 * max_loss, _ZERO_TOL_FLOOR)
-    return LossProfile(kind, losses, weights, max_loss, float(weights @ losses), zero_tol)
+    return LossProfile(kind, losses, max_loss, float(weights @ losses), zero_tol)
 
 
 def row_losses(a: DenseMatrix, r, zero_tol: float | None = None) -> LossProfile:
@@ -90,14 +89,6 @@ def column_losses_from_y(a: DenseMatrix, y, zero_tol: float | None = None) -> Lo
     if a.zero_col is not None:
         raise UsageError(f"zero column {a.zero_col} unsupported by greedy selection")
     return _make_profile("column", y * y / a.col_sqnorms, a.col_weights, zero_tol)
-
-
-def column_losses(a: DenseMatrix, r, zero_tol: float | None = None) -> LossProfile:
-    """Loss profile over columns: squared column/residual correlation over column norm."""
-    r = np.asarray(r, dtype=float)
-    if r.shape != (a.m,):
-        raise UsageError(f"residual must have length {a.m}, got shape {r.shape}")
-    return column_losses_from_y(a, a.matvec_transpose(r), zero_tol)
 
 
 def relaxed_greedy_set(profile: LossProfile, theta: float) -> np.ndarray:
@@ -152,6 +143,15 @@ def _inverse_cdf_draw(p: np.ndarray, rng: np.random.Generator) -> int:
     cdf = p.cumsum()
     cdf /= cdf[-1]
     return int(cdf.searchsorted(rng.random(), side="right"))
+
+
+def _draw_by_square(v: np.ndarray, indices: np.ndarray, rng: np.random.Generator) -> int:
+    """One of ``indices``, drawn with probability proportional to ``v[indices] ** 2``."""
+    weights = v[indices] ** 2
+    total = float(weights.sum())
+    if total <= 0.0:
+        raise UsageError("the vector restricted to the selected set is zero")
+    return int(indices[_inverse_cdf_draw(weights / total, rng)])
 
 
 def make_partition(count: int, block_size: int) -> list[np.ndarray]:

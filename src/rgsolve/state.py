@@ -41,15 +41,6 @@ class SolveState:
 
 
 @dataclass
-class StepOutcome:
-    """Result of one update: the mutated state plus the projection weight applied."""
-
-    state: SolveState
-    projection_weight: float
-    converged: bool = False  # the working residual slice was exactly zero
-
-
-@dataclass
 class StopRule:
     """Termination thresholds for a solve run."""
 
@@ -156,11 +147,12 @@ class MethodFamily:
     rule). ``refresh()`` recomputes the carried vectors, raising on drift;
     ``err_sq()`` is the squared error step records carry, and
     ``refresh_moves_err`` says whether a refresh changes it (it does when the
-    error reads the carried residual). ``step()`` advances ``state`` by one
-    iteration and returns ``(selected, profile or None)``, the loss profile
-    whose zero set the step records sum, or a termination reason when nothing
-    is left to select. ``stationary()`` is an extra stop rule checked before
-    the iteration cap.
+    error reads the carried residual). ``step()`` updates ``x`` and the
+    carried vectors and returns ``(selected, profile or None)``, the loss
+    profile whose zero set the step records sum, or a termination reason when
+    nothing is left to select; the loop then counts the iteration in
+    ``state.k``. ``stationary()`` is an extra stop rule checked before the
+    iteration cap.
     """
 
     kind: ClassVar[str]
@@ -251,6 +243,7 @@ def solve_loop(family: type[MethodFamily], method: str, a: DenseMatrix, b, *, co
             reason = outcome
             break
         selected, profile = outcome
+        state.k += 1
         dx = state.x - x_star
         rse = math.sqrt(dx @ dx) / denom
         rse_trace.append(rse)

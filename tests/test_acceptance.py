@@ -24,9 +24,7 @@ import numpy as np
 from rgsolve import (
     DenseMatrix,
     SelectionConfig,
-    SolveState,
     StopRule,
-    block_project_step,
     cgls,
     CglsConfig,
     certify_run,
@@ -35,17 +33,17 @@ from rgsolve import (
     flops_rgdr,
     gen_randn,
     gen_smatrix,
-    kaczmarz_step,
     make_consistent,
     make_inconsistent,
     relaxed_greedy_set,
-    rgdc_step,
-    rgdr_step,
     row_losses,
     run_col_method,
     run_row_method,
     sigma_extremes,
 )
+from rgsolve.col_methods import rgdc_step
+from rgsolve.row_methods import block_project_step, kaczmarz_step, rgdr_step
+from rgsolve.state import SolveState
 from fdbk_reference import fdbk_iterates
 
 THETAS = (0.3, 0.5, 0.7, 0.9)
@@ -85,13 +83,13 @@ def test_criterion_01_hand_trace():
     state = _fresh_row_state(a, b)
     for target in expected:
         sel = relaxed_greedy_set(row_losses(a, state.r), 0.5)
-        rgdr_step(state, a, b, sel)
+        rgdr_step(state, a, sel)
         assert np.abs(state.x - target).max() <= 1e-12
 
     state = _fresh_col_state(a, b)
     for target in expected:
         sel = relaxed_greedy_set(column_losses_from_y(a, state.y), 0.5)
-        rgdc_step(state, a, b, sel)
+        rgdc_step(state, a, sel)
         assert np.abs(state.x - target).max() <= 1e-12
 
 
@@ -107,7 +105,7 @@ def test_criterion_02_projection_orthogonality():
         sel = relaxed_greedy_set(row_losses(a, state.r), theta)
         eta = np.zeros(a.m)
         eta[sel] = state.r[sel]
-        rgdr_step(state, a, b, sel)
+        rgdr_step(state, a, sel)
         bound = 1e-10 * np.linalg.norm(eta) * np.linalg.norm(state.r)
         assert abs(float(eta @ state.r)) <= max(bound, 1e-30)
 
@@ -115,7 +113,7 @@ def test_criterion_02_projection_orthogonality():
         sel = relaxed_greedy_set(column_losses_from_y(a, state.y), theta)
         xi = np.zeros(a.n)
         xi[sel] = state.y[sel]
-        rgdc_step(state, a, b, sel)
+        rgdc_step(state, a, sel)
         bound = 1e-10 * np.linalg.norm(xi) * np.linalg.norm(state.y)
         assert abs(float(xi @ state.y)) <= max(bound, 1e-30)
 
@@ -155,7 +153,7 @@ def test_criterion_04_reference_equivalence():
                 x_mine = state.x
             else:
                 sel = relaxed_greedy_set(profile, 0.5)
-                rgdr_step(state, a, inst.b, sel)
+                rgdr_step(state, a, sel)
                 x_mine = state.x
             assert np.abs(x_mine - reference[k]).max() <= 1e-12, (seed, k)
 
@@ -285,8 +283,8 @@ def test_criterion_07_inconsistent_least_squares():
         sel_noisy = relaxed_greedy_set(p_noisy, 0.5)
         sel_clean = relaxed_greedy_set(p_clean, 0.5)
         np.testing.assert_array_equal(sel_noisy, sel_clean)
-        rgdc_step(s_noisy, a, inst.b, sel_noisy)
-        rgdc_step(s_clean, a, b_clean, sel_clean)
+        rgdc_step(s_noisy, a, sel_noisy)
+        rgdc_step(s_clean, a, sel_clean)
         assert np.abs(s_noisy.x - s_clean.x).max() <= 1e-10
 
 

@@ -263,6 +263,7 @@ def test_certify_size_guard_refusal(tmp_path):
     code = run_cli("certify", str(prob), "--method", "rgdr",
                    "--out", str(tmp_path / "cert"))
     assert code == 4
+    assert not (tmp_path / "cert").exists()  # refused before anything is written
 
 
 def test_trace_plot_long_format(tmp_path, small_problem):

@@ -11,23 +11,18 @@ from rgsolve import (
     DenseMatrix,
     RgsolveError,
     SelectionConfig,
-    SolveState,
     StopRule,
     UsageError,
-    amdcd_step,
-    cd_step,
     column_losses_from_y,
     gen_randn,
     gen_smatrix,
     make_consistent,
     make_inconsistent,
-    rbcd_block_step,
     relaxed_greedy_set,
-    rgdc_step,
-    rgrcd_step,
     run_col_method,
 )
-from rgsolve.state import REFRESH_EVERY
+from rgsolve.col_methods import amdcd_step, cd_step, rbcd_block_step, rgdc_step, rgrcd_step
+from rgsolve.state import REFRESH_EVERY, SolveState
 
 DIAG = DenseMatrix([[1.0, 0.0], [0.0, 2.0]])
 B_DIAG = np.array([1.0, 4.0])
@@ -42,37 +37,40 @@ def fresh_state(a, b, x=None):
 def test_cd_identity():
     a = DenseMatrix(np.eye(2))
     state = fresh_state(a, np.array([1.0, 2.0]))
-    cd_step(state, a, np.array([1.0, 2.0]), 0)
+    cd_step(state, a, 0)
     np.testing.assert_allclose(state.x, [1.0, 0.0])
 
 
 def test_cd_hand():
     state = fresh_state(DIAG, B_DIAG)
-    cd_step(state, DIAG, B_DIAG, 1)
+    cd_step(state, DIAG, 1)
     np.testing.assert_allclose(state.x, [0.0, 2.0])
     assert abs(state.y[1]) < 1e-14
 
 
 def test_cd_stationary_column_is_noop():
     state = fresh_state(DIAG, B_DIAG, x=[0.0, 2.0])  # column 1 stationary
-    outcome = cd_step(state, DIAG, B_DIAG, 1)
-    np.testing.assert_allclose(state.x, [0.0, 2.0])
-    assert outcome.converged
+    before = [v.copy() for v in (state.x, state.r, state.y)]
+    cd_step(state, DIAG, 1)
+    assert [v.tobytes() for v in (state.x, state.r, state.y)] == [v.tobytes() for v in before]
+    rgdc_step(state, DIAG, np.array([1]))  # a stationary set
+    assert [v.tobytes() for v in (state.x, state.r, state.y)] == [v.tobytes() for v in before]
 
 
 def test_cd_rejects_zero_column():
     a = DenseMatrix([[1.0, 0.0], [1.0, 0.0]])
     state = SolveState(x=np.zeros(2), r=np.ones(2), y=a.matvec_transpose(np.ones(2)))
     with pytest.raises(UsageError):
-        cd_step(state, a, np.ones(2), 1)
+        cd_step(state, a, 1)
 
 
 def test_rgdc_hand_step():
     state = fresh_state(DIAG, B_DIAG)
-    outcome = rgdc_step(state, DIAG, B_DIAG, np.array([1]))
+    rgdc_step(state, DIAG, np.array([1]))
     np.testing.assert_allclose(state.x, [0.0, 2.0], atol=1e-15)
     np.testing.assert_allclose(state.y, [1.0, 0.0], atol=1e-15)
-    assert abs(outcome.projection_weight - 0.25) < 1e-15
+    # weight (xi.T y) / ||A xi||^2 = 64 / 256 on xi = (0, y_1) = (0, 8)
+    np.testing.assert_array_equal(state.x, [0.0, 0.25 * 8.0])
 
 
 def test_rgdc_singleton_equals_cd():
@@ -84,8 +82,8 @@ def test_rgdc_singleton_equals_cd():
         s1 = fresh_state(a, b, x)
         s2 = fresh_state(a, b, x)
         j = int(rng.integers(a.n))
-        rgdc_step(s1, a, b, np.array([j]))
-        cd_step(s2, a, b, j)
+        rgdc_step(s1, a, np.array([j]))
+        cd_step(s2, a, j)
         np.testing.assert_allclose(s1.x, s2.x, atol=1e-12)
         np.testing.assert_allclose(s1.y, s2.y, atol=1e-12)
 
@@ -94,9 +92,11 @@ def test_rgdc_full_set_identity_one_step():
     a = DenseMatrix(np.eye(2))
     b = np.array([2.0, 2.0])
     state = fresh_state(a, b)
-    outcome = rgdc_step(state, a, b, np.array([0, 1]))
+    rgdc_step(state, a, np.array([0, 1]))
     np.testing.assert_allclose(state.x, [2.0, 2.0], atol=1e-15)
-    assert abs(outcome.projection_weight - 1.0) < 1e-15
+    # weight 8 / 8 = 1 on xi = y = (2, 2): the step lands exactly on the solution
+    np.testing.assert_array_equal(state.x, [2.0, 2.0])
+    np.testing.assert_array_equal(state.y, [0.0, 0.0])
 
 
 def test_rgdc_petrov_galerkin_orthogonality():
@@ -109,7 +109,7 @@ def test_rgdc_petrov_galerkin_orthogonality():
         sel = relaxed_greedy_set(profile, rng.uniform(0.0, 1.0))
         xi = np.zeros(a.n)
         xi[sel] = state.y[sel]
-        rgdc_step(state, a, b, sel)
+        rgdc_step(state, a, sel)
         bound = 1e-10 * np.linalg.norm(xi) * np.linalg.norm(state.y)
         assert abs(float(xi @ state.y)) <= max(bound, 1e-30)
 
@@ -118,12 +118,12 @@ def test_rgdc_degenerate_cancelling_columns():
     a = DenseMatrix([[1.0, -1.0], [0.0, 0.0], [1.0, -1.0]])
     state = SolveState(x=np.zeros(2), r=np.zeros(3), y=np.array([1.0, 1.0]))
     with pytest.raises(DegenerateStepError):
-        rgdc_step(state, a, np.zeros(3), np.array([0, 1]))
+        rgdc_step(state, a, np.array([0, 1]))
 
 
 def test_rgrcd_singleton_deterministic():
     state = fresh_state(DIAG, B_DIAG)
-    rgrcd_step(state, DIAG, B_DIAG, np.array([1]), np.random.default_rng(0))
+    rgrcd_step(state, DIAG, np.array([1]), np.random.default_rng(0))
     np.testing.assert_allclose(state.x, [0.0, 2.0])
 
 
@@ -136,7 +136,7 @@ def test_rgrcd_sampling_distribution():
     trials = 100_000
     for _ in range(trials):
         state = fresh_state(a, b)
-        rgrcd_step(state, a, b, np.array([0, 1]), rng)
+        rgrcd_step(state, a, np.array([0, 1]), rng)
         if state.x[1] != 0.0:
             picks += 1
     assert abs(picks / trials - 64.0 / 65.0) < 0.01
@@ -148,8 +148,8 @@ def test_amdcd_singleton_equals_cd():
     b = rng.standard_normal(10)
     s1 = fresh_state(a, b)
     s2 = fresh_state(a, b)
-    amdcd_step(s1, a, b, np.array([2]))
-    cd_step(s2, a, b, 2)
+    amdcd_step(s1, a, np.array([2]))
+    cd_step(s2, a, 2)
     np.testing.assert_allclose(s1.x, s2.x, atol=1e-13)
     np.testing.assert_allclose(s1.y, s2.y, atol=1e-13)
 
@@ -158,13 +158,13 @@ def test_amdcd_identity_full_set():
     a = DenseMatrix(np.eye(2))
     b = np.array([1.0, 2.0])
     state = fresh_state(a, b)
-    amdcd_step(state, a, b, np.array([0, 1]))
+    amdcd_step(state, a, np.array([0, 1]))
     np.testing.assert_allclose(state.x, [1.0, 2.0])
 
 
 def test_amdcd_orthogonal_columns_decouple():
     state = fresh_state(DIAG, B_DIAG)
-    amdcd_step(state, DIAG, B_DIAG, np.array([0, 1]))
+    amdcd_step(state, DIAG, np.array([0, 1]))
     np.testing.assert_allclose(state.x, [1.0, 2.0], atol=1e-15)
 
 
@@ -172,7 +172,7 @@ def test_rbcd_full_block_reaches_least_squares():
     a = gen_randn(20, 6, 14)
     inst = make_inconsistent(a, 15)
     state = fresh_state(a, inst.b)
-    rbcd_block_step(state, a, inst.b, np.arange(6))
+    rbcd_block_step(state, a, np.arange(6))
     np.testing.assert_allclose(state.x, inst.x_star, rtol=1e-8, atol=1e-10)
 
 
@@ -182,8 +182,8 @@ def test_rbcd_singleton_matches_cd():
     b = rng.standard_normal(10)
     s1 = fresh_state(a, b)
     s2 = fresh_state(a, b)
-    rbcd_block_step(s1, a, b, np.array([1]))
-    cd_step(s2, a, b, 1)
+    rbcd_block_step(s1, a, np.array([1]))
+    cd_step(s2, a, 1)
     np.testing.assert_allclose(s1.x, s2.x, atol=1e-10)
 
 
@@ -191,13 +191,13 @@ def test_rbcd_identity():
     a = DenseMatrix(np.eye(2))
     b = np.array([1.0, 2.0])
     state = fresh_state(a, b)
-    rbcd_block_step(state, a, b, np.array([0, 1]))
+    rbcd_block_step(state, a, np.array([0, 1]))
     np.testing.assert_allclose(state.x, [1.0, 2.0], atol=1e-12)
 
 
 def _assert_col_block_is_min_norm(a, b, indices, x):
     state = fresh_state(a, b, x)
-    rbcd_block_step(state, a, b, indices)
+    rbcd_block_step(state, a, indices)
     expected = x.copy()
     expected[indices] += np.linalg.lstsq(a.entries[:, indices], b - a.matvec(x), rcond=None)[0]
     assert np.linalg.norm(state.x - expected) <= 1e-8 * np.linalg.norm(expected)
@@ -290,8 +290,8 @@ def test_noise_invariance_of_column_iterates():
         sel1 = relaxed_greedy_set(p1, 0.5)
         sel2 = relaxed_greedy_set(p2, 0.5)
         np.testing.assert_array_equal(sel1, sel2)
-        rgdc_step(s1, a, clean.b, sel1)
-        rgdc_step(s2, a, noisy_b, sel2)
+        rgdc_step(s1, a, sel1)
+        rgdc_step(s2, a, sel2)
         assert np.abs(s1.x - s2.x).max() <= 1e-10
 
 
@@ -323,14 +323,14 @@ def test_residual_error_monotone_for_column_methods():
         if profile.max_loss <= 0:
             break
         sel = relaxed_greedy_set(profile, 0.5)
-        rgdc_step(state, a, inst.b, sel)
+        rgdc_step(state, a, sel)
         current = float(np.linalg.norm(state.r - r_star)) ** 2
         assert current <= previous * (1.0 + 1e-12)
         previous = current
 
 
 COLUMN_STEPS = {
-    "cd": lambda s, a, b, idx: cd_step(s, a, b, int(idx[0])),
+    "cd": lambda s, a, idx: cd_step(s, a, int(idx[0])),
     "rgdc": rgdc_step,
     "amdcd": amdcd_step,
     "rbcd": rbcd_block_step,
@@ -347,7 +347,7 @@ def test_column_steps_keep_y_equal_to_a_t_r(shape, step):
     for _ in range(5):
         state = fresh_state(a, b, x=rng.standard_normal(a.n))
         indices = rng.choice(a.n, size=4, replace=False)
-        COLUMN_STEPS[step](state, a, b, indices)
+        COLUMN_STEPS[step](state, a, indices)
         scale = max(1.0, float(np.linalg.norm(state.y)))
         assert np.linalg.norm(state.y - a.matvec_transpose(state.r)) <= 1e-12 * scale
         np.testing.assert_allclose(state.r, b - a.matvec(state.x), rtol=0, atol=1e-12)
@@ -407,10 +407,9 @@ def test_refresh_catches_drift_in_carried_y(monkeypatch, method):
     original = getattr(col_methods, name)
 
     def perturbed(state, *args, **kwargs):
-        outcome = original(state, *args, **kwargs)
+        original(state, *args, **kwargs)
         if state.k == 20:
             state.y[0] += 1e-3
-        return outcome
 
     monkeypatch.setattr(col_methods, name, perturbed)
     with pytest.raises(RgsolveError, match="y recursion drifted"):
@@ -448,9 +447,8 @@ def test_step_records_equal_a_fresh_recomputation_across_refreshes(monkeypatch):
     def step(state, *args, **kwargs):
         # After a refresh, r is the recomputed b - A x, so the error before reads it.
         fresh[-1]["err_sq_before"] = err_sq(state.r)
-        outcome = original_step(state, *args, **kwargs)
+        original_step(state, *args, **kwargs)
         fresh[-1]["err_sq_after"] = err_sq(state.r)
-        return outcome
 
     monkeypatch.setattr(col_methods, "column_losses_from_y", losses)
     monkeypatch.setattr(col_methods, "rgrcd_step", step)

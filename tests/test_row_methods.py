@@ -9,24 +9,21 @@ from rgsolve import (
     DenseMatrix,
     RgsolveError,
     SelectionConfig,
-    SolveState,
     StalledError,
     StopRule,
     UsageError,
-    block_project_step,
     cgls,
     gen_randn,
     gen_smatrix,
-    kaczmarz_step,
     make_consistent,
     make_inconsistent,
     relaxed_greedy_set,
-    rgdr_step,
-    rgrk_step,
     row_losses,
     run_col_method,
     run_row_method,
 )
+from rgsolve.row_methods import block_project_step, kaczmarz_step, rgdr_step, rgrk_step
+from rgsolve.state import SolveState
 
 DIAG = DenseMatrix([[1.0, 0.0], [0.0, 2.0]])
 B_DIAG = np.array([1.0, 4.0])
@@ -53,9 +50,13 @@ def test_kaczmarz_hand():
 
 def test_kaczmarz_satisfied_row_is_noop():
     state = fresh_state(DIAG, B_DIAG, x=[1.0, 0.0])  # row 0 already satisfied
-    outcome = kaczmarz_step(state, DIAG, B_DIAG, 0)
-    np.testing.assert_allclose(state.x, [1.0, 0.0])
-    assert outcome.converged
+    x_before, r_before = state.x.copy(), state.r.copy()
+    kaczmarz_step(state, DIAG, B_DIAG, 0)
+    assert state.x.tobytes() == x_before.tobytes()
+    assert state.r.tobytes() == r_before.tobytes()
+    rgdr_step(state, DIAG, np.array([0]))  # a satisfied set
+    assert state.x.tobytes() == x_before.tobytes()
+    assert state.r.tobytes() == r_before.tobytes()
 
 
 def test_kaczmarz_rejects_zero_row():
@@ -67,19 +68,22 @@ def test_kaczmarz_rejects_zero_row():
 
 def test_rgdr_hand_step():
     state = fresh_state(DIAG, B_DIAG)
-    outcome = rgdr_step(state, DIAG, B_DIAG, np.array([1]))
+    rgdr_step(state, DIAG, np.array([1]))
     np.testing.assert_allclose(state.x, [0.0, 2.0], atol=1e-15)
     np.testing.assert_allclose(state.r, [1.0, 0.0], atol=1e-15)
-    assert abs(outcome.projection_weight - 0.25) < 1e-15
+    # weight (eta.T r) / ||A.T eta||^2 = 16 / 64 along A.T eta = (0, 8)
+    np.testing.assert_array_equal(state.x, 0.25 * np.array([0.0, 8.0]))
 
 
 def test_rgdr_full_set_identity_converges_in_one_step():
     a = DenseMatrix(np.eye(2))
     b = np.array([2.0, 2.0])
     state = fresh_state(a, b)
-    outcome = rgdr_step(state, a, b, np.array([0, 1]))
+    rgdr_step(state, a, np.array([0, 1]))
     np.testing.assert_allclose(state.x, [2.0, 2.0], atol=1e-15)
-    assert abs(outcome.projection_weight - 1.0) < 1e-15
+    # weight 8 / 8 = 1 along A.T eta = (2, 2): the step lands exactly on b
+    np.testing.assert_array_equal(state.x, [2.0, 2.0])
+    np.testing.assert_array_equal(state.r, [0.0, 0.0])
 
 
 def test_rgdr_singleton_equals_kaczmarz():
@@ -91,7 +95,7 @@ def test_rgdr_singleton_equals_kaczmarz():
         s1 = fresh_state(a, b, x)
         s2 = fresh_state(a, b, x)
         i = int(rng.integers(a.m))
-        rgdr_step(s1, a, b, np.array([i]))
+        rgdr_step(s1, a, np.array([i]))
         kaczmarz_step(s2, a, b, i)
         np.testing.assert_allclose(s1.x, s2.x, atol=1e-12)
         np.testing.assert_allclose(s1.r, s2.r, atol=1e-12)
@@ -107,7 +111,7 @@ def test_rgdr_petrov_galerkin_orthogonality():
         sel = relaxed_greedy_set(profile, rng.uniform(0.0, 1.0))
         eta = np.zeros(a.m)
         eta[sel] = state.r[sel]
-        rgdr_step(state, a, b, sel)
+        rgdr_step(state, a, sel)
         bound = 1e-10 * np.linalg.norm(eta) * np.linalg.norm(state.r)
         assert abs(float(eta @ state.r)) <= max(bound, 1e-30)
 
@@ -119,7 +123,7 @@ def test_rgdr_stalls_when_direction_vanishes():
     b = np.array([1.0, 1.0, 0.0])  # inconsistent on the first two rows
     state = fresh_state(a, b)
     with pytest.raises(StalledError):
-        rgdr_step(state, a, b, np.array([0, 1]))
+        rgdr_step(state, a, np.array([0, 1]))
 
 
 def test_rgrk_singleton_support_deterministic():
@@ -301,10 +305,9 @@ def test_refresh_catches_drift_in_carried_residual(monkeypatch, method, name):
     original = getattr(row_methods, name)
 
     def perturbed(state, *args, **kwargs):
-        outcome = original(state, *args, **kwargs)
+        original(state, *args, **kwargs)
         if state.k == 20:
             state.r[0] += 1e-3
-        return outcome
 
     monkeypatch.setattr(row_methods, name, perturbed)
     with pytest.raises(RgsolveError, match="residual recursion drifted"):
@@ -320,7 +323,7 @@ def test_cyclic_kaczmarz_carries_no_residual_across_refreshes(monkeypatch):
 
     def watched(state, *args):
         carried.append(state.r is not None)
-        return original(state, *args)
+        original(state, *args)
 
     monkeypatch.setattr(row_methods, "kaczmarz_step", watched)
     gemvs = []
@@ -342,7 +345,7 @@ def test_rbk_carries_no_residual_across_refreshes(monkeypatch):
 
     def watched(state, *args):
         carried.append(state.r is not None)
-        return original(state, *args)
+        original(state, *args)
 
     monkeypatch.setattr(row_methods, "block_project_step", watched)
     gemvs = []
@@ -426,9 +429,8 @@ def test_step_records_equal_a_fresh_recomputation(monkeypatch, method, step_name
 
     def step(state, *args, **kwargs):
         fresh[-1]["err_sq_before"] = err_sq(state.x)
-        outcome = original_step(state, *args, **kwargs)
+        original_step(state, *args, **kwargs)
         fresh[-1]["err_sq_after"] = err_sq(state.x)
-        return outcome
 
     monkeypatch.setattr(row_methods, "row_losses", losses)
     monkeypatch.setattr(row_methods, step_name, step)

@@ -8,7 +8,6 @@ from rgsolve import (
     DenseMatrix,
     SelectionConfig,
     UsageError,
-    column_losses,
     column_losses_from_y,
     gbk_set,
     make_partition,
@@ -16,7 +15,7 @@ from rgsolve import (
     relaxed_greedy_set,
     row_losses,
 )
-from rgsolve.selection import _inverse_cdf_draw
+from rgsolve.selection import _draw_by_square, _inverse_cdf_draw
 
 DIAG = DenseMatrix([[1.0, 0.0], [0.0, 2.0]])
 
@@ -31,7 +30,7 @@ def random_case(seed, m=25, n=10):
 def test_row_losses_hand():
     prof = row_losses(DIAG, np.array([1.0, 4.0]))
     np.testing.assert_allclose(prof.losses, [1.0, 4.0])
-    np.testing.assert_allclose(prof.weights, [0.2, 0.8])
+    np.testing.assert_allclose(DIAG.row_weights, [0.2, 0.8])
     assert abs(prof.weighted_mean - 3.4) < 1e-14
     assert prof.max_loss == 4.0
 
@@ -55,7 +54,7 @@ def test_row_losses_rejects_zero_row():
 
 
 def test_column_losses_hand():
-    prof = column_losses(DIAG, np.array([1.0, 4.0]))
+    prof = column_losses_from_y(DIAG, DIAG.matvec_transpose(np.array([1.0, 4.0])))
     np.testing.assert_allclose(prof.losses, [1.0, 16.0])
     assert abs(prof.weighted_mean - 13.0) < 1e-12
     assert prof.max_loss == 16.0
@@ -64,12 +63,13 @@ def test_column_losses_hand():
 def test_column_losses_orthogonal_residual():
     # residual orthogonal to both columns
     a = DenseMatrix([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
-    prof = column_losses(a, np.array([0.0, 0.0, 3.0]))
+    prof = column_losses_from_y(a, a.matvec_transpose(np.array([0.0, 0.0, 3.0])))
     np.testing.assert_array_equal(prof.losses, [0.0, 0.0])
 
 
 def test_column_losses_identity():
-    prof = column_losses(DenseMatrix(np.eye(2)), np.array([1.0, 4.0]))
+    eye = DenseMatrix(np.eye(2))
+    prof = column_losses_from_y(eye, eye.matvec_transpose(np.array([1.0, 4.0])))
     np.testing.assert_allclose(prof.losses, [1.0, 16.0])
 
 
@@ -77,14 +77,14 @@ def test_loss_sum_identities_random():
     for seed in range(20):
         a, r = random_case(seed)
         row = row_losses(a, r)
-        col = column_losses(a, r)
+        col = column_losses_from_y(a, a.matvec_transpose(r))
         r_sq = float(r @ r)
         y = a.matvec_transpose(r)
         y_sq = float(y @ y)
         assert abs(float(row.losses @ a.row_sqnorms) - r_sq) <= 1e-10 * r_sq
         assert abs(float(col.losses @ a.col_sqnorms) - y_sq) <= 1e-10 * y_sq
-        assert abs(row.weights.sum() - 1.0) <= 1e-12
-        assert abs(col.weights.sum() - 1.0) <= 1e-12
+        assert abs(a.row_weights.sum() - 1.0) <= 1e-12
+        assert abs(a.col_weights.sum() - 1.0) <= 1e-12
         assert row.max_loss >= row.weighted_mean
         assert col.max_loss >= col.weighted_mean
 
@@ -204,7 +204,8 @@ def test_zero_set_is_the_below_tolerance_indices_found_once():
     r[::3] = 0.0
     r[1::7] *= 1e-9
     for zero_tol in (None, 1e-12, 1e-30):
-        for prof in (row_losses(a, r, zero_tol), column_losses(a, r, zero_tol)):
+        for prof in (row_losses(a, r, zero_tol),
+                     column_losses_from_y(a, a.matvec_transpose(r), zero_tol)):
             np.testing.assert_array_equal(prof.zero_set,
                                           np.flatnonzero(prof.losses < prof.zero_tol))
             assert prof.zero_set is prof.zero_set
@@ -248,3 +249,15 @@ def test_inverse_cdf_draw_is_generator_choice(weights, seed):
     ours, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
     assert _inverse_cdf_draw(p, ours) == numpys.choice(len(w), p=p)
     assert ours.bit_generator.state == numpys.bit_generator.state
+
+
+def test_draw_by_square_is_the_inverse_cdf_draw_over_the_set():
+    v = np.array([3.0, -1.0, 0.0, 2.0, 5.0])
+    indices = np.array([0, 1, 3])
+    w = v[indices] ** 2
+    for seed in range(20):
+        ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert _draw_by_square(v, indices, ours) == indices[_inverse_cdf_draw(w / w.sum(), ref)]
+        assert ours.bit_generator.state == ref.bit_generator.state
+    with pytest.raises(UsageError, match="restricted to the selected set is zero"):
+        _draw_by_square(v, np.array([2]), np.random.default_rng(0))
