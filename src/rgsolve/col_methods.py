@@ -9,9 +9,9 @@ Gram matrix ``G = A.T @ A`` that the matrix caches on first use: O(s*n) per
 step, independent of m. On wide matrices (n > m), where no Gram is kept, the
 move is ``A.T @ (A[:, S] @ w)`` instead. RBCD solves the s x s system
 ``G[S, S] w = y[S]`` by Cholesky (on wide matrices it forms ``A_S.T @ A_S``).
-The residual r is carried alongside y for the step records and the column
-error metric (O(m*s) per step), and both are recomputed from scratch every
-100 iterations.
+The residual r is carried, at O(m*s) per step, only when step records are
+kept, since only their error metric reads it; otherwise ``state.r`` is None.
+y (and r, when carried) is recomputed from x every 100 iterations.
 """
 
 from __future__ import annotations
@@ -39,15 +39,31 @@ from .state import (
     StopRule,
     check_drift,
     solve_loop,
+    start_residual,
 )
 
 COL_METHODS = ("cd", "rgrcd", "rgdc", "amdcd", "rbcd")
 
 
-def _normal_product(a: DenseMatrix, indices, w, applied: np.ndarray) -> np.ndarray:
-    """``A.T @ applied`` for ``applied = A[:, indices] @ w``, through the Gram when A has one."""
+def _normal_product(a: DenseMatrix, indices, w, applied: np.ndarray | None) -> np.ndarray:
+    """``A.T @ applied`` for ``applied = A[:, indices] @ w``, through the Gram when A has one
+    (``applied`` is then unread and may be None)."""
     gram = a.gram
     return a.matvec_transpose(applied) if gram is None else np.dot(w, gram[indices])
+
+
+def _move_by_columns(state: SolveState, a: DenseMatrix, indices, w) -> None:
+    """Carry the step ``x[indices] += w`` into y, and into r when r is carried.
+
+    ``A[:, indices] @ w`` costs O(m*s), so it is formed only for a carried r
+    or on a matrix without a Gram; otherwise y moves by rows of the Gram alone.
+    """
+    applied = None
+    if state.r is not None or a.gram is None:
+        applied = a.entries_t[indices].T @ w
+        if state.r is not None:
+            state.r -= applied
+    state.y -= _normal_product(a, indices, w, applied)
 
 
 def cd_step(state: SolveState, a: DenseMatrix, j: int) -> None:
@@ -60,8 +76,10 @@ def cd_step(state: SolveState, a: DenseMatrix, j: int) -> None:
         delta = y_j / sq
         col = a.entries_t[j]
         state.x[j] += delta
-        state.r -= delta * col
-        state.y -= delta * _normal_product(a, j, 1.0, col)
+        if state.r is not None:
+            state.r -= delta * col
+        gram = a.gram
+        state.y -= delta * (a.matvec_transpose(col) if gram is None else gram[j])
 
 
 def rgdc_step(state: SolveState, a: DenseMatrix, indices: np.ndarray) -> None:
@@ -82,7 +100,8 @@ def rgdc_step(state: SolveState, a: DenseMatrix, indices: np.ndarray) -> None:
         raise DegenerateStepError("selected columns cancel exactly; aggregate step is degenerate")
     weight = h1 / h2
     state.x[indices] += weight * y_sel
-    state.r -= weight * combined
+    if state.r is not None:
+        state.r -= weight * combined
     state.y -= weight * _normal_product(a, indices, y_sel, combined)
 
 
@@ -103,32 +122,32 @@ def amdcd_step(state: SolveState, a: DenseMatrix, indices: np.ndarray) -> None:
         raise UsageError("zero column cannot drive a coordinate step")
     weights = state.y[indices] / sq
     state.x[indices] += weights
-    applied = a.entries_t[indices].T @ weights  # A @ increment
-    state.r -= applied
-    state.y -= _normal_product(a, indices, weights, applied)
+    _move_by_columns(state, a, indices, weights)
 
 
-def rbcd_block_step(state: SolveState, a: DenseMatrix, indices: np.ndarray) -> None:
+def rbcd_block_step(state: SolveState, a: DenseMatrix, b: np.ndarray, indices: np.ndarray) -> None:
     """Least-squares-solve the residual against the selected columns and apply it.
 
     The correction is the minimum-norm solution of ``G[S, S] w = y[S]``, the
-    normal equations of ``A_S w = r`` (least squares on ``A_S`` when the block
-    Gram is numerically singular).
+    normal equations of ``A_S w = r``. When the block Gram is numerically
+    singular it is least squares on ``A_S`` against ``r = b - A x``, computed
+    afresh (one GEMV) whether or not r is carried, so records never change
+    the iterates.
     """
     block = _block_index(indices)
     cols = a.entries_t[block]  # A[:, indices].T
     gram = a.gram
     block_gram = cols @ cols.T if gram is None else gram[block][:, block]
-    correction = _min_norm_solve(cols.T, state.r, block_gram, state.y[block])
+    correction = _min_norm_solve(cols.T, lambda: b - a.matvec(state.x), block_gram,
+                                 state.y[block])
     state.x[block] += correction
-    applied = correction @ cols
-    state.r -= applied
-    state.y -= _normal_product(a, block, correction, applied)
+    _move_by_columns(state, a, block, correction)
 
 
 @dataclass
 class _ColFamily(MethodFamily):
-    """Column hooks: y = A.T r next to r, errors in r, and the stationarity floor on ||y||."""
+    """Column hooks: y = A.T r (r itself only for step records), errors in r, and the
+    stationarity floor on ||y||."""
 
     kind = "column"
     methods = COL_METHODS
@@ -137,10 +156,13 @@ class _ColFamily(MethodFamily):
     refresh_moves_err = True
 
     def __post_init__(self):
-        a = self.a
-        self.state.r = self.b - a.matvec(self.state.x)
-        self.state.y = a.matvec_transpose(self.state.r)
-        self.atb_norm = float(np.linalg.norm(a.matvec_transpose(self.b)))
+        a, state = self.a, self.state
+        r = start_residual(a, self.b, state.x)
+        state.y = a.matvec_transpose(r)
+        # At x = 0, r is b bit for bit, so y is A.T b.
+        self.atb_norm = float(np.linalg.norm(
+            a.matvec_transpose(self.b) if state.x.any() else state.y))
+        state.r = r if self.record_steps else None
         self.r_star = self.b - a.matvec(self.x_star) if self.record_steps else None
         self.sqnorms = a.col_sqnorms
         self.stall_window = None
@@ -152,7 +174,8 @@ class _ColFamily(MethodFamily):
         fresh_r = self.b - self.a.matvec(self.state.x)
         fresh_y = self.a.matvec_transpose(fresh_r)
         check_drift(fresh_y, self.state.y, self.atb_norm, "y")
-        self.state.r = fresh_r
+        if self.state.r is not None:
+            self.state.r = fresh_r
         self.state.y = fresh_y
 
     def err_sq(self) -> float:
@@ -182,7 +205,7 @@ class _ColFamily(MethodFamily):
                 amdcd_step(state, a, selected)
             else:  # rbcd
                 selected = self.partition[int(self.rng.integers(len(self.partition)))]
-                rbcd_block_step(state, a, selected)
+                rbcd_block_step(state, a, self.b, selected)
         except ConvergedSignal:
             return "stationary"
         return selected, profile

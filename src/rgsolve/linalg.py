@@ -111,7 +111,7 @@ class DenseMatrix:
         return f"DenseMatrix({self.m}x{self.n})"
 
 
-def _min_norm_solve(sub: np.ndarray, rhs: np.ndarray, gram: np.ndarray,
+def _min_norm_solve(sub: np.ndarray, rhs, gram: np.ndarray,
                     normal_rhs: np.ndarray | None = None) -> np.ndarray:
     """Minimum-norm least-squares solution ``w`` of ``sub @ w = rhs`` through an s x s Gram.
 
@@ -120,7 +120,9 @@ def _min_norm_solve(sub: np.ndarray, rhs: np.ndarray, gram: np.ndarray,
     corrected seminormal equations), which takes the error from about
     cond(sub)^2 * eps to cond(sub) * eps. Column blocks: ``gram`` is
     ``sub.T @ sub``, ``normal_rhs`` stands for ``sub.T @ rhs``, and
-    ``w = gram^-1 normal_rhs``. Cholesky vets the Gram. When it fails, or the
+    ``w = gram^-1 normal_rhs``; there ``rhs`` is a function that returns the
+    right-hand side, called only by the fallback below, since forming it costs
+    a full GEMV. Cholesky vets the Gram. When it fails, or the
     smallest squared pivot is below ``ZERO_SIGMA_REL`` times the largest
     diagonal entry, the block is rank deficient in float64, and
     ``numpy.linalg.lstsq`` on ``sub`` gives the minimum-norm answer instead.
@@ -130,7 +132,7 @@ def _min_norm_solve(sub: np.ndarray, rhs: np.ndarray, gram: np.ndarray,
     except np.linalg.LinAlgError:
         pivots = None
     if pivots is None or pivots.min() ** 2 < ZERO_SIGMA_REL * np.diagonal(gram).max():
-        return np.linalg.lstsq(sub, rhs, rcond=None)[0]
+        return np.linalg.lstsq(sub, rhs if normal_rhs is None else rhs(), rcond=None)[0]
     if normal_rhs is None:
         w = np.linalg.solve(gram, rhs) @ sub
         return w + np.linalg.solve(gram, rhs - sub @ w) @ sub

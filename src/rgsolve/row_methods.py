@@ -40,6 +40,7 @@ from .state import (
     StopRule,
     check_drift,
     solve_loop,
+    start_residual,
 )
 
 ROW_METHODS = ("kaczmarz", "rgrk", "rgdr", "gbk", "rbk")
@@ -124,7 +125,7 @@ class _RowFamily(MethodFamily):
 
     def __post_init__(self):
         if self.method not in ("kaczmarz", "rbk"):
-            self.state.r = self.b - self.a.matvec(self.state.x)
+            self.state.r = start_residual(self.a, self.b, self.state.x)
         self.sqnorms = self.a.row_sqnorms
         self.partition = (
             make_partition(self.a.m, self.config.block_size) if self.method == "rbk" else None

@@ -16,7 +16,7 @@ from .selection import SelectionConfig
 
 TERMINATION_REASONS = ("converged", "max_iters", "stalled", "stationary")
 
-# The carried residual (and y) is recomputed from x this often, and the run
+# The carried vectors (the residual, y) are recomputed from x this often, and the run
 # fails if the recursion drifted by more than _DRIFT_REL of its scale.
 REFRESH_EVERY = 100
 _DRIFT_REL = 1e-8
@@ -31,7 +31,9 @@ class SolveState:
     """Evolving iterate: x, residual r = b - A x, and (column methods) y = A.T r.
 
     ``r`` is None for cyclic Kaczmarz and RBK, which read the residual entries
-    of their rows from x and b instead of carrying the vector.
+    of their rows from x and b instead of carrying the vector, and for the
+    column methods unless step records are kept: those select and step on y
+    alone, and only the records' error reads r.
     """
 
     x: np.ndarray
@@ -125,6 +127,12 @@ class SolveReport:
         )
 
 
+def start_residual(a: DenseMatrix, b: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``b - A x`` at the start; a copy of b when x is zero, since ``A @ 0`` is +0.0 and
+    ``b - 0.0`` is b bit for bit, so the GEMV is skipped."""
+    return b - a.matvec(x) if x.any() else b.copy()
+
+
 def check_drift(fresh: np.ndarray, carried: np.ndarray, base_norm: float, name: str) -> None:
     """Raise when a vector carried by recursion has drifted from its fresh recomputation."""
     scale = max(1.0, base_norm + float(np.linalg.norm(fresh)))
@@ -141,16 +149,16 @@ class MethodFamily:
 
     ``params`` maps a method to its reported parameter and its config field.
     ``__post_init__`` completes the start state (the carried residual, if the
-    method keeps one, and y) and sets ``sqnorms`` (summed by
-    step records) and ``stall_window`` (iterations without a 0.1% RSE gain
-    before the run stalls, checked after the iteration cap; None for no stall
-    rule). ``refresh()`` recomputes the carried vectors, raising on drift;
-    ``err_sq()`` is the squared error step records carry, and
-    ``refresh_moves_err`` says whether a refresh changes it (it does when the
-    error reads the carried residual). ``step()`` updates ``x`` and the
-    carried vectors and returns ``(selected, profile or None)``, the loss
-    profile whose zero set the step records sum, or a termination reason when
-    nothing is left to select; the loop then counts the iteration in
+    method keeps one, and y; column methods keep r only for step records) and
+    sets ``sqnorms`` (summed by step records) and ``stall_window`` (iterations
+    without a 0.1% RSE gain before the run stalls, checked after the iteration
+    cap; None for no stall rule). ``refresh()`` recomputes the carried
+    vectors, raising on drift; ``err_sq()`` is the squared error step records
+    carry, and ``refresh_moves_err`` says whether a refresh changes it (it
+    does when the error reads the carried residual). ``step()`` updates ``x``
+    and the carried vectors and returns ``(selected, profile or None)``, the
+    loss profile whose zero set the step records sum, or a termination reason
+    when nothing is left to select; the loop then counts the iteration in
     ``state.k``. ``stationary()`` is an extra stop rule checked before the
     iteration cap.
     """

@@ -7,6 +7,7 @@ import pytest
 from rgsolve import col_methods
 from rgsolve import (
     COL_METHODS,
+    ROW_METHODS,
     DegenerateStepError,
     DenseMatrix,
     RgsolveError,
@@ -20,6 +21,7 @@ from rgsolve import (
     make_inconsistent,
     relaxed_greedy_set,
     run_col_method,
+    run_row_method,
 )
 from rgsolve.col_methods import amdcd_step, cd_step, rbcd_block_step, rgdc_step, rgrcd_step
 from rgsolve.state import REFRESH_EVERY, SolveState
@@ -172,7 +174,7 @@ def test_rbcd_full_block_reaches_least_squares():
     a = gen_randn(20, 6, 14)
     inst = make_inconsistent(a, 15)
     state = fresh_state(a, inst.b)
-    rbcd_block_step(state, a, np.arange(6))
+    rbcd_block_step(state, a, inst.b, np.arange(6))
     np.testing.assert_allclose(state.x, inst.x_star, rtol=1e-8, atol=1e-10)
 
 
@@ -182,7 +184,7 @@ def test_rbcd_singleton_matches_cd():
     b = rng.standard_normal(10)
     s1 = fresh_state(a, b)
     s2 = fresh_state(a, b)
-    rbcd_block_step(s1, a, np.array([1]))
+    rbcd_block_step(s1, a, b, np.array([1]))
     cd_step(s2, a, 1)
     np.testing.assert_allclose(s1.x, s2.x, atol=1e-10)
 
@@ -191,13 +193,13 @@ def test_rbcd_identity():
     a = DenseMatrix(np.eye(2))
     b = np.array([1.0, 2.0])
     state = fresh_state(a, b)
-    rbcd_block_step(state, a, np.array([0, 1]))
+    rbcd_block_step(state, a, b, np.array([0, 1]))
     np.testing.assert_allclose(state.x, [1.0, 2.0], atol=1e-12)
 
 
 def _assert_col_block_is_min_norm(a, b, indices, x):
     state = fresh_state(a, b, x)
-    rbcd_block_step(state, a, indices)
+    rbcd_block_step(state, a, b, indices)
     expected = x.copy()
     expected[indices] += np.linalg.lstsq(a.entries[:, indices], b - a.matvec(x), rcond=None)[0]
     assert np.linalg.norm(state.x - expected) <= 1e-8 * np.linalg.norm(expected)
@@ -330,9 +332,9 @@ def test_residual_error_monotone_for_column_methods():
 
 
 COLUMN_STEPS = {
-    "cd": lambda s, a, idx: cd_step(s, a, int(idx[0])),
-    "rgdc": rgdc_step,
-    "amdcd": amdcd_step,
+    "cd": lambda s, a, b, idx: cd_step(s, a, int(idx[0])),
+    "rgdc": lambda s, a, b, idx: rgdc_step(s, a, idx),
+    "amdcd": lambda s, a, b, idx: amdcd_step(s, a, idx),
     "rbcd": rbcd_block_step,
 }
 
@@ -347,7 +349,7 @@ def test_column_steps_keep_y_equal_to_a_t_r(shape, step):
     for _ in range(5):
         state = fresh_state(a, b, x=rng.standard_normal(a.n))
         indices = rng.choice(a.n, size=4, replace=False)
-        COLUMN_STEPS[step](state, a, indices)
+        COLUMN_STEPS[step](state, a, b, indices)
         scale = max(1.0, float(np.linalg.norm(state.y)))
         assert np.linalg.norm(state.y - a.matvec_transpose(state.r)) <= 1e-12 * scale
         np.testing.assert_allclose(state.r, b - a.matvec(state.x), rtol=0, atol=1e-12)
@@ -458,3 +460,85 @@ def test_step_records_equal_a_fresh_recomputation_across_refreshes(monkeypatch):
     assert len(report.step_records) == len(fresh) == report.iterations
     for rec, want in zip(report.step_records, fresh):
         assert {k: getattr(rec, k) for k in want} == want
+
+
+@pytest.mark.parametrize("shape", [(60, 20), (20, 60)], ids=["tall", "wide"])
+@pytest.mark.parametrize("method", COL_METHODS)
+def test_column_solves_without_records_carry_no_residual(monkeypatch, shape, method):
+    a = gen_randn(*shape, 60)
+    inst = make_consistent(a, 61)
+    carried = []
+    for name in sorted(set(DRIFT_STEPS.values())):
+        def watched(state, *args, _original=getattr(col_methods, name)):
+            carried.append(state.r is not None)
+            _original(state, *args)
+
+        monkeypatch.setattr(col_methods, name, watched)
+    refreshed = []
+    refresh = col_methods._ColFamily.refresh
+
+    def watched_refresh(self):
+        refresh(self)
+        refreshed.append(self.state.r is not None)
+
+    monkeypatch.setattr(col_methods._ColFamily, "refresh", watched_refresh)
+    gemvs = []
+    for name in ("matvec", "matvec_transpose"):
+        def counted(self, v, _name=name, _original=getattr(DenseMatrix, name)):
+            gemvs.append(_name)
+            return _original(self, v)
+
+        monkeypatch.setattr(DenseMatrix, name, counted)
+    report = run_col_method(method, a, inst.b, x_star=inst.x_star, seed=62,
+                            config=SelectionConfig(block_size=3),
+                            stop=StopRule(rse_tol=1e-300, max_iters=350, stationarity_tol=1e-300))
+    assert report.iterations == 350 and report.termination_reason == "max_iters"
+    assert len(carried) == report.iterations and not any(carried)
+    assert len(refreshed) == 3 and not any(refreshed)
+    if a.gram is not None:
+        # A.T b at the start, then b - A x and A.T r at each refresh: none inside a step
+        assert gemvs == ["matvec_transpose"] + ["matvec", "matvec_transpose"] * 3
+
+
+@pytest.mark.parametrize("shape", [(60, 20), (20, 60)], ids=["tall", "wide"])
+@pytest.mark.parametrize("method", ROW_METHODS + COL_METHODS)
+def test_step_records_never_change_the_iterates(shape, method):
+    a = gen_randn(*shape, 63)
+    inst = make_consistent(a, 64)
+    run = run_row_method if method in ROW_METHODS else run_col_method
+    off, on = (run(method, a, inst.b, x_star=inst.x_star, seed=65, record_steps=rec,
+                   config=SelectionConfig(block_size=3),
+                   stop=StopRule(rse_tol=1e-10, max_iters=350))
+               for rec in (False, True))
+    assert on.iterations == off.iterations > 0
+    assert on.termination_reason == off.termination_reason
+    assert on.rse_trace == off.rse_trace
+    assert on.set_size_trace == off.set_size_trace
+    assert on.x_final.tobytes() == off.x_final.tobytes()
+    assert off.step_records is None and len(on.step_records) == on.iterations
+
+
+def _duplicated_tall_instance():
+    rng = np.random.default_rng(0)
+    base = rng.standard_normal((40, 8))
+    return make_consistent(DenseMatrix(np.hstack([base, base[:, :3]])), 1), 9  # block 0-8 repeats 0
+
+
+@pytest.mark.parametrize("instance", [
+    _duplicated_tall_instance,
+    lambda: (make_consistent(gen_randn(7, 30, 34), 35), 100),
+], ids=["duplicated-tall", "wide"])
+def test_rbcd_least_squares_fallback_is_the_same_with_and_without_records(monkeypatch, instance):
+    inst, block_size = instance()
+    fallbacks = []
+    lstsq = np.linalg.lstsq
+    monkeypatch.setattr(np.linalg, "lstsq",
+                        lambda *args, **kw: fallbacks.append(1) or lstsq(*args, **kw))
+    off, on = (run_col_method("rbcd", inst.A, inst.b, x_star=inst.x_star, seed=66,
+                              record_steps=rec, config=SelectionConfig(block_size=block_size),
+                              stop=StopRule(rse_tol=1e-8, max_iters=2000))
+               for rec in (False, True))
+    assert fallbacks  # rank-deficient blocks reached least squares
+    assert on.termination_reason == off.termination_reason
+    assert on.termination_reason in ("converged", "stationary")
+    assert np.linalg.norm(on.x_final - off.x_final) <= 1e-12 * np.linalg.norm(off.x_final)
