@@ -20,7 +20,6 @@ import json
 import sys
 from pathlib import Path
 
-from .cgls import CglsConfig
 from .col_methods import COL_METHODS, run_col_method
 from .errors import GenerationError, RgsolveError, SizeGuardError, UsageError
 from .problems import (
@@ -90,7 +89,6 @@ def _run_method(method, instance: ProblemInstance, config, stop, seed, record_st
         stop=stop,
         x_star=instance.x_star,
         seed=seed,
-        cgls_cfg=CglsConfig(),
         record_steps=record_steps,
     )
 
@@ -180,12 +178,12 @@ def cmd_solve(args) -> int:
     return 0 if all(rep.termination_reason == "converged" for rep in reports) else 3
 
 
-def _method_label(entry: dict) -> str:
-    parts = [entry["method"]]
-    for key in ("theta", "eta1", "eta2", "block_size"):
-        if key in entry:
-            parts.append(f"{key}={entry[key]:g}")
-    return " ".join(parts)
+def _method_label(entry: dict, config: SelectionConfig) -> str:
+    """The method name and the parameters its bench entry sets, as converted into ``config``."""
+    values = {"theta": config.theta1, "eta1": config.eta1, "eta2": config.eta2,
+              "block_size": config.block_size}
+    return " ".join([entry["method"], *(f"{key}={value:g}" for key, value in values.items()
+                                        if key in entry)])
 
 
 def _config_number(value, key: str, kind):
@@ -220,6 +218,9 @@ def cmd_bench(args) -> int:
         if prob.get("kind", "randn") not in GENERATOR_KINDS:
             raise UsageError(f"bench config problem kind must be one of {GENERATOR_KINDS}, "
                              f"got {prob['kind']!r}")
+        if prob.get("case", "consistent") not in ("consistent", "inconsistent"):
+            raise UsageError("bench config problem case must be 'consistent' or 'inconsistent', "
+                             f"got {prob['case']!r}")
         for key in ("m", "n") if prob.get("r") is None else ("m", "n", "r"):
             value = prob.get(key)
             if isinstance(value, bool) or not isinstance(value, int) or value < 1:
@@ -275,7 +276,7 @@ def cmd_bench(args) -> int:
                 "n": n,
                 "case": "inconsistent" if inconsistent else "consistent",
                 "method": method,
-                "label": _method_label(entry),
+                "label": _method_label(entry, sel_config),
                 "seeds": len(seeds),
                 "runs": len(cell_reports),
                 "status": status,

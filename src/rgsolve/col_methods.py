@@ -9,9 +9,9 @@ Gram matrix ``G = A.T @ A`` that the matrix caches on first use: O(s*n) per
 step, independent of m. On wide matrices (n > m), where no Gram is kept, the
 move is ``A.T @ (A[:, S] @ w)`` instead. RBCD solves the s x s system
 ``G[S, S] w = y[S]`` by Cholesky (on wide matrices it forms ``A_S.T @ A_S``).
-The residual r is carried, at O(m*s) per step, only when step records are
-kept, since only their error metric reads it; otherwise ``state.r`` is None.
-y (and r, when carried) is recomputed from x every 100 iterations.
+No column method carries the residual r itself; y is recomputed from x every
+100 iterations. Step records read the energy error ``||A (x - x*)||^2`` from
+x, one GEMV per recorded step.
 """
 
 from __future__ import annotations
@@ -39,31 +39,24 @@ from .state import (
     StopRule,
     check_drift,
     solve_loop,
-    start_residual,
+    residual,
 )
 
 COL_METHODS = ("cd", "rgrcd", "rgdc", "amdcd", "rbcd")
 
 
-def _normal_product(a: DenseMatrix, indices, w, applied: np.ndarray | None) -> np.ndarray:
-    """``A.T @ applied`` for ``applied = A[:, indices] @ w``, through the Gram when A has one
-    (``applied`` is then unread and may be None)."""
-    gram = a.gram
-    return a.matvec_transpose(applied) if gram is None else np.dot(w, gram[indices])
+def _normal_product(a: DenseMatrix, indices, w, applied: np.ndarray | None = None) -> np.ndarray:
+    """``A.T @ (A[:, indices] @ w)``, the move of y for the step ``x[indices] += w``.
 
-
-def _move_by_columns(state: SolveState, a: DenseMatrix, indices, w) -> None:
-    """Carry the step ``x[indices] += w`` into y, and into r when r is carried.
-
-    ``A[:, indices] @ w`` costs O(m*s), so it is formed only for a carried r
-    or on a matrix without a Gram; otherwise y moves by rows of the Gram alone.
+    Through rows of the Gram when A has one, in O(s*n); otherwise through
+    ``applied = A[:, indices] @ w``, formed here (O(m*s)) when not given.
     """
-    applied = None
-    if state.r is not None or a.gram is None:
+    gram = a.gram
+    if gram is not None:
+        return np.dot(w, gram[indices])
+    if applied is None:
         applied = a.entries_t[indices].T @ w
-        if state.r is not None:
-            state.r -= applied
-    state.y -= _normal_product(a, indices, w, applied)
+    return a.matvec_transpose(applied)
 
 
 def cd_step(state: SolveState, a: DenseMatrix, j: int) -> None:
@@ -74,12 +67,9 @@ def cd_step(state: SolveState, a: DenseMatrix, j: int) -> None:
     y_j = float(state.y[j])
     if y_j != 0.0:
         delta = y_j / sq
-        col = a.entries_t[j]
         state.x[j] += delta
-        if state.r is not None:
-            state.r -= delta * col
         gram = a.gram
-        state.y -= delta * (a.matvec_transpose(col) if gram is None else gram[j])
+        state.y -= delta * (a.matvec_transpose(a.entries_t[j]) if gram is None else gram[j])
 
 
 def rgdc_step(state: SolveState, a: DenseMatrix, indices: np.ndarray) -> None:
@@ -100,8 +90,6 @@ def rgdc_step(state: SolveState, a: DenseMatrix, indices: np.ndarray) -> None:
         raise DegenerateStepError("selected columns cancel exactly; aggregate step is degenerate")
     weight = h1 / h2
     state.x[indices] += weight * y_sel
-    if state.r is not None:
-        state.r -= weight * combined
     state.y -= weight * _normal_product(a, indices, y_sel, combined)
 
 
@@ -122,7 +110,7 @@ def amdcd_step(state: SolveState, a: DenseMatrix, indices: np.ndarray) -> None:
         raise UsageError("zero column cannot drive a coordinate step")
     weights = state.y[indices] / sq
     state.x[indices] += weights
-    _move_by_columns(state, a, indices, weights)
+    state.y -= _normal_product(a, indices, weights)
 
 
 def rbcd_block_step(state: SolveState, a: DenseMatrix, b: np.ndarray, indices: np.ndarray) -> None:
@@ -130,9 +118,8 @@ def rbcd_block_step(state: SolveState, a: DenseMatrix, b: np.ndarray, indices: n
 
     The correction is the minimum-norm solution of ``G[S, S] w = y[S]``, the
     normal equations of ``A_S w = r``. When the block Gram is numerically
-    singular it is least squares on ``A_S`` against ``r = b - A x``, computed
-    afresh (one GEMV) whether or not r is carried, so records never change
-    the iterates.
+    singular it is least squares on ``A_S`` against ``r = b - A x``, which
+    only that rare path forms (one GEMV).
     """
     block = _block_index(indices)
     cols = a.entries_t[block]  # A[:, indices].T
@@ -141,29 +128,25 @@ def rbcd_block_step(state: SolveState, a: DenseMatrix, b: np.ndarray, indices: n
     correction = _min_norm_solve(cols.T, lambda: b - a.matvec(state.x), block_gram,
                                  state.y[block])
     state.x[block] += correction
-    _move_by_columns(state, a, block, correction)
+    state.y -= _normal_product(a, block, correction)
 
 
 @dataclass
 class _ColFamily(MethodFamily):
-    """Column hooks: y = A.T r (r itself only for step records), errors in r, and the
-    stationarity floor on ||y||."""
+    """Column hooks: y = A.T r, errors in energy ``||A (x - x*)||``, and the stationarity
+    floor on ||y||."""
 
     kind = "column"
     methods = COL_METHODS
     params = {"rgdc": ("theta", "theta2"), "rgrcd": ("theta", "theta2"),
               "amdcd": ("eta2", "eta2"), "rbcd": ("block_size", "block_size")}
-    refresh_moves_err = True
 
     def __post_init__(self):
         a, state = self.a, self.state
-        r = start_residual(a, self.b, state.x)
-        state.y = a.matvec_transpose(r)
+        state.y = a.matvec_transpose(residual(a, self.b, state.x))
         # At x = 0, r is b bit for bit, so y is A.T b.
         self.atb_norm = float(np.linalg.norm(
             a.matvec_transpose(self.b) if state.x.any() else state.y))
-        state.r = r if self.record_steps else None
-        self.r_star = self.b - a.matvec(self.x_star) if self.record_steps else None
         self.sqnorms = a.col_sqnorms
         self.stall_window = None
         self.partition = (
@@ -171,16 +154,14 @@ class _ColFamily(MethodFamily):
         )
 
     def refresh(self) -> None:
-        fresh_r = self.b - self.a.matvec(self.state.x)
-        fresh_y = self.a.matvec_transpose(fresh_r)
+        fresh_y = self.a.matvec_transpose(self.b - self.a.matvec(self.state.x))
         check_drift(fresh_y, self.state.y, self.atb_norm, "y")
-        if self.state.r is not None:
-            self.state.r = fresh_r
         self.state.y = fresh_y
 
     def err_sq(self) -> float:
-        dr = self.state.r - self.r_star
-        return float(dr @ dr)
+        # From x, never as (x - x*).T G (x - x*), whose rounding can turn negative.
+        ae = self.a.matvec(self.state.x - self.x_star)
+        return float(ae @ ae)
 
     def stationary(self) -> bool:
         y = self.state.y

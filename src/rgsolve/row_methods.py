@@ -7,9 +7,10 @@ by the recursion ``r -= weight * A @ d`` and recompute it from scratch every
 ``A @ A.T``: the direction ``d = A.T @ eta`` is assembled from the selected
 rows only, and ``A @ d`` is a plain matvec, keeping memory at O(m*n). A block
 projection solves the s x s system of the selected rows' Gram ``A_S @ A_S.T``
-by Cholesky. GBK selects on all of r, so it recomputes r in full after each
-block step. Cyclic Kaczmarz and RBK select without looking at r, so they
-carry none: each step reads ``b_S - A_S @ x`` for its rows, in O(s*n).
+by Cholesky. GBK selects on all of r, so it forms ``b - A @ x`` afresh at
+the start of each block step rather than carrying it. Cyclic Kaczmarz and RBK
+select without looking at r, so they read ``b_S - A_S @ x`` for their rows
+only, in O(s*n).
 
 Row methods converge to the least-norm solution of consistent systems when
 started in the row space; on inconsistent systems they stall, which the driver
@@ -40,7 +41,7 @@ from .state import (
     StopRule,
     check_drift,
     solve_loop,
-    start_residual,
+    residual,
 )
 
 ROW_METHODS = ("kaczmarz", "rgrk", "rgdr", "gbk", "rbk")
@@ -102,30 +103,26 @@ def block_project_step(state: SolveState, a: DenseMatrix, b: np.ndarray, indices
 
     The correction is the minimum-norm solution of ``A_S dx = b_S - A_S x``,
     ``A_S.T K^-1 (b_S - A_S x)`` with ``K = A_S A_S.T`` vetted by Cholesky and
-    refined once (least squares on ``A_S`` when K is numerically singular). A
-    carried residual is recomputed in full afterwards rather than by recursion.
+    refined once (least squares on ``A_S`` when K is numerically singular).
     """
     rows = _block_index(indices)
     sub = a.entries[rows]
     state.x += _min_norm_solve(sub, b[rows] - sub @ state.x, sub @ sub.T)
-    if state.r is not None:
-        state.r = b - a.matvec(state.x)
 
 
 @dataclass
 class _RowFamily(MethodFamily):
-    """Row hooks: the residual r = b - A x (none for cyclic Kaczmarz and RBK),
-    errors in x, and a stall window of 10*m."""
+    """Row hooks: the residual r = b - A x carried by RGRK and RGDR, errors in x, and a
+    stall window of 10*m."""
 
     kind = "row"
     methods = ROW_METHODS
     params = {"rgdr": ("theta", "theta1"), "rgrk": ("theta", "theta1"),
               "gbk": ("eta1", "eta1"), "rbk": ("block_size", "block_size")}
-    refresh_moves_err = False
 
     def __post_init__(self):
-        if self.method not in ("kaczmarz", "rbk"):
-            self.state.r = start_residual(self.a, self.b, self.state.x)
+        if self.method in ("rgrk", "rgdr"):
+            self.state.r = residual(self.a, self.b, self.state.x)
         self.sqnorms = self.a.row_sqnorms
         self.partition = (
             make_partition(self.a.m, self.config.block_size) if self.method == "rbk" else None
@@ -150,17 +147,17 @@ class _RowFamily(MethodFamily):
             if method == "kaczmarz":
                 selected = np.array([state.k % a.m])
                 kaczmarz_step(state, a, b, int(selected[0]))
-            elif method in ("rgrk", "rgdr", "gbk"):
+            elif method == "gbk":
+                profile = row_losses(a, residual(a, b, state.x), config.zero_tol)
+                selected = gbk_set(profile, config.eta1)
+                block_project_step(state, a, b, selected)
+            elif method in ("rgrk", "rgdr"):
                 profile = row_losses(a, state.r, config.zero_tol)
-                if method == "gbk":
-                    selected = gbk_set(profile, config.eta1)
-                    block_project_step(state, a, b, selected)
+                selected = relaxed_greedy_set(profile, config.theta1)
+                if method == "rgdr":
+                    rgdr_step(state, a, selected)
                 else:
-                    selected = relaxed_greedy_set(profile, config.theta1)
-                    if method == "rgdr":
-                        rgdr_step(state, a, selected)
-                    else:
-                        rgrk_step(state, a, b, selected, self.rng)
+                    rgrk_step(state, a, b, selected, self.rng)
             else:  # rbk
                 selected = self.partition[int(self.rng.integers(len(self.partition)))]
                 block_project_step(state, a, b, selected)

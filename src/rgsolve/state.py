@@ -28,12 +28,13 @@ _STALL_IMPROVEMENT = 1e-3
 
 @dataclass
 class SolveState:
-    """Evolving iterate: x, residual r = b - A x, and (column methods) y = A.T r.
+    """Evolving iterate: x, the residual r = b - A x when carried, and (column methods)
+    y = A.T r.
 
-    ``r`` is None for cyclic Kaczmarz and RBK, which read the residual entries
-    of their rows from x and b instead of carrying the vector, and for the
-    column methods unless step records are kept: those select and step on y
-    alone, and only the records' error reads r.
+    ``r`` is set only for RGRK and RGDR, which carry it by recursion; every other
+    method leaves it None. Cyclic Kaczmarz and RBK read the residual entries of
+    their rows from x and b, GBK forms ``b - A x`` afresh at each step, and the
+    column methods select and step on y alone.
     """
 
     x: np.ndarray
@@ -61,7 +62,11 @@ class StopRule:
 
 @dataclass
 class StepRecord:
-    """Per-iteration data needed to certify contraction bounds after the run."""
+    """Per-iteration data needed to certify contraction bounds after the run.
+
+    ``err_sq_before``/``err_sq_after`` are ``||x - x*||^2`` for row methods and the
+    energy error ``||A (x - x*)||^2`` for column methods, both read from x.
+    """
 
     k: int
     indices: np.ndarray
@@ -127,9 +132,9 @@ class SolveReport:
         )
 
 
-def start_residual(a: DenseMatrix, b: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``b - A x`` at the start; a copy of b when x is zero, since ``A @ 0`` is +0.0 and
-    ``b - 0.0`` is b bit for bit, so the GEMV is skipped."""
+def residual(a: DenseMatrix, b: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``b - A x``; a copy of b when x is zero, since ``A @ 0`` is +0.0 and ``b - 0.0``
+    is b bit for bit, so the GEMV is skipped."""
     return b - a.matvec(x) if x.any() else b.copy()
 
 
@@ -148,25 +153,23 @@ class MethodFamily:
     """What the row or the column methods supply to ``solve_loop``.
 
     ``params`` maps a method to its reported parameter and its config field.
-    ``__post_init__`` completes the start state (the carried residual, if the
-    method keeps one, and y; column methods keep r only for step records) and
-    sets ``sqnorms`` (summed by step records) and ``stall_window`` (iterations
-    without a 0.1% RSE gain before the run stalls, checked after the iteration
-    cap; None for no stall rule). ``refresh()`` recomputes the carried
-    vectors, raising on drift; ``err_sq()`` is the squared error step records
-    carry, and ``refresh_moves_err`` says whether a refresh changes it (it
-    does when the error reads the carried residual). ``step()`` updates ``x``
-    and the carried vectors and returns ``(selected, profile or None)``, the
-    loss profile whose zero set the step records sum, or a termination reason
-    when nothing is left to select; the loop then counts the iteration in
-    ``state.k``. ``stationary()`` is an extra stop rule checked before the
+    ``__post_init__`` completes the start state (the residual for RGRK and
+    RGDR, y for the column methods) and sets ``sqnorms`` (summed by step
+    records) and ``stall_window`` (iterations without a 0.1% RSE gain before
+    the run stalls, checked after the iteration cap; None for no stall rule).
+    ``refresh()`` recomputes the carried vectors, raising on drift;
+    ``err_sq()`` is the squared error step records carry, read from x alone,
+    so a refresh never changes it. ``step()`` updates ``x`` and the carried
+    vectors and returns ``(selected, profile or None)``, the loss profile
+    whose zero set the step records sum, or a termination reason when nothing
+    is left to select; the loop then counts the iteration in ``state.k``.
+    ``stationary()`` is an extra stop rule checked before the
     iteration cap.
     """
 
     kind: ClassVar[str]
     methods: ClassVar[tuple[str, ...]]
     params: ClassVar[dict[str, tuple[str, str]]]
-    refresh_moves_err: ClassVar[bool]
 
     method: str
     a: DenseMatrix
@@ -176,7 +179,6 @@ class MethodFamily:
     config: SelectionConfig
     stop: StopRule
     rng: np.random.Generator
-    record_steps: bool
 
     def stationary(self) -> bool:
         return False
@@ -216,7 +218,7 @@ def solve_loop(family: type[MethodFamily], method: str, a: DenseMatrix, b, *, co
 
     state = SolveState(x=x, r=None)
     fam = family(method=method, a=a, b=b, x_star=x_star, state=state, config=config,
-                 stop=stop, rng=rng, record_steps=record_steps)
+                 stop=stop, rng=rng)
     rse = 1.0
     rse_trace = [1.0]
     set_sizes: list[int] = []
@@ -224,7 +226,7 @@ def solve_loop(family: type[MethodFamily], method: str, a: DenseMatrix, b, *, co
     records: list[StepRecord] | None = [] if record_steps else None
     best_rse = rse
     since_best = 0
-    # A step's error before is the previous step's error after, unless a refresh intervened.
+    # A step's error before is the previous step's error after.
     err_sq = fam.err_sq() if record_steps else 0.0
 
     start = time.perf_counter()
@@ -243,8 +245,6 @@ def solve_loop(family: type[MethodFamily], method: str, a: DenseMatrix, b, *, co
             break
         if state.k and state.k % REFRESH_EVERY == 0:
             fam.refresh()
-            if record_steps and fam.refresh_moves_err:
-                err_sq = fam.err_sq()
 
         outcome = fam.step()
         if isinstance(outcome, str):

@@ -70,8 +70,7 @@ def _fresh_row_state(a, b, x=None):
 
 def _fresh_col_state(a, b, x=None):
     x = np.zeros(a.n) if x is None else np.asarray(x, dtype=float).copy()
-    r = b - a.matvec(x)
-    return SolveState(x=x, r=r, y=a.matvec_transpose(r))
+    return SolveState(x=x, r=None, y=a.matvec_transpose(b - a.matvec(x)))
 
 
 @criterion(1, "hand-trace exactness of RGDR(0.5) and RGDC(0.5)")

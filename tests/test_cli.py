@@ -168,6 +168,21 @@ def test_bench_small_sweep(tmp_path):
     assert float(summary[0]["it_ratio"]) < 1.0
 
 
+def test_bench_labels_numeric_string_parameters_by_their_value(tmp_path):
+    config = {
+        "problems": [{"kind": "randn", "m": 30, "n": 6}],
+        "methods": [{"method": "rgdr", "theta": "0.5"}, {"method": "rbcd", "block_size": "3"}],
+        "seeds": [0],
+        "repeats": 1,
+    }
+    cfg = tmp_path / "bench.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "bench"
+    assert run_cli("bench", str(cfg), "--out", str(out)) == 0
+    labels = [row["label"] for row in read_csv(out / "results.csv")]
+    assert labels == ["rgdr theta=0.5", "rbcd block_size=3"]
+
+
 def test_bench_empty_methods_exits_2(tmp_path):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"problems": [{"kind": "randn", "m": 10, "n": 2}],
@@ -219,9 +234,11 @@ def test_bench_problem_without_positive_integer_dims_exits_2(tmp_path, capsys, p
      "seeds": [0]},
     {"problems": [{"kind": "randn", "m": 10, "n": 2}], "methods": [{"method": "nope"}],
      "seeds": [0]},
+    {"problems": [{"kind": "randn", "m": 10, "n": 2, "case": "inconsistant"}],
+     "methods": [{"method": "rgdr"}], "seeds": [0]},
 ], ids=["not-an-object", "problem-5", "method-string", "tol", "max_iters", "repeats",
         "sigma1", "noise_scale", "theta", "block_size", "seed", "seeds-not-a-list",
-        "methods-not-a-list", "unknown-kind", "unknown-method"])
+        "methods-not-a-list", "unknown-kind", "unknown-method", "unknown-case"])
 def test_bench_malformed_config_entries_exit_2(tmp_path, capsys, config):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps(config))

@@ -31,9 +31,9 @@ B_DIAG = np.array([1.0, 4.0])
 
 
 def fresh_state(a, b, x=None):
+    # No residual: a column step that touched r would raise.
     x = np.zeros(a.n) if x is None else np.asarray(x, dtype=float).copy()
-    r = b - a.matvec(x)
-    return SolveState(x=x, r=r, y=a.matvec_transpose(r))
+    return SolveState(x=x, r=None, y=a.matvec_transpose(b - a.matvec(x)))
 
 
 def test_cd_identity():
@@ -52,16 +52,16 @@ def test_cd_hand():
 
 def test_cd_stationary_column_is_noop():
     state = fresh_state(DIAG, B_DIAG, x=[0.0, 2.0])  # column 1 stationary
-    before = [v.copy() for v in (state.x, state.r, state.y)]
+    before = [v.copy() for v in (state.x, state.y)]
     cd_step(state, DIAG, 1)
-    assert [v.tobytes() for v in (state.x, state.r, state.y)] == [v.tobytes() for v in before]
+    assert [v.tobytes() for v in (state.x, state.y)] == [v.tobytes() for v in before]
     rgdc_step(state, DIAG, np.array([1]))  # a stationary set
-    assert [v.tobytes() for v in (state.x, state.r, state.y)] == [v.tobytes() for v in before]
+    assert [v.tobytes() for v in (state.x, state.y)] == [v.tobytes() for v in before]
 
 
 def test_cd_rejects_zero_column():
     a = DenseMatrix([[1.0, 0.0], [1.0, 0.0]])
-    state = SolveState(x=np.zeros(2), r=np.ones(2), y=a.matvec_transpose(np.ones(2)))
+    state = SolveState(x=np.zeros(2), r=None, y=a.matvec_transpose(np.ones(2)))
     with pytest.raises(UsageError):
         cd_step(state, a, 1)
 
@@ -118,7 +118,7 @@ def test_rgdc_petrov_galerkin_orthogonality():
 
 def test_rgdc_degenerate_cancelling_columns():
     a = DenseMatrix([[1.0, -1.0], [0.0, 0.0], [1.0, -1.0]])
-    state = SolveState(x=np.zeros(2), r=np.zeros(3), y=np.array([1.0, 1.0]))
+    state = SolveState(x=np.zeros(2), r=None, y=np.array([1.0, 1.0]))
     with pytest.raises(DegenerateStepError):
         rgdc_step(state, a, np.array([0, 1]))
 
@@ -319,14 +319,14 @@ def test_residual_error_monotone_for_column_methods():
     inst = make_inconsistent(a, 25)
     r_star = inst.b - a.matvec(inst.x_star)
     state = fresh_state(a, inst.b)
-    previous = float(np.linalg.norm(state.r - r_star)) ** 2
+    previous = float(np.linalg.norm(inst.b - a.matvec(state.x) - r_star)) ** 2
     for _ in range(60):
         profile = column_losses_from_y(a, state.y)
         if profile.max_loss <= 0:
             break
         sel = relaxed_greedy_set(profile, 0.5)
         rgdc_step(state, a, sel)
-        current = float(np.linalg.norm(state.r - r_star)) ** 2
+        current = float(np.linalg.norm(inst.b - a.matvec(state.x) - r_star)) ** 2
         assert current <= previous * (1.0 + 1e-12)
         previous = current
 
@@ -351,8 +351,8 @@ def test_column_steps_keep_y_equal_to_a_t_r(shape, step):
         indices = rng.choice(a.n, size=4, replace=False)
         COLUMN_STEPS[step](state, a, b, indices)
         scale = max(1.0, float(np.linalg.norm(state.y)))
-        assert np.linalg.norm(state.y - a.matvec_transpose(state.r)) <= 1e-12 * scale
-        np.testing.assert_allclose(state.r, b - a.matvec(state.x), rtol=0, atol=1e-12)
+        fresh_y = a.matvec_transpose(b - a.matvec(state.x))
+        assert np.linalg.norm(state.y - fresh_y) <= 1e-12 * scale
     assert (a.gram is None) == (a.n > a.m)
 
 
@@ -431,13 +431,12 @@ def test_greedy_column_methods_reject_a_zero_column(method):
 def test_step_records_equal_a_fresh_recomputation_across_refreshes(monkeypatch):
     a = gen_randn(200, 50, 5)
     inst = make_consistent(a, 6)
-    r_star = inst.b - a.matvec(inst.x_star)
     fresh = []
     original_losses = col_methods.column_losses_from_y
     original_step = col_methods.rgrcd_step
 
-    def err_sq(r):
-        d = r - r_star
+    def err_sq(x):
+        d = a.matvec(x - inst.x_star)
         return float(d @ d)
 
     def losses(*args, **kwargs):
@@ -447,10 +446,9 @@ def test_step_records_equal_a_fresh_recomputation_across_refreshes(monkeypatch):
         return profile
 
     def step(state, *args, **kwargs):
-        # After a refresh, r is the recomputed b - A x, so the error before reads it.
-        fresh[-1]["err_sq_before"] = err_sq(state.r)
+        fresh[-1]["err_sq_before"] = err_sq(state.x)
         original_step(state, *args, **kwargs)
-        fresh[-1]["err_sq_after"] = err_sq(state.r)
+        fresh[-1]["err_sq_after"] = err_sq(state.x)
 
     monkeypatch.setattr(col_methods, "column_losses_from_y", losses)
     monkeypatch.setattr(col_methods, "rgrcd_step", step)
@@ -462,9 +460,7 @@ def test_step_records_equal_a_fresh_recomputation_across_refreshes(monkeypatch):
         assert {k: getattr(rec, k) for k in want} == want
 
 
-@pytest.mark.parametrize("shape", [(60, 20), (20, 60)], ids=["tall", "wide"])
-@pytest.mark.parametrize("method", COL_METHODS)
-def test_column_solves_without_records_carry_no_residual(monkeypatch, shape, method):
+def _assert_column_solve_carries_no_residual(monkeypatch, shape, method, record_steps):
     a = gen_randn(*shape, 60)
     inst = make_consistent(a, 61)
     carried = []
@@ -490,14 +486,46 @@ def test_column_solves_without_records_carry_no_residual(monkeypatch, shape, met
 
         monkeypatch.setattr(DenseMatrix, name, counted)
     report = run_col_method(method, a, inst.b, x_star=inst.x_star, seed=62,
-                            config=SelectionConfig(block_size=3),
+                            config=SelectionConfig(block_size=3), record_steps=record_steps,
                             stop=StopRule(rse_tol=1e-300, max_iters=350, stationarity_tol=1e-300))
     assert report.iterations == 350 and report.termination_reason == "max_iters"
     assert len(carried) == report.iterations and not any(carried)
     assert len(refreshed) == 3 and not any(refreshed)
     if a.gram is not None:
-        # A.T b at the start, then b - A x and A.T r at each refresh: none inside a step
-        assert gemvs == ["matvec_transpose"] + ["matvec", "matvec_transpose"] * 3
+        # A.T b at the start and b - A x, A.T r at each refresh: none inside a step. Records
+        # add A (x - x*) at the start and after each step.
+        want = ["matvec_transpose"] + ["matvec"] * record_steps
+        for k in range(report.iterations):
+            if k and k % REFRESH_EVERY == 0:
+                want += ["matvec", "matvec_transpose"]
+            want += ["matvec"] * record_steps
+        assert gemvs == want
+
+
+@pytest.mark.parametrize("shape", [(60, 20), (20, 60)], ids=["tall", "wide"])
+@pytest.mark.parametrize("method", COL_METHODS)
+def test_column_solves_without_records_carry_no_residual(monkeypatch, shape, method):
+    _assert_column_solve_carries_no_residual(monkeypatch, shape, method, record_steps=False)
+
+
+@pytest.mark.parametrize("shape", [(60, 20), (20, 60)], ids=["tall", "wide"])
+@pytest.mark.parametrize("method", COL_METHODS)
+def test_column_solves_with_records_carry_no_residual(monkeypatch, shape, method):
+    _assert_column_solve_carries_no_residual(monkeypatch, shape, method, record_steps=True)
+
+
+@pytest.mark.parametrize("method", COL_METHODS)
+def test_column_step_records_are_never_negative_on_rank_deficient_matrices(method):
+    # The Gram form (x - x*).T G (x - x*) rounds below zero here once A (x - x*) is tiny.
+    for seed in range(3):
+        a = gen_smatrix(60, 20, 6, 10.0, 1.0, seed)
+        inst = make_consistent(a, seed + 10)
+        x0 = np.random.default_rng(seed + 20).standard_normal(a.n)
+        report = run_col_method(method, a, inst.b, x0=x0, x_star=inst.x_star, seed=seed,
+                                config=SelectionConfig(block_size=5), record_steps=True,
+                                stop=StopRule(rse_tol=1e-12, max_iters=3000))
+        assert report.step_records
+        assert min(min(rec.err_sq_before, rec.err_sq_after) for rec in report.step_records) >= 0.0
 
 
 @pytest.mark.parametrize("shape", [(60, 20), (20, 60)], ids=["tall", "wide"])

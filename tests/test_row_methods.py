@@ -337,7 +337,9 @@ def test_cyclic_kaczmarz_carries_no_residual_across_refreshes(monkeypatch):
     assert gemvs == []  # no start, per-step or refresh GEMV
 
 
-def test_rbk_carries_no_residual_across_refreshes(monkeypatch):
+def _block_solve_watching_residual(monkeypatch, method, config):
+    """Solve with ``method``, noting whether each block step saw a carried residual and
+    counting GEMVs."""
     a = gen_randn(60, 20, 44)
     inst = make_consistent(a, 45)
     carried = []
@@ -351,13 +353,23 @@ def test_rbk_carries_no_residual_across_refreshes(monkeypatch):
     gemvs = []
     matvec = DenseMatrix.matvec
     monkeypatch.setattr(DenseMatrix, "matvec", lambda self, x: gemvs.append(1) or matvec(self, x))
-    report = run_row_method("rbk", a, inst.b, x_star=inst.x_star, seed=46,
-                            config=SelectionConfig(block_size=2),
+    report = run_row_method(method, a, inst.b, x_star=inst.x_star, seed=46, config=config,
                             stop=StopRule(rse_tol=1e-10, max_iters=5000))
     assert report.iterations > 300
     assert report.termination_reason == "converged"
     assert len(carried) == report.iterations and not any(carried)
+    return report, gemvs
+
+
+def test_rbk_carries_no_residual_across_refreshes(monkeypatch):
+    _, gemvs = _block_solve_watching_residual(monkeypatch, "rbk", SelectionConfig(block_size=2))
     assert gemvs == []  # no start, per-step or refresh GEMV
+
+
+def test_gbk_carries_no_residual_across_refreshes(monkeypatch):
+    report, gemvs = _block_solve_watching_residual(monkeypatch, "gbk", SelectionConfig(eta1=1.0))
+    # b - A x before every step but the first, where x = 0; none at start, refresh or the end
+    assert len(gemvs) == report.iterations - 1
 
 
 def test_rbk_solves_ill_conditioned_square_blocks():
