@@ -18,6 +18,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .col_methods import COL_METHODS, run_col_method
@@ -34,7 +35,8 @@ from .problems import (
 from .row_methods import ROW_METHODS, run_row_method
 from .selection import SelectionConfig
 from .state import SolveReport, StopRule
-from .theory import _check_certify_size, certificates_to_csv, certify_randomized, certify_run
+from .theory import (STAT_CERTIFIED, STEP_CERTIFIED, _check_certify_size, certificates_to_csv,
+                     certify_randomized, certify_run)
 
 RANDOMIZED_METHODS = ("rgrk", "rbk", "rgrcd", "rbcd")
 ALL_METHODS = ROW_METHODS + COL_METHODS
@@ -68,15 +70,11 @@ def _build_instance(kind, m, n, r, sigma1, sigma2, inconsistent, noise_scale, se
 
 
 def _selection_config(values: dict) -> SelectionConfig:
-    """Build the selection config from command-line flags or a bench config entry."""
-    theta = _config_number(values.get("theta", 0.5), "theta", float)
-    return SelectionConfig(
-        theta1=theta,
-        theta2=theta,
-        eta1=_config_number(values.get("eta1", 0.5), "eta1", float),
-        eta2=_config_number(values.get("eta2", 0.1), "eta2", float),
-        block_size=_config_number(values.get("block_size", 100), "block_size", int),
-    )
+    """The selection config from flags or a bench entry: each field under its own name."""
+    return SelectionConfig(**{
+        f.name: _config_number(values.get(f.name, f.default), f.name, type(f.default))
+        for f in fields(SelectionConfig)
+    })
 
 
 def _run_method(method, instance: ProblemInstance, config, stop, seed, record_steps=False):
@@ -180,10 +178,8 @@ def cmd_solve(args) -> int:
 
 def _method_label(entry: dict, config: SelectionConfig) -> str:
     """The method name and the parameters its bench entry sets, as converted into ``config``."""
-    values = {"theta": config.theta1, "eta1": config.eta1, "eta2": config.eta2,
-              "block_size": config.block_size}
-    return " ".join([entry["method"], *(f"{key}={value:g}" for key, value in values.items()
-                                        if key in entry)])
+    return " ".join([entry["method"], *(f"{f.name}={getattr(config, f.name):g}"
+                                        for f in fields(config) if f.name in entry)])
 
 
 def _config_number(value, key: str, kind):
@@ -192,6 +188,13 @@ def _config_number(value, key: str, kind):
         return kind(value)
     except (TypeError, ValueError, OverflowError):
         raise UsageError(f"bench config {key} must be a number, got {value!r}") from None
+
+
+def _at_least(value: int, least: int, name: str) -> int:
+    """``value``, or a usage error when it is below ``least`` (seeds >= 0, repeats >= 1)."""
+    if value < least:
+        raise UsageError(f"{name} must be at least {least}, got {value}")
+    return value
 
 
 def cmd_bench(args) -> int:
@@ -231,8 +234,10 @@ def cmd_bench(args) -> int:
         rse_tol=_config_number(config.get("tol", 1e-4), "tol", float),
         max_iters=_config_number(config.get("max_iters", 1_000_000), "max_iters", int),
     )
-    repeats = _config_number(config.get("repeats", 30), "repeats", int)
-    seeds = [_config_number(seed, "seed", int) for seed in seeds]
+    repeats = _at_least(_config_number(config.get("repeats", 30), "repeats", int), 1,
+                        "bench config repeats")
+    seeds = [_at_least(_config_number(seed, "seed", int), 0, "bench config seed")
+             for seed in seeds]
     generator_numbers = [
         [_config_number(prob.get(key, default), key, float)
          for key, default in (("sigma1", 1.25), ("sigma2", 1.0), ("noise_scale", 0.1))]
@@ -326,7 +331,7 @@ def cmd_bench(args) -> int:
 
 def cmd_certify(args) -> int:
     instance = load_instance(args.problem_dir)
-    if args.method not in ("rgdr", "rgdc", "rgrk", "rgrcd"):
+    if args.method not in STEP_CERTIFIED + STAT_CERTIFIED:
         raise UsageError(
             "certification supports rgdr, rgdc (per-step) and rgrk, rgrcd (statistical)"
         )
@@ -336,7 +341,7 @@ def cmd_certify(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    if args.method in ("rgdr", "rgdc"):
+    if args.method in STEP_CERTIFIED:
         report = _run_method(args.method, instance, config, stop, args.seed, record_steps=True)
         certificates = certify_run(report, instance.A)
         certificates_to_csv(certificates, out / "certificates.csv")
@@ -392,10 +397,9 @@ def _add_run_arguments(parser, repeats_default: int, repeats_help: str) -> None:
     """The problem, method, stop and output flags shared by ``solve`` and ``certify``."""
     parser.add_argument("problem_dir")
     parser.add_argument("--method", required=True)
-    parser.add_argument("--theta", type=float, default=0.5)
-    parser.add_argument("--eta1", type=float, default=0.5)
-    parser.add_argument("--eta2", type=float, default=0.1)
-    parser.add_argument("--block-size", dest="block_size", type=int, default=100)
+    for f in fields(SelectionConfig):
+        parser.add_argument("--" + f.name.replace("_", "-"), dest=f.name, type=type(f.default),
+                            default=f.default)
     parser.add_argument("--tol", type=float, default=1e-4)
     parser.add_argument("--max-iters", dest="max_iters", type=int, default=1_000_000)
     parser.add_argument("--seed", type=int, default=0)
@@ -450,6 +454,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for name, least in (("seed", 0), ("repeats", 1)):
+            if hasattr(args, name):
+                _at_least(getattr(args, name), least, f"--{name}")
         return args.func(args)
     except SizeGuardError as exc:
         print(f"error: {exc}", file=sys.stderr)

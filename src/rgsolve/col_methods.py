@@ -44,6 +44,9 @@ from .state import (
 
 COL_METHODS = ("cd", "rgrcd", "rgdc", "amdcd", "rbcd")
 
+# A run is stationary once ||y|| = ||A.T r|| falls to this fraction of ||A.T b||.
+STATIONARITY_REL = 1e-14
+
 
 def _normal_product(a: DenseMatrix, indices, w, applied: np.ndarray | None = None) -> np.ndarray:
     """``A.T @ (A[:, indices] @ w)``, the move of y for the step ``x[indices] += w``.
@@ -138,8 +141,7 @@ class _ColFamily(MethodFamily):
 
     kind = "column"
     methods = COL_METHODS
-    params = {"rgdc": ("theta", "theta2"), "rgrcd": ("theta", "theta2"),
-              "amdcd": ("eta2", "eta2"), "rbcd": ("block_size", "block_size")}
+    params = {"rgdc": "theta", "rgrcd": "theta", "amdcd": "eta2", "rbcd": "block_size"}
 
     def __post_init__(self):
         a, state = self.a, self.state
@@ -165,7 +167,7 @@ class _ColFamily(MethodFamily):
 
     def stationary(self) -> bool:
         y = self.state.y
-        return math.sqrt(y @ y) <= self.stop.stationarity_tol * self.atb_norm
+        return math.sqrt(y @ y) <= STATIONARITY_REL * self.atb_norm
 
     def step(self):
         state, a, config, method = self.state, self.a, self.config, self.method
@@ -175,8 +177,8 @@ class _ColFamily(MethodFamily):
                 selected = np.array([state.k % a.n])
                 cd_step(state, a, int(selected[0]))
             elif method in ("rgrcd", "rgdc"):
-                profile = column_losses_from_y(a, state.y, config.zero_tol)
-                selected = relaxed_greedy_set(profile, config.theta2)
+                profile = column_losses_from_y(a, state.y)
+                selected = relaxed_greedy_set(profile, config.theta)
                 if method == "rgdc":
                     rgdc_step(state, a, selected)
                 else:
@@ -211,7 +213,8 @@ def run_col_method(
     supplied it is computed once by the CGLS reference, configured by
     ``cgls_cfg`` (default tolerance 1e-12), which has no other use. Any
     starting point is admissible. Besides the RSE and iteration caps, the run
-    stops as stationary when ||y|| falls below stationarity_tol * ||A.T b||.
+    stops as stationary once ``||A.T r|| <= STATIONARITY_REL * ||A.T b||``
+    (1e-14).
     """
     return solve_loop(_ColFamily, method, a, b, config=config, stop=stop, x0=x0,
                       x_star=x_star, seed=seed, cgls_cfg=cgls_cfg,

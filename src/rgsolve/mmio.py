@@ -48,27 +48,30 @@ def read_array(path) -> np.ndarray:
         header = fh.readline()
         tokens = header.strip().lower().split()
         if tuple(tokens) != _HEADER_TOKENS:
-            raise UsageError(f"unsupported MatrixMarket header: {header.strip()!r}")
+            raise UsageError(f"{path}: unsupported MatrixMarket header: {header.strip()!r}")
         size_line = fh.readline()
         while size_line and size_line.lstrip().startswith("%"):
             size_line = fh.readline()
-        parts = size_line.split()
-        if len(parts) != 2:
-            raise UsageError(f"malformed size line: {size_line.strip()!r}")
-        m, n = int(parts[0]), int(parts[1])
+        try:
+            m, n = (int(part) for part in size_line.split())
+        except ValueError:
+            raise UsageError(f"{path}: malformed size line: {size_line.strip()!r}") from None
         if m < 1 or n < 1:
-            raise UsageError("matrix dimensions must be positive")
+            raise UsageError(f"{path}: matrix dimensions must be positive")
         values = []
         for line in fh:
             line = line.strip()
             if not line or line.startswith("%"):
                 continue
-            values.extend(float(tok) for tok in line.split())
+            try:
+                values.extend(float(tok) for tok in line.split())
+            except ValueError:
+                raise UsageError(f"{path}: malformed value line: {line!r}") from None
     if len(values) != m * n:
-        raise UsageError(f"expected {m * n} values, found {len(values)}")
+        raise UsageError(f"{path}: expected {m * n} values, found {len(values)}")
     arr = np.array(values, dtype=float).reshape((n, m)).T
     if not np.all(np.isfinite(arr)):
-        raise UsageError("file contains non-finite values")
+        raise UsageError(f"{path}: file contains non-finite values")
     return np.ascontiguousarray(arr)
 
 
@@ -79,5 +82,5 @@ def read_matrix(path) -> DenseMatrix:
 def read_vector(path) -> np.ndarray:
     arr = read_array(path)
     if arr.shape[1] != 1:
-        raise UsageError(f"expected an m x 1 vector file, got shape {arr.shape}")
+        raise UsageError(f"{path}: expected an m x 1 vector file, got shape {arr.shape}")
     return arr[:, 0].copy()

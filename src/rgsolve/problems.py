@@ -15,8 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from .cgls import CglsConfig, cgls
-from .errors import GenerationError, UsageError
-from .linalg import DenseMatrix, orthonormalize_columns
+from .errors import GenerationError, SubsolverError, UsageError
+from .linalg import ZERO_SIGMA_REL, DenseMatrix, orthonormalize_columns
 from .mmio import read_matrix, read_vector, write_matrix, write_vector
 
 # Reference solutions are pinned down by the CGLS oracle at this tolerance.
@@ -79,17 +79,22 @@ def _orthonormal_draw(rng: np.random.Generator, rows: int, cols: int) -> np.ndar
 
 
 def _reference_solution(a: DenseMatrix, b: np.ndarray, x_gen: np.ndarray) -> np.ndarray:
-    """The generating vector when it already is the CGLS reference, else the reference.
+    """The generating vector when CGLS confirms it as the reference, else the SVD reference.
 
     For full-column-rank matrices the minimum-norm solve reproduces the
-    generating vector, which is then exact and preferred; otherwise the CGLS
-    result is the least-norm / least-squares point the solvers converge to.
+    generating vector, which is then exact and preferred. Otherwise (wide or
+    rank-deficient matrices, or CGLS out of budget on an ill-conditioned one)
+    the least-norm / least-squares point the solvers converge to comes from
+    LAPACK's SVD solve, since CGLS may stop far from it there.
     """
-    x_ref = cgls(a, b, CglsConfig(rel_tol=_ORACLE_TOL))
+    try:
+        x_ref = cgls(a, b, CglsConfig(rel_tol=_ORACLE_TOL))
+    except SubsolverError:
+        x_ref = None
     scale = max(float(np.linalg.norm(x_gen)), 1.0)
-    if float(np.linalg.norm(x_ref - x_gen)) <= 1e-8 * scale:
+    if x_ref is not None and float(np.linalg.norm(x_ref - x_gen)) <= 1e-8 * scale:
         return x_gen
-    return x_ref
+    return np.linalg.lstsq(a.entries, b, rcond=ZERO_SIGMA_REL)[0]
 
 
 def make_consistent(a: DenseMatrix, seed: int, meta: dict | None = None) -> ProblemInstance:
@@ -173,6 +178,9 @@ def load_instance(directory) -> ProblemInstance:
     directory = Path(directory)
     with open(directory / "meta.json", "r", encoding="ascii") as fh:
         payload = json.load(fh)
+    if not isinstance(payload, dict) or not {"consistent", "seed"} <= payload.keys():
+        raise UsageError(f"{directory / 'meta.json'} must be an object with 'consistent' and "
+                         "'seed' keys")
     return ProblemInstance(
         A=read_matrix(directory / "A.mtx"),
         b=read_vector(directory / "b.mtx"),

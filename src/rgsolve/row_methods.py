@@ -117,8 +117,7 @@ class _RowFamily(MethodFamily):
 
     kind = "row"
     methods = ROW_METHODS
-    params = {"rgdr": ("theta", "theta1"), "rgrk": ("theta", "theta1"),
-              "gbk": ("eta1", "eta1"), "rbk": ("block_size", "block_size")}
+    params = {"rgdr": "theta", "rgrk": "theta", "gbk": "eta1", "rbk": "block_size"}
 
     def __post_init__(self):
         if self.method in ("rgrk", "rgdr"):
@@ -148,12 +147,12 @@ class _RowFamily(MethodFamily):
                 selected = np.array([state.k % a.m])
                 kaczmarz_step(state, a, b, int(selected[0]))
             elif method == "gbk":
-                profile = row_losses(a, residual(a, b, state.x), config.zero_tol)
+                profile = row_losses(a, residual(a, b, state.x))
                 selected = gbk_set(profile, config.eta1)
                 block_project_step(state, a, b, selected)
             elif method in ("rgrk", "rgdr"):
-                profile = row_losses(a, state.r, config.zero_tol)
-                selected = relaxed_greedy_set(profile, config.theta1)
+                profile = row_losses(a, state.r)
+                selected = relaxed_greedy_set(profile, config.theta)
                 if method == "rgdr":
                     rgdr_step(state, a, selected)
                 else:

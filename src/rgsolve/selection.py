@@ -18,7 +18,8 @@ import numpy as np
 from .errors import ConvergedSignal, UsageError
 from .linalg import DenseMatrix
 
-# Absolute floor for the loss-zero threshold when the relative default underflows.
+# A loss counts as zero below 1e-14 times the largest one, or below this floor when
+# that underflows.
 _ZERO_TOL_FLOOR = 1e-300
 
 
@@ -40,55 +41,49 @@ class LossProfile:
 
 @dataclass
 class SelectionConfig:
-    """Relaxation/threshold parameters and block sizes for the selection rules."""
+    """One parameter per selection rule: ``theta`` for rgrk/rgdr/rgrcd/rgdc (the paper's
+    theta1 and theta2), ``eta1`` for gbk, ``eta2`` for amdcd, ``block_size`` for rbk/rbcd."""
 
-    theta1: float = 0.5
-    theta2: float = 0.5
+    theta: float = 0.5
     eta1: float = 0.5
     eta2: float = 0.1
     block_size: int = 100
-    zero_tol: float | None = None  # None: 1e-14 * max_loss with a 1e-300 floor
 
     def __post_init__(self):
-        if not 0.0 <= self.theta1 <= 1.0:
-            raise UsageError(f"theta1 must lie in [0, 1], got {self.theta1}")
-        if not 0.0 <= self.theta2 <= 1.0:
-            raise UsageError(f"theta2 must lie in [0, 1], got {self.theta2}")
+        if not 0.0 <= self.theta <= 1.0:
+            raise UsageError(f"theta must lie in [0, 1], got {self.theta}")
         if not 0.0 < self.eta1 <= 1.0:
             raise UsageError(f"eta1 must lie in (0, 1], got {self.eta1}")
         if self.eta2 < 0.0:
             raise UsageError(f"eta2 must be nonnegative, got {self.eta2}")
         if int(self.block_size) != self.block_size or self.block_size < 1:
             raise UsageError(f"block_size must be a positive integer, got {self.block_size}")
-        if self.zero_tol is not None and self.zero_tol <= 0.0:
-            raise UsageError(f"zero_tol must be positive when given, got {self.zero_tol}")
 
 
-def _make_profile(kind, losses, weights, zero_tol) -> LossProfile:
+def _make_profile(kind, losses, weights) -> LossProfile:
     max_loss = float(losses.max())
-    if zero_tol is None:
-        zero_tol = max(1e-14 * max_loss, _ZERO_TOL_FLOOR)
+    zero_tol = max(1e-14 * max_loss, _ZERO_TOL_FLOOR)
     return LossProfile(kind, losses, max_loss, float(weights @ losses), zero_tol)
 
 
-def row_losses(a: DenseMatrix, r, zero_tol: float | None = None) -> LossProfile:
+def row_losses(a: DenseMatrix, r) -> LossProfile:
     """Loss profile over rows: squared residual over squared row norm."""
     r = np.asarray(r, dtype=float)
     if r.shape != (a.m,):
         raise UsageError(f"residual must have length {a.m}, got shape {r.shape}")
     if a.zero_row is not None:
         raise UsageError(f"zero row {a.zero_row} unsupported by greedy selection")
-    return _make_profile("row", r * r / a.row_sqnorms, a.row_weights, zero_tol)
+    return _make_profile("row", r * r / a.row_sqnorms, a.row_weights)
 
 
-def column_losses_from_y(a: DenseMatrix, y, zero_tol: float | None = None) -> LossProfile:
+def column_losses_from_y(a: DenseMatrix, y) -> LossProfile:
     """Loss profile over columns from a precomputed ``y = A.T @ r``."""
     y = np.asarray(y, dtype=float)
     if y.shape != (a.n,):
         raise UsageError(f"y must have length {a.n}, got shape {y.shape}")
     if a.zero_col is not None:
         raise UsageError(f"zero column {a.zero_col} unsupported by greedy selection")
-    return _make_profile("column", y * y / a.col_sqnorms, a.col_weights, zero_tol)
+    return _make_profile("column", y * y / a.col_sqnorms, a.col_weights)
 
 
 def relaxed_greedy_set(profile: LossProfile, theta: float) -> np.ndarray:

@@ -45,19 +45,17 @@ class SolveState:
 
 @dataclass
 class StopRule:
-    """Termination thresholds for a solve run."""
+    """Termination thresholds for a solve run (the column methods' stationarity floor
+    is the constant ``col_methods.STATIONARITY_REL``)."""
 
     rse_tol: float = 1e-4
     max_iters: int = 1_000_000
-    stationarity_tol: float = 1e-14  # column methods, on ||y|| / ||A.T b||
 
     def __post_init__(self):
         if self.rse_tol <= 0.0:
             raise UsageError(f"rse_tol must be positive, got {self.rse_tol}")
         if self.max_iters < 1:
             raise UsageError(f"max_iters must be at least 1, got {self.max_iters}")
-        if self.stationarity_tol <= 0.0:
-            raise UsageError(f"stationarity_tol must be positive, got {self.stationarity_tol}")
 
 
 @dataclass
@@ -66,11 +64,11 @@ class StepRecord:
 
     ``err_sq_before``/``err_sq_after`` are ``||x - x*||^2`` for row methods and the
     energy error ``||A (x - x*)||^2`` for column methods, both read from x.
+    The certifier reads the selected set's energy from ``indices``.
     """
 
     k: int
     indices: np.ndarray
-    set_energy: float  # sum of squared norms over the selected rows/columns
     zero_mass: float  # sum of squared norms over the zero-loss set
     err_sq_before: float
     err_sq_after: float
@@ -152,11 +150,12 @@ def check_drift(fresh: np.ndarray, carried: np.ndarray, base_norm: float, name: 
 class MethodFamily:
     """What the row or the column methods supply to ``solve_loop``.
 
-    ``params`` maps a method to its reported parameter and its config field.
-    ``__post_init__`` completes the start state (the residual for RGRK and
-    RGDR, y for the column methods) and sets ``sqnorms`` (summed by step
-    records) and ``stall_window`` (iterations without a 0.1% RSE gain before
-    the run stalls, checked after the iteration cap; None for no stall rule).
+    ``params`` maps a method to the config field it reads, reported under
+    that name. ``__post_init__`` completes the start state (the residual for
+    RGRK and RGDR, y for the column methods) and sets ``sqnorms`` (summed
+    over the zero set by step records) and ``stall_window`` (iterations
+    without a 0.1% RSE gain before the run stalls, checked after the
+    iteration cap; None for no stall rule).
     ``refresh()`` recomputes the carried vectors, raising on drift;
     ``err_sq()`` is the squared error step records carry, read from x alone,
     so a refresh never changes it. ``step()`` updates ``x`` and the carried
@@ -169,7 +168,7 @@ class MethodFamily:
 
     kind: ClassVar[str]
     methods: ClassVar[tuple[str, ...]]
-    params: ClassVar[dict[str, tuple[str, str]]]
+    params: ClassVar[dict[str, str]]
 
     method: str
     a: DenseMatrix
@@ -177,7 +176,6 @@ class MethodFamily:
     x_star: np.ndarray
     state: SolveState
     config: SelectionConfig
-    stop: StopRule
     rng: np.random.Generator
 
     def stationary(self) -> bool:
@@ -206,10 +204,8 @@ def solve_loop(family: type[MethodFamily], method: str, a: DenseMatrix, b, *, co
         x_star = reference(a, b, cgls_cfg or CglsConfig(rel_tol=1e-12))
     else:
         x_star = as_vector(x_star, a.n, "x_star")
-    params = {}
-    if method in family.params:
-        name, field_name = family.params[method]
-        params[name] = getattr(config, field_name)
+    name = family.params.get(method)
+    params = {} if name is None else {name: getattr(config, name)}
 
     denom = float(np.linalg.norm(x - x_star))
     if denom == 0.0:
@@ -217,8 +213,7 @@ def solve_loop(family: type[MethodFamily], method: str, a: DenseMatrix, b, *, co
                            "converged", x_final=x, step_records=[] if record_steps else None)
 
     state = SolveState(x=x, r=None)
-    fam = family(method=method, a=a, b=b, x_star=x_star, state=state, config=config,
-                 stop=stop, rng=rng)
+    fam = family(method=method, a=a, b=b, x_star=x_star, state=state, config=config, rng=rng)
     rse = 1.0
     rse_trace = [1.0]
     set_sizes: list[int] = []
@@ -262,7 +257,6 @@ def solve_loop(family: type[MethodFamily], method: str, a: DenseMatrix, b, *, co
             records.append(StepRecord(
                 k=state.k - 1,
                 indices=np.array(selected, dtype=int),
-                set_energy=float(fam.sqnorms[selected].sum()),
                 zero_mass=(float(fam.sqnorms[profile.zero_set].sum())
                            if profile is not None else 0.0),
                 err_sq_before=err_before,

@@ -33,6 +33,11 @@ CERTIFY_DIM_LIMIT = 512
 # Absorbs floating-point zero-set detection and SVD error in bound checks.
 BOUND_SLACK = 1e-8
 
+# Methods with per-step certificates (certify_run) and with statistical ones
+# (certify_randomized).
+STEP_CERTIFIED = ("rgdr", "rgdc")
+STAT_CERTIFIED = ("rgrk", "rgrcd")
+
 
 @dataclass
 class BoundCertificate:
@@ -85,8 +90,6 @@ def _aggregate_factor(a, row_kind, indices, zero_mass, theta, sigma_min) -> tupl
     relax = _relaxation(theta, a.frob_sq, active_energy)
     sqnorms = a.row_sqnorms if row_kind else a.col_sqnorms
     energy_fraction = float(sqnorms[indices].sum()) / a.frob_sq
-    if sigma_min is None:
-        sigma_min = sigma_extremes(a)[1]
     sub = a.entries[indices] if row_kind else a.entries[:, indices]
     sigma_max_sub = float(singular_values(sub)[0])
     factor = _clamp_factor(1.0 - relax * energy_fraction * sigma_min**2 / sigma_max_sub**2)
@@ -100,37 +103,26 @@ def _aggregate_factor(a, row_kind, indices, zero_mass, theta, sigma_min) -> tupl
     }
 
 
-def rgdr_factor(
-    a: DenseMatrix,
-    indices: np.ndarray,
-    profile: LossProfile,
-    theta1: float,
-    sigma_min: float | None = None,
-) -> float:
+def _step_factor(name, kind, a, indices, profile, theta) -> float:
+    if profile.kind != kind:
+        raise UsageError(f"{name} expects a {kind} loss profile")
+    sqnorms = a.row_sqnorms if kind == "row" else a.col_sqnorms
+    zero_mass = float(sqnorms[profile.zero_set].sum())
+    return _aggregate_factor(a, kind == "row", np.asarray(indices, dtype=int), zero_mass, theta,
+                             sigma_extremes(a)[1])[0]
+
+
+def rgdr_factor(a: DenseMatrix, indices: np.ndarray, profile: LossProfile, theta: float) -> float:
     """Per-step contraction bound for the aggregate row update on ``indices``."""
-    if profile.kind != "row":
-        raise UsageError("rgdr_factor expects a row loss profile")
-    indices = np.asarray(indices, dtype=int)
-    zero_mass = float(a.row_sqnorms[profile.zero_set].sum())
-    return _aggregate_factor(a, True, indices, zero_mass, theta1, sigma_min)[0]
+    return _step_factor("rgdr_factor", "row", a, indices, profile, theta)
 
 
-def rgdc_factor(
-    a: DenseMatrix,
-    indices: np.ndarray,
-    profile: LossProfile,
-    theta2: float,
-    sigma_min: float | None = None,
-) -> float:
+def rgdc_factor(a: DenseMatrix, indices: np.ndarray, profile: LossProfile, theta: float) -> float:
     """Per-step contraction bound for the aggregate column update on ``indices``."""
-    if profile.kind != "column":
-        raise UsageError("rgdc_factor expects a column loss profile")
-    indices = np.asarray(indices, dtype=int)
-    zero_mass = float(a.col_sqnorms[profile.zero_set].sum())
-    return _aggregate_factor(a, False, indices, zero_mass, theta2, sigma_min)[0]
+    return _step_factor("rgdc_factor", "column", a, indices, profile, theta)
 
 
-def _randomized_factor(a, theta, sqnorms, sigma_min, kind) -> float:
+def _randomized_factor(a, theta, sqnorms, kind) -> float:
     """Global expected factor ``1 - relax * sigma_min^2 / ||A||_F^2`` of a randomized method."""
     if not 0.0 <= theta <= 1.0:
         raise UsageError(f"theta must lie in [0, 1], got {theta}")
@@ -138,19 +130,17 @@ def _randomized_factor(a, theta, sqnorms, sigma_min, kind) -> float:
     if active <= 0.0:
         raise UsageError(f"single-{kind} matrix admits no relaxed expected factor")
     relax = _relaxation(theta, a.frob_sq, active)
-    if sigma_min is None:
-        sigma_min = sigma_extremes(a)[1]
-    return _clamp_factor(1.0 - relax * sigma_min**2 / a.frob_sq)
+    return _clamp_factor(1.0 - relax * sigma_extremes(a)[1] ** 2 / a.frob_sq)
 
 
-def rgrk_factor(a: DenseMatrix, theta1: float, sigma_min: float | None = None) -> float:
+def rgrk_factor(a: DenseMatrix, theta: float) -> float:
     """Global expected contraction factor for the randomized row method."""
-    return _randomized_factor(a, theta1, a.row_sqnorms, sigma_min, "row")
+    return _randomized_factor(a, theta, a.row_sqnorms, "row")
 
 
-def rgrcd_factor(a: DenseMatrix, theta2: float, sigma_min: float | None = None) -> float:
+def rgrcd_factor(a: DenseMatrix, theta: float) -> float:
     """Global expected contraction factor for the randomized coordinate method."""
-    return _randomized_factor(a, theta2, a.col_sqnorms, sigma_min, "column")
+    return _randomized_factor(a, theta, a.col_sqnorms, "column")
 
 
 def flops_rgdr(m: int, n: int, set_size: int) -> int:
@@ -171,27 +161,20 @@ def flops_rgdc(n: int, set_size: int) -> int:
     return update + selection
 
 
-def certify_run(
-    report: SolveReport,
-    a: DenseMatrix,
-    theta: float | None = None,
-    sigma_min: float | None = None,
-    slack: float = BOUND_SLACK,
-) -> list[BoundCertificate]:
-    """Check every recorded iteration of a deterministic aggregate run against its bound."""
-    if report.method not in ("rgdr", "rgdc"):
+def certify_run(report: SolveReport, a: DenseMatrix) -> list[BoundCertificate]:
+    """Check every recorded iteration of a deterministic aggregate run against its bound,
+    at the run's ``params["theta"]``, with a ``BOUND_SLACK`` allowance."""
+    if report.method not in STEP_CERTIFIED:
         raise UsageError(
             f"per-step certificates exist only for rgdr and rgdc, not {report.method!r}"
         )
     if report.step_records is None:
         raise UsageError("missing trace: rerun the solve with record_steps=True")
     _check_certify_size(a)
-    if theta is None:
-        theta = report.params.get("theta")
+    theta = report.params.get("theta")
     if theta is None:
         raise UsageError("no relaxation parameter available for certification")
-    if sigma_min is None:
-        sigma_min = sigma_extremes(a)[1]
+    sigma_min = sigma_extremes(a)[1]
 
     row_kind = report.method == "rgdr"
     certificates = []
@@ -204,29 +187,24 @@ def certify_run(
             k=rec.k,
             factor_theoretical=factor,
             ratio_measured=ratio,
-            satisfied=bool(ratio <= factor + slack),
+            satisfied=bool(ratio <= factor + BOUND_SLACK),
             components=components,
         ))
     return certificates
 
 
-def certify_randomized(
-    reports: list[SolveReport],
-    a: DenseMatrix,
-    theta: float | None = None,
-    sigma_min: float | None = None,
-) -> AggregateCertificate:
+def certify_randomized(reports: list[SolveReport], a: DenseMatrix) -> AggregateCertificate:
     """Check repeated randomized runs against the expected contraction factor.
 
     Each run contributes its geometric-mean per-step squared-error ratio; the
-    sample mean must not exceed the expected factor by more than three
-    standard errors. The bounds hold in expectation only, so at least two runs
-    (ideally 30) are required.
+    sample mean must not exceed the expected factor, at the ``theta`` in the
+    first report's ``params``, by more than three standard errors. The bounds
+    hold in expectation only, so at least two runs (ideally 30) are required.
     """
     if not reports:
         raise UsageError("no reports to certify")
     method = reports[0].method
-    if method not in ("rgrk", "rgrcd"):
+    if method not in STAT_CERTIFIED:
         raise UsageError(
             f"statistical certificates exist only for rgrk and rgrcd, not {method!r}"
         )
@@ -235,13 +213,8 @@ def certify_randomized(
     if len(reports) < 2:
         raise UsageError("statistical certification needs at least two runs")
     _check_certify_size(a)
-    if theta is None:
-        theta = reports[0].params.get("theta")
-    factor = (
-        rgrk_factor(a, theta, sigma_min)
-        if method == "rgrk"
-        else rgrcd_factor(a, theta, sigma_min)
-    )
+    theta = reports[0].params["theta"]
+    factor = rgrk_factor(a, theta) if method == "rgrk" else rgrcd_factor(a, theta)
 
     contractions = []
     for rep in reports:

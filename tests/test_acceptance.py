@@ -39,7 +39,6 @@ from rgsolve import (
     row_losses,
     run_col_method,
     run_row_method,
-    sigma_extremes,
 )
 from rgsolve.col_methods import rgdc_step
 from rgsolve.row_methods import block_project_step, kaczmarz_step, rgdr_step
@@ -125,17 +124,16 @@ def test_criterion_03_bound_certification():
         instances.append(gen_smatrix(100, 50, 50, 1.25, 1.0, 100 + seed))
     for idx, a in enumerate(instances):
         inst = make_consistent(a, 1000 + idx)
-        sigma_min = sigma_extremes(a)[1]
         for theta in THETAS:
             row_report = run_row_method(
-                "rgdr", a, inst.b, config=SelectionConfig(theta1=theta),
+                "rgdr", a, inst.b, config=SelectionConfig(theta=theta),
                 x_star=inst.x_star, record_steps=True)
-            for cert in certify_run(row_report, a, sigma_min=sigma_min, slack=1e-8):
+            for cert in certify_run(row_report, a):
                 assert cert.satisfied, (idx, theta, cert)
             col_report = run_col_method(
-                "rgdc", a, inst.b, config=SelectionConfig(theta2=theta),
+                "rgdc", a, inst.b, config=SelectionConfig(theta=theta),
                 x_star=inst.x_star, record_steps=True)
-            for cert in certify_run(col_report, a, sigma_min=sigma_min, slack=1e-8):
+            for cert in certify_run(col_report, a):
                 assert cert.satisfied, (idx, theta, cert)
 
 
@@ -172,7 +170,7 @@ def _trend_data():
             a = gen_randn(2000, 100, seed)
             inst = make_consistent(a, 20_000 + seed)
             for theta in THETAS:
-                cfg = SelectionConfig(theta1=theta, theta2=theta)
+                cfg = SelectionConfig(theta=theta)
                 for method, run, rng_seed in (("rgdr", run_row_method, None),
                                               ("rgrk", run_row_method, seed),
                                               ("rgdc", run_col_method, None),
@@ -243,7 +241,7 @@ def test_criterion_05c_monotone_in_theta():
 @criterion(6, "larger-scale spot check at 5000x300 lands in the expected windows")
 def test_criterion_06_large_scale_spot_check():
     it_row, it_col = [], []
-    cfg = SelectionConfig(theta1=0.5, theta2=0.5)
+    cfg = SelectionConfig(theta=0.5)
     for seed in range(30):
         a = gen_randn(5000, 300, seed)
         inst = make_consistent(a, 60_000 + seed)
@@ -263,7 +261,7 @@ def test_criterion_07_inconsistent_least_squares():
     inst = make_inconsistent(a, 78, noise_scale=0.1)
     atb = np.linalg.norm(a.matvec_transpose(inst.b))
     for theta in THETAS:
-        report = run_col_method("rgdc", a, inst.b, config=SelectionConfig(theta2=theta),
+        report = run_col_method("rgdc", a, inst.b, config=SelectionConfig(theta=theta),
                                 x_star=inst.x_star)
         assert report.termination_reason == "converged", theta
         assert report.final_rse < 1e-4

@@ -236,9 +236,14 @@ def test_bench_problem_without_positive_integer_dims_exits_2(tmp_path, capsys, p
      "seeds": [0]},
     {"problems": [{"kind": "randn", "m": 10, "n": 2, "case": "inconsistant"}],
      "methods": [{"method": "rgdr"}], "seeds": [0]},
+    {"problems": [{"kind": "randn", "m": 10, "n": 2}], "methods": [{"method": "rgrk"}],
+     "seeds": [-2]},
+    {"problems": [{"kind": "randn", "m": 10, "n": 2}], "methods": [{"method": "rgrk"}],
+     "seeds": [0], "repeats": 0},
 ], ids=["not-an-object", "problem-5", "method-string", "tol", "max_iters", "repeats",
         "sigma1", "noise_scale", "theta", "block_size", "seed", "seeds-not-a-list",
-        "methods-not-a-list", "unknown-kind", "unknown-method", "unknown-case"])
+        "methods-not-a-list", "unknown-kind", "unknown-method", "unknown-case",
+        "negative-seed", "zero-repeats"])
 def test_bench_malformed_config_entries_exit_2(tmp_path, capsys, config):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps(config))
@@ -246,6 +251,36 @@ def test_bench_malformed_config_entries_exit_2(tmp_path, capsys, config):
     err = capsys.readouterr().err
     assert err.startswith("error: bench config ") and err.count("\n") == 1
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("gen", "--kind", "randn", "--m", "50", "--n", "10", "--seed", "-1"),
+    ("solve", "PROBLEM", "--method", "rgrk", "--seed", "-1"),
+    ("solve", "PROBLEM", "--method", "rgrk", "--repeats", "0"),
+    ("certify", "PROBLEM", "--method", "rgrk", "--seed", "-1"),
+    ("certify", "PROBLEM", "--method", "rgrk", "--repeats", "0"),
+], ids=["gen-seed", "solve-seed", "solve-repeats", "certify-seed", "certify-repeats"])
+def test_negative_seed_or_repeats_below_one_exit_2(tmp_path, small_problem, capsys, argv):
+    argv = [str(small_problem) if arg == "PROBLEM" else arg for arg in argv]
+    assert run_cli(*argv, "--out", str(tmp_path / "o")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --") and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("name, old, new", [
+    ("A.mtx", "60 8\n", "60 x\n"),
+    ("b.mtx", "60 1\n", "60 1\nabc\n"),
+    ("meta.json", '"consistent"', '"consistency"'),
+], ids=["size-line", "value-line", "meta-without-consistent"])
+def test_solve_malformed_problem_file_exits_2_naming_it(tmp_path, small_problem, capsys,
+                                                       name, old, new):
+    path = small_problem / name
+    path.write_text(path.read_text().replace(old, new, 1))
+    assert run_cli("solve", str(small_problem), "--method", "rgdr",
+                   "--out", str(tmp_path / "o")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}") and err.count("\n") == 1
 
 
 def test_certify_deterministic_pass(tmp_path):

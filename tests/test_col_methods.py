@@ -242,7 +242,7 @@ def test_rbcd_ill_conditioned_columns_is_min_norm(spread):
 
 
 def test_run_rgdc_hand_instance():
-    report = run_col_method("rgdc", DIAG, B_DIAG, config=SelectionConfig(theta2=0.5),
+    report = run_col_method("rgdc", DIAG, B_DIAG, config=SelectionConfig(theta=0.5),
                             x_star=np.array([1.0, 2.0]))
     assert report.iterations == 2
     assert report.termination_reason == "converged"
@@ -485,9 +485,10 @@ def _assert_column_solve_carries_no_residual(monkeypatch, shape, method, record_
             return _original(self, v)
 
         monkeypatch.setattr(DenseMatrix, name, counted)
+    monkeypatch.setattr(col_methods, "STATIONARITY_REL", 1e-300)
     report = run_col_method(method, a, inst.b, x_star=inst.x_star, seed=62,
                             config=SelectionConfig(block_size=3), record_steps=record_steps,
-                            stop=StopRule(rse_tol=1e-300, max_iters=350, stationarity_tol=1e-300))
+                            stop=StopRule(rse_tol=1e-300, max_iters=350))
     assert report.iterations == 350 and report.termination_reason == "max_iters"
     assert len(carried) == report.iterations and not any(carried)
     assert len(refreshed) == 3 and not any(refreshed)

@@ -52,6 +52,18 @@ def test_rejects_wrong_value_count(tmp_path):
         read_array(path)
 
 
+@pytest.mark.parametrize("text", [
+    "%%MatrixMarket matrix array real general\n50 x\n",
+    "%%MatrixMarket matrix array real general\n2\n1.0\n2.0\n",
+    "%%MatrixMarket matrix array real general\n2 1\n1.0\nabc\n",
+], ids=["size-not-a-number", "size-one-token", "value-not-a-number"])
+def test_rejects_unparsable_size_or_value_line_naming_the_file(tmp_path, text):
+    path = tmp_path / "bad.mtx"
+    path.write_text(text)
+    with pytest.raises(UsageError, match="bad.mtx"):
+        read_array(path)
+
+
 def test_reader_skips_comments(tmp_path):
     path = tmp_path / "c.mtx"
     path.write_text(

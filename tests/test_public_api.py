@@ -1,4 +1,11 @@
+from dataclasses import fields
+
+import pytest
+
 import rgsolve
+from rgsolve import (COL_METHODS, ROW_METHODS, SelectionConfig, StopRule, gen_randn,
+                     make_consistent, run_col_method, run_row_method)
+from rgsolve.cli import build_parser
 
 PUBLIC_NAMES = [
     "AggregateCertificate", "BoundCertificate", "COL_METHODS", "CglsConfig", "ConvergedSignal",
@@ -21,3 +28,28 @@ def test_public_names_are_pinned_and_resolve():
     assert len(set(rgsolve.__all__)) == len(rgsolve.__all__) == 52
     for name in rgsolve.__all__:
         assert getattr(rgsolve, name) is not None, name
+
+
+def test_each_knob_has_one_name():
+    assert [f.name for f in fields(SelectionConfig)] == ["theta", "eta1", "eta2", "block_size"]
+    assert [f.name for f in fields(StopRule)] == ["rse_tol", "max_iters"]
+
+
+@pytest.mark.parametrize("method", ROW_METHODS + COL_METHODS)
+def test_reported_params_are_selection_config_fields(method):
+    inst = make_consistent(gen_randn(30, 6, 1), 2)
+    run = run_row_method if method in ROW_METHODS else run_col_method
+    report = run(method, inst.A, inst.b, x_star=inst.x_star, seed=0,
+                 config=SelectionConfig(block_size=3), stop=StopRule(max_iters=5))
+    assert set(report.params) <= {f.name for f in fields(SelectionConfig)}
+    assert report.params == {name: getattr(SelectionConfig(block_size=3), name)
+                             for name in report.params}
+
+
+@pytest.mark.parametrize("command", ["solve", "certify"])
+def test_run_commands_take_a_flag_for_every_config_field(command):
+    flags = []
+    for f in fields(SelectionConfig):
+        flags += ["--" + f.name.replace("_", "-"), "1"]
+    args = build_parser().parse_args([command, "p", "--method", "rgdr", "--out", "o", *flags])
+    assert all(getattr(args, f.name) == 1 for f in fields(SelectionConfig))

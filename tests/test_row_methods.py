@@ -209,7 +209,7 @@ def test_block_project_ill_conditioned_rows_is_min_norm(spread):
 
 
 def test_run_rgdr_hand_instance():
-    report = run_row_method("rgdr", DIAG, B_DIAG, config=SelectionConfig(theta1=0.5),
+    report = run_row_method("rgdr", DIAG, B_DIAG, config=SelectionConfig(theta=0.5),
                             x_star=np.array([1.0, 2.0]))
     assert report.iterations == 2
     assert report.termination_reason == "converged"
@@ -447,7 +447,7 @@ def test_step_records_equal_a_fresh_recomputation(monkeypatch, method, step_name
     monkeypatch.setattr(row_methods, "row_losses", losses)
     monkeypatch.setattr(row_methods, step_name, step)
     report = run_row_method(method, a, inst.b, x_star=inst.x_star, seed=3, record_steps=True,
-                            config=SelectionConfig(theta1=0.3))
+                            config=SelectionConfig(theta=0.3))
     assert report.termination_reason == "converged"
     assert len(report.step_records) == len(fresh) == report.iterations
     for rec, want in zip(report.step_records, fresh):

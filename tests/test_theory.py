@@ -140,7 +140,7 @@ def test_flops_monotone_in_set_size():
 
 def test_certify_hand_instance():
     report = run_row_method("rgdr", DIAG, np.array([1.0, 4.0]),
-                            config=SelectionConfig(theta1=0.5),
+                            config=SelectionConfig(theta=0.5),
                             x_star=np.array([1.0, 2.0]), record_steps=True)
     certs = certify_run(report, DIAG)
     assert len(certs) == 2
@@ -152,7 +152,7 @@ def test_certify_hand_instance():
 def test_certify_rgdr_random_instances():
     a = gen_randn(100, 50, 5)
     inst = make_consistent(a, 6)
-    report = run_row_method("rgdr", a, inst.b, config=SelectionConfig(theta1=0.5),
+    report = run_row_method("rgdr", a, inst.b, config=SelectionConfig(theta=0.5),
                             x_star=inst.x_star, record_steps=True)
     certs = certify_run(report, a)
     assert certs and all(c.satisfied for c in certs)
@@ -162,7 +162,7 @@ def test_certify_rgdr_random_instances():
 def test_certify_rgdc_random_instances():
     a = gen_randn(100, 50, 7)
     inst = make_consistent(a, 8)
-    report = run_col_method("rgdc", a, inst.b, config=SelectionConfig(theta2=0.9),
+    report = run_col_method("rgdc", a, inst.b, config=SelectionConfig(theta=0.9),
                             x_star=inst.x_star, record_steps=True)
     certs = certify_run(report, a)
     assert certs and all(c.satisfied for c in certs)
@@ -204,11 +204,11 @@ def test_superiority_over_randomized_factor_per_step():
         inst = make_consistent(a, seed + 60)
         theta = 0.5
         _, smin = sigma_extremes(a)
-        global_factor = rgrk_factor(a, theta, sigma_min=smin)
+        global_factor = rgrk_factor(a, theta)
         min_energy = float(a.row_sqnorms.min())
-        report = run_row_method("rgdr", a, inst.b, config=SelectionConfig(theta1=theta),
+        report = run_row_method("rgdr", a, inst.b, config=SelectionConfig(theta=theta),
                                 x_star=inst.x_star, record_steps=True)
-        for cert in certify_run(report, a, sigma_min=smin):
+        for cert in certify_run(report, a):
             relax = cert.components["relaxation_factor"]
             assert cert.factor_theoretical <= 1.0 - relax * smin**2 / a.frob_sq + 1e-12
             if cert.components["zero_set_mass"] >= min_energy:
@@ -221,7 +221,7 @@ def test_superiority_holds_once_zero_loss_set_is_populated():
     a = DIAG
     b = np.array([1.0, 4.0])
     theta = 0.5
-    report = run_row_method("rgdr", a, b, config=SelectionConfig(theta1=theta),
+    report = run_row_method("rgdr", a, b, config=SelectionConfig(theta=theta),
                             x_star=np.array([1.0, 2.0]), record_steps=True)
     certs = certify_run(report, a)
     second = certs[1]
@@ -246,7 +246,7 @@ def test_randomized_certification_rgrk():
     a = gen_randn(60, 20, 11)
     inst = make_consistent(a, 12)
     reports = [
-        run_row_method("rgrk", a, inst.b, config=SelectionConfig(theta1=0.5),
+        run_row_method("rgrk", a, inst.b, config=SelectionConfig(theta=0.5),
                        x_star=inst.x_star, seed=seed, record_steps=True)
         for seed in range(30)
     ]
@@ -260,7 +260,7 @@ def test_randomized_certification_rgrcd():
     a = gen_randn(60, 20, 13)
     inst = make_consistent(a, 14)
     reports = [
-        run_col_method("rgrcd", a, inst.b, config=SelectionConfig(theta2=0.5),
+        run_col_method("rgrcd", a, inst.b, config=SelectionConfig(theta=0.5),
                        x_star=inst.x_star, seed=seed, record_steps=True)
         for seed in range(30)
     ]
