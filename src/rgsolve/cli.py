@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import sys
 from dataclasses import fields
 from pathlib import Path
 
 from .col_methods import COL_METHODS, run_col_method
 from .errors import GenerationError, RgsolveError, SizeGuardError, UsageError
+from .mmio import read_json, write_json
 from .problems import (
     ProblemInstance,
     gen_randn,
@@ -41,12 +41,6 @@ from .theory import (STAT_CERTIFIED, STEP_CERTIFIED, _check_certify_size, certif
 RANDOMIZED_METHODS = ("rgrk", "rbk", "rgrcd", "rbcd")
 ALL_METHODS = ROW_METHODS + COL_METHODS
 GENERATOR_KINDS = ("randn", "smatrix")
-
-
-def _json_dump(payload: dict, path: Path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def _generate_matrix(kind, m, n, r, sigma1, sigma2, seed):
@@ -145,17 +139,14 @@ def cmd_solve(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     aggregate = _aggregate(reports)
-    _json_dump(
-        {
-            "method": args.method,
-            "params": reports[0].params,
-            "problem": {"directory": str(args.problem_dir), "consistent": instance.consistent},
-            "stop": {"rse_tol": args.tol, "max_iters": args.max_iters},
-            "aggregate": aggregate,
-            "runs": [rep.to_dict() for rep in reports],
-        },
-        out / "report.json",
-    )
+    write_json(out / "report.json", {
+        "method": args.method,
+        "params": reports[0].params,
+        "problem": {"directory": str(args.problem_dir), "consistent": instance.consistent},
+        "stop": {"rse_tol": args.tol, "max_iters": args.max_iters},
+        "aggregate": aggregate,
+        "runs": [rep.to_dict() for rep in reports],
+    })
     _write_trace_csv(reports, out / "trace.csv")
 
     label = " ".join(
@@ -198,8 +189,7 @@ def _at_least(value: int, least: int, name: str) -> int:
 
 
 def cmd_bench(args) -> int:
-    with open(args.config, "r", encoding="ascii") as fh:
-        config = json.load(fh)
+    config = read_json(args.config)
     if not isinstance(config, dict):
         raise UsageError("bench config must be a JSON object")
     problems = config.get("problems", [])
@@ -376,19 +366,23 @@ def cmd_certify(args) -> int:
 def cmd_trace_plot(args) -> int:
     rows = []
     for path in args.reports:
-        with open(path, "r", encoding="ascii") as fh:
-            payload = json.load(fh)
-        method = payload["method"]
-        theta = payload.get("params", {}).get("theta", "")
-        for run in payload["runs"]:
-            for k, rse in enumerate(run["rse_trace"]):
-                rows.append((method, theta, k, run["iter_seconds"][k], rse))
+        payload = read_json(path)
+        try:
+            method = str(payload["method"])
+            theta = payload.get("params", {}).get("theta", "")
+            for run in payload["runs"]:
+                seconds = run["iter_seconds"]
+                rows.extend((method, theta, k, float(seconds[k]), float(rse))
+                            for k, rse in enumerate(run["rse_trace"]))
+        except (KeyError, IndexError, TypeError, AttributeError, ValueError) as exc:
+            raise UsageError(
+                f"{path}: not a solve report ({type(exc).__name__}: {exc})") from None
     rows.sort(key=lambda row: (row[0], str(row[1]), row[2]))
     with open(args.out, "w", newline="", encoding="ascii") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["method", "theta", "k", "cumulative_seconds", "rse"])
         for method, theta, k, seconds, rse in rows:
-            writer.writerow([method, theta, k, repr(float(seconds)), repr(float(rse))])
+            writer.writerow([method, theta, k, repr(seconds), repr(rse)])
     print(f"wrote {len(rows)} trace rows to {args.out}")
     return 0
 
@@ -464,10 +458,7 @@ def main(argv=None) -> int:
     except (UsageError, GenerationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except json.JSONDecodeError as exc:
-        print(f"error: malformed JSON: {exc}", file=sys.stderr)
-        return 2
-    except RgsolveError as exc:  # stalled, subsolver failure, degenerate step, drift
+    except RgsolveError as exc:  # stalled, subsolver failure, degenerate step, y drift
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cgls import CglsConfig, cgls
-from .errors import ConvergedSignal, DegenerateStepError, UsageError
+from .errors import ConvergedSignal, DegenerateStepError, RgsolveError, UsageError
 from .linalg import DenseMatrix, _block_index, _min_norm_solve
 from .selection import (
     SelectionConfig,
@@ -37,7 +37,6 @@ from .state import (
     SolveReport,
     SolveState,
     StopRule,
-    check_drift,
     solve_loop,
     residual,
 )
@@ -46,6 +45,11 @@ COL_METHODS = ("cd", "rgrcd", "rgdc", "amdcd", "rbcd")
 
 # A run is stationary once ||y|| = ||A.T r|| falls to this fraction of ||A.T b||.
 STATIONARITY_REL = 1e-14
+
+# y is recomputed from x this often, and the run fails if its recursion drifted by
+# more than _DRIFT_REL of its scale.
+REFRESH_EVERY = 100
+_DRIFT_REL = 1e-8
 
 
 def _normal_product(a: DenseMatrix, indices, w, applied: np.ndarray | None = None) -> np.ndarray:
@@ -156,9 +160,15 @@ class _ColFamily(MethodFamily):
         )
 
     def refresh(self) -> None:
-        fresh_y = self.a.matvec_transpose(self.b - self.a.matvec(self.state.x))
-        check_drift(fresh_y, self.state.y, self.atb_norm, "y")
-        self.state.y = fresh_y
+        """Recompute y from x, raising when the recursion has drifted from it."""
+        fresh = self.a.matvec_transpose(self.b - self.a.matvec(self.state.x))
+        scale = max(1.0, self.atb_norm + float(np.linalg.norm(fresh)))
+        drift = float(np.linalg.norm(fresh - self.state.y))
+        if drift > _DRIFT_REL * scale:
+            raise RgsolveError(
+                f"y recursion drifted beyond tolerance ({drift:.3e} vs scale {scale:.3e})"
+            )
+        self.state.y = fresh
 
     def err_sq(self) -> float:
         # From x, never as (x - x*).T G (x - x*), whose rounding can turn negative.
@@ -171,6 +181,8 @@ class _ColFamily(MethodFamily):
 
     def step(self):
         state, a, config, method = self.state, self.a, self.config, self.method
+        if state.k and state.k % REFRESH_EVERY == 0:
+            self.refresh()
         profile = None
         try:
             if method == "cd":

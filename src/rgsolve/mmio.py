@@ -3,9 +3,14 @@
 Files use the ``%%MatrixMarket matrix array real general`` header, values in
 column-major order, one value per line. Vectors are stored as m x 1 matrices.
 Writes are deterministic: the same data always produces byte-identical files.
+Every file the package reads (these and its JSON files) is ASCII text, and a
+file that is not raises a UsageError naming it.
 """
 
 from __future__ import annotations
+
+import json
+from pathlib import Path
 
 import numpy as np
 
@@ -15,8 +20,8 @@ from .linalg import DenseMatrix
 _HEADER_TOKENS = ("%%matrixmarket", "matrix", "array", "real", "general")
 
 
-def write_array(path, values) -> None:
-    """Write a 2-D array (or DenseMatrix) in MatrixMarket array format."""
+def write_matrix(path, values) -> None:
+    """Write a DenseMatrix (or 2-D array) in MatrixMarket array format."""
     arr = values.entries if isinstance(values, DenseMatrix) else np.asarray(values, dtype=float)
     if arr.ndim != 2:
         raise UsageError(f"expected a 2-D array, got shape {arr.shape}")
@@ -31,42 +36,61 @@ def write_array(path, values) -> None:
                 fh.write("\n")
 
 
-def write_matrix(path, a: DenseMatrix) -> None:
-    write_array(path, a)
-
-
 def write_vector(path, v) -> None:
     arr = np.asarray(v, dtype=float)
     if arr.ndim != 1:
         raise UsageError(f"expected a 1-D vector, got shape {arr.shape}")
-    write_array(path, arr.reshape(-1, 1))
+    write_matrix(path, arr.reshape(-1, 1))
+
+
+def read_text(path) -> str:
+    """The contents of an ASCII text file."""
+    try:
+        return Path(path).read_text(encoding="ascii")
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path}: not an ASCII text file ({exc})") from None
+
+
+def read_json(path):
+    """The value in an ASCII JSON file."""
+    try:
+        return json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"{path}: malformed JSON: {exc}") from None
+
+
+def write_json(path, payload) -> None:
+    """Write ``payload`` as indented JSON with sorted keys, deterministically."""
+    with open(path, "w", encoding="ascii") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def read_array(path) -> np.ndarray:
     """Read a MatrixMarket array file into a 2-D float array."""
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline()
-        tokens = header.strip().lower().split()
-        if tuple(tokens) != _HEADER_TOKENS:
-            raise UsageError(f"{path}: unsupported MatrixMarket header: {header.strip()!r}")
-        size_line = fh.readline()
-        while size_line and size_line.lstrip().startswith("%"):
-            size_line = fh.readline()
+    lines = iter(read_text(path).splitlines())
+    header = next(lines, "")
+    tokens = header.strip().lower().split()
+    if tuple(tokens) != _HEADER_TOKENS:
+        raise UsageError(f"{path}: unsupported MatrixMarket header: {header.strip()!r}")
+    size_line = next(lines, "")
+    while size_line and size_line.lstrip().startswith("%"):
+        size_line = next(lines, "")
+    try:
+        m, n = (int(part) for part in size_line.split())
+    except ValueError:
+        raise UsageError(f"{path}: malformed size line: {size_line.strip()!r}") from None
+    if m < 1 or n < 1:
+        raise UsageError(f"{path}: matrix dimensions must be positive")
+    values = []
+    for line in lines:
+        line = line.strip()
+        if not line or line.startswith("%"):
+            continue
         try:
-            m, n = (int(part) for part in size_line.split())
+            values.extend(float(tok) for tok in line.split())
         except ValueError:
-            raise UsageError(f"{path}: malformed size line: {size_line.strip()!r}") from None
-        if m < 1 or n < 1:
-            raise UsageError(f"{path}: matrix dimensions must be positive")
-        values = []
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("%"):
-                continue
-            try:
-                values.extend(float(tok) for tok in line.split())
-            except ValueError:
-                raise UsageError(f"{path}: malformed value line: {line!r}") from None
+            raise UsageError(f"{path}: malformed value line: {line!r}") from None
     if len(values) != m * n:
         raise UsageError(f"{path}: expected {m * n} values, found {len(values)}")
     arr = np.array(values, dtype=float).reshape((n, m)).T

@@ -8,7 +8,6 @@ meta.json, and deserialize back bit-for-bit.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -17,7 +16,7 @@ import numpy as np
 from .cgls import CglsConfig, cgls
 from .errors import GenerationError, SubsolverError, UsageError
 from .linalg import ZERO_SIGMA_REL, DenseMatrix, orthonormalize_columns
-from .mmio import read_matrix, read_vector, write_matrix, write_vector
+from .mmio import read_json, read_matrix, read_vector, write_json, write_matrix, write_vector
 
 # Reference solutions are pinned down by the CGLS oracle at this tolerance.
 _ORACLE_TOL = 1e-12
@@ -163,21 +162,17 @@ def save_instance(instance: ProblemInstance, directory) -> Path:
     write_matrix(directory / "A.mtx", instance.A)
     write_vector(directory / "b.mtx", instance.b)
     write_vector(directory / "xstar.mtx", instance.x_star)
-    payload = {
+    write_json(directory / "meta.json", {
         "consistent": instance.consistent,
         "seed": instance.seed,
         "meta": instance.meta,
-    }
-    with open(directory / "meta.json", "w", encoding="ascii") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
     return directory
 
 
 def load_instance(directory) -> ProblemInstance:
     directory = Path(directory)
-    with open(directory / "meta.json", "r", encoding="ascii") as fh:
-        payload = json.load(fh)
+    payload = read_json(directory / "meta.json")
     if not isinstance(payload, dict) or not {"consistent", "seed"} <= payload.keys():
         raise UsageError(f"{directory / 'meta.json'} must be an object with 'consistent' and "
                          "'seed' keys")

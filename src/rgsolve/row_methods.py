@@ -1,16 +1,13 @@
 """Row-action methods: Kaczmarz, RGRK, RGDR, GBK, and RBK.
 
 Each step enforces the projection condition that the aggregated constraint
-direction is orthogonal to the new residual. RGRK and RGDR carry the residual
-by the recursion ``r -= weight * A @ d`` and recompute it from scratch every
-100 iterations to bound drift. The row-aggregate update never forms
-``A @ A.T``: the direction ``d = A.T @ eta`` is assembled from the selected
-rows only, and ``A @ d`` is a plain matvec, keeping memory at O(m*n). A block
-projection solves the s x s system of the selected rows' Gram ``A_S @ A_S.T``
-by Cholesky. GBK selects on all of r, so it forms ``b - A @ x`` afresh at
-the start of each block step rather than carrying it. Cyclic Kaczmarz and RBK
-select without looking at r, so they read ``b_S - A_S @ x`` for their rows
-only, in O(s*n).
+direction is orthogonal to the new residual. No row method carries the
+residual: without a row Gram ``A @ A.T`` (O(m^2) memory), the recursion
+``r -= weight * A @ d`` costs the same GEMV as ``b - A @ x``, which RGRK,
+RGDR and GBK form at the start of each step (none at x = 0) since they
+select on all of r. Cyclic Kaczmarz and RBK read ``b_S - A_S @ x`` for
+their rows only, in O(s*n). A block projection solves the s x s system of
+the selected rows' Gram ``A_S @ A_S.T`` by Cholesky.
 
 Row methods converge to the least-norm solution of consistent systems when
 started in the row space; on inconsistent systems they stall, which the driver
@@ -39,7 +36,6 @@ from .state import (
     SolveReport,
     SolveState,
     StopRule,
-    check_drift,
     solve_loop,
     residual,
 )
@@ -47,33 +43,25 @@ from .state import (
 ROW_METHODS = ("kaczmarz", "rgrk", "rgdr", "gbk", "rbk")
 
 
-def kaczmarz_step(state: SolveState, a: DenseMatrix, b: np.ndarray, i: int) -> None:
-    """Project the iterate onto the hyperplane of row ``i``.
-
-    The residual entry is read from the carried ``state.r``, which the step
-    keeps up to date, or computed as ``b_i - a_i . x`` when ``state.r`` is None.
-    """
+def kaczmarz_step(state: SolveState, a: DenseMatrix, residual_i: float, i: int) -> None:
+    """Project the iterate onto the hyperplane of row ``i``, whose residual entry
+    ``b_i - a_i . x`` is ``residual_i``."""
     sq = float(a.row_sqnorms[i])
     if sq <= 0.0:
         raise UsageError(f"zero row {i} cannot drive a projection step")
-    row = a.entries[i]
-    residual_i = float(b[i] - row @ state.x) if state.r is None else float(state.r[i])
     if residual_i != 0.0:
-        delta = residual_i / sq
-        state.x += delta * row
-        if state.r is not None:
-            state.r -= delta * a.matvec(row)
+        state.x += residual_i / sq * a.entries[i]
 
 
-def rgdr_step(state: SolveState, a: DenseMatrix, indices: np.ndarray) -> None:
+def rgdr_step(state: SolveState, a: DenseMatrix, r: np.ndarray, indices: np.ndarray) -> None:
     """Aggregate the selected rows, weighted by their residuals, into one projection.
 
-    With eta the residual masked to ``indices``, the update is
-    ``x += (eta.T r / ||A.T eta||^2) A.T eta`` and the residual follows the
-    matching recursion. Raises StalledError when ``A.T eta`` vanishes, which
-    means the selected residual lies outside the range of A.
+    With eta the residual ``r = b - A x`` masked to ``indices``, the update is
+    ``x += (eta.T r / ||A.T eta||^2) A.T eta``. Raises StalledError when
+    ``A.T eta`` vanishes, which means the selected residual lies outside the
+    range of A.
     """
-    r_sel = state.r[indices]
+    r_sel = r[indices]
     g1 = float(r_sel @ r_sel)
     if g1 <= 0.0:
         return
@@ -81,21 +69,20 @@ def rgdr_step(state: SolveState, a: DenseMatrix, indices: np.ndarray) -> None:
     g2 = float(direction @ direction)
     if g2 <= 0.0:
         raise StalledError("row method stalled on inconsistent system")
-    weight = g1 / g2
-    state.x += weight * direction
-    state.r -= weight * a.matvec(direction)
+    state.x += g1 / g2 * direction
 
 
 def rgrk_step(
     state: SolveState,
     a: DenseMatrix,
-    b: np.ndarray,
+    r: np.ndarray,
     indices: np.ndarray,
     rng: np.random.Generator,
 ) -> None:
     """Sample one row from the selected set with probability proportional to its
-    squared residual, then apply the single-row projection."""
-    kaczmarz_step(state, a, b, _draw_by_square(state.r, indices, rng))
+    squared residual in ``r = b - A x``, then apply the single-row projection."""
+    i = _draw_by_square(r, indices, rng)
+    kaczmarz_step(state, a, float(r[i]), i)
 
 
 def block_project_step(state: SolveState, a: DenseMatrix, b: np.ndarray, indices: np.ndarray) -> None:
@@ -112,28 +99,18 @@ def block_project_step(state: SolveState, a: DenseMatrix, b: np.ndarray, indices
 
 @dataclass
 class _RowFamily(MethodFamily):
-    """Row hooks: the residual r = b - A x carried by RGRK and RGDR, errors in x, and a
-    stall window of 10*m."""
+    """Row hooks: errors in x and a stall window of 10*m."""
 
     kind = "row"
     methods = ROW_METHODS
     params = {"rgdr": "theta", "rgrk": "theta", "gbk": "eta1", "rbk": "block_size"}
 
     def __post_init__(self):
-        if self.method in ("rgrk", "rgdr"):
-            self.state.r = residual(self.a, self.b, self.state.x)
         self.sqnorms = self.a.row_sqnorms
         self.partition = (
             make_partition(self.a.m, self.config.block_size) if self.method == "rbk" else None
         )
         self.stall_window = 10 * self.a.m
-
-    def refresh(self) -> None:
-        if self.state.r is None:
-            return
-        fresh = self.b - self.a.matvec(self.state.x)
-        check_drift(fresh, self.state.r, float(np.linalg.norm(self.b)), "residual")
-        self.state.r = fresh
 
     def err_sq(self) -> float:
         dx = self.state.x - self.x_star
@@ -144,19 +121,21 @@ class _RowFamily(MethodFamily):
         profile = None
         try:
             if method == "kaczmarz":
-                selected = np.array([state.k % a.m])
-                kaczmarz_step(state, a, b, int(selected[0]))
-            elif method == "gbk":
-                profile = row_losses(a, residual(a, b, state.x))
-                selected = gbk_set(profile, config.eta1)
-                block_project_step(state, a, b, selected)
-            elif method in ("rgrk", "rgdr"):
-                profile = row_losses(a, state.r)
-                selected = relaxed_greedy_set(profile, config.theta)
-                if method == "rgdr":
-                    rgdr_step(state, a, selected)
+                i = state.k % a.m
+                selected = np.array([i])
+                kaczmarz_step(state, a, float(b[i] - a.entries[i] @ state.x), i)
+            elif method in ("gbk", "rgrk", "rgdr"):
+                r = residual(a, b, state.x)
+                profile = row_losses(a, r)
+                if method == "gbk":
+                    selected = gbk_set(profile, config.eta1)
+                    block_project_step(state, a, b, selected)
                 else:
-                    rgrk_step(state, a, b, selected, self.rng)
+                    selected = relaxed_greedy_set(profile, config.theta)
+                    if method == "rgdr":
+                        rgdr_step(state, a, r, selected)
+                    else:
+                        rgrk_step(state, a, r, selected, self.rng)
             else:  # rbk
                 selected = self.partition[int(self.rng.integers(len(self.partition)))]
                 block_project_step(state, a, b, selected)

@@ -10,16 +10,11 @@ from typing import ClassVar
 import numpy as np
 
 from .cgls import CglsConfig
-from .errors import RgsolveError, UsageError
+from .errors import UsageError
 from .linalg import DenseMatrix, as_vector
 from .selection import SelectionConfig
 
 TERMINATION_REASONS = ("converged", "max_iters", "stalled", "stationary")
-
-# The carried vectors (the residual, y) are recomputed from x this often, and the run
-# fails if the recursion drifted by more than _DRIFT_REL of its scale.
-REFRESH_EVERY = 100
-_DRIFT_REL = 1e-8
 
 # A run stalls when the best RSE fails to improve by this relative amount over
 # its family's stall window.
@@ -28,17 +23,13 @@ _STALL_IMPROVEMENT = 1e-3
 
 @dataclass
 class SolveState:
-    """Evolving iterate: x, the residual r = b - A x when carried, and (column methods)
-    y = A.T r.
+    """Evolving iterate: x and, for the column methods, y = A.T (b - A x).
 
-    ``r`` is set only for RGRK and RGDR, which carry it by recursion; every other
-    method leaves it None. Cyclic Kaczmarz and RBK read the residual entries of
-    their rows from x and b, GBK forms ``b - A x`` afresh at each step, and the
-    column methods select and step on y alone.
+    No method carries the residual r itself. The row methods read it from x
+    and b at each step, and the column methods carry y by recursion.
     """
 
     x: np.ndarray
-    r: np.ndarray | None
     y: np.ndarray | None = None
     k: int = 0
 
@@ -112,23 +103,6 @@ class SolveReport:
             "x_final": None if self.x_final is None else [float(v) for v in self.x_final],
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "SolveReport":
-        x_final = data.get("x_final")
-        return cls(
-            method=data["method"],
-            params=dict(data["params"]),
-            seed=data["seed"],
-            iterations=int(data["iterations"]),
-            final_rse=float(data["final_rse"]),
-            rse_trace=[float(v) for v in data["rse_trace"]],
-            set_size_trace=[int(v) for v in data["set_size_trace"]],
-            iter_seconds=[float(v) for v in data["iter_seconds"]],
-            wall_seconds=float(data["wall_seconds"]),
-            termination_reason=data["termination_reason"],
-            x_final=None if x_final is None else np.asarray(x_final, dtype=float),
-        )
-
 
 def residual(a: DenseMatrix, b: np.ndarray, x: np.ndarray) -> np.ndarray:
     """``b - A x``; a copy of b when x is zero, since ``A @ 0`` is +0.0 and ``b - 0.0``
@@ -136,34 +110,21 @@ def residual(a: DenseMatrix, b: np.ndarray, x: np.ndarray) -> np.ndarray:
     return b - a.matvec(x) if x.any() else b.copy()
 
 
-def check_drift(fresh: np.ndarray, carried: np.ndarray, base_norm: float, name: str) -> None:
-    """Raise when a vector carried by recursion has drifted from its fresh recomputation."""
-    scale = max(1.0, base_norm + float(np.linalg.norm(fresh)))
-    drift = float(np.linalg.norm(fresh - carried))
-    if drift > _DRIFT_REL * scale:
-        raise RgsolveError(
-            f"{name} recursion drifted beyond tolerance ({drift:.3e} vs scale {scale:.3e})"
-        )
-
-
 @dataclass
 class MethodFamily:
     """What the row or the column methods supply to ``solve_loop``.
 
     ``params`` maps a method to the config field it reads, reported under
-    that name. ``__post_init__`` completes the start state (the residual for
-    RGRK and RGDR, y for the column methods) and sets ``sqnorms`` (summed
-    over the zero set by step records) and ``stall_window`` (iterations
-    without a 0.1% RSE gain before the run stalls, checked after the
-    iteration cap; None for no stall rule).
-    ``refresh()`` recomputes the carried vectors, raising on drift;
-    ``err_sq()`` is the squared error step records carry, read from x alone,
-    so a refresh never changes it. ``step()`` updates ``x`` and the carried
-    vectors and returns ``(selected, profile or None)``, the loss profile
-    whose zero set the step records sum, or a termination reason when nothing
-    is left to select; the loop then counts the iteration in ``state.k``.
-    ``stationary()`` is an extra stop rule checked before the
-    iteration cap.
+    that name. ``__post_init__`` completes the start state (y for the column
+    methods) and sets ``sqnorms`` (summed over the zero set by step records)
+    and ``stall_window`` (iterations without a 0.1% RSE gain before the run
+    stalls, checked after the iteration cap; None for no stall rule).
+    ``err_sq()`` is the squared error step records carry, read from x alone.
+    ``step()`` updates ``x`` (and y) and returns ``(selected, profile or
+    None)``, the loss profile whose zero set the step records sum, or a
+    termination reason when nothing is left to select; the loop then counts
+    the iteration in ``state.k``. ``stationary()`` is an extra stop rule
+    checked before the iteration cap.
     """
 
     kind: ClassVar[str]
@@ -212,7 +173,7 @@ def solve_loop(family: type[MethodFamily], method: str, a: DenseMatrix, b, *, co
         return SolveReport(method, params, seed, 0, 0.0, [0.0], [], [0.0], 0.0,
                            "converged", x_final=x, step_records=[] if record_steps else None)
 
-    state = SolveState(x=x, r=None)
+    state = SolveState(x=x)
     fam = family(method=method, a=a, b=b, x_star=x_star, state=state, config=config, rng=rng)
     rse = 1.0
     rse_trace = [1.0]
@@ -238,9 +199,6 @@ def solve_loop(family: type[MethodFamily], method: str, a: DenseMatrix, b, *, co
         if fam.stall_window is not None and since_best >= fam.stall_window:
             reason = "stalled"
             break
-        if state.k and state.k % REFRESH_EVERY == 0:
-            fam.refresh()
-
         outcome = fam.step()
         if isinstance(outcome, str):
             reason = outcome

@@ -283,6 +283,27 @@ def test_solve_malformed_problem_file_exits_2_naming_it(tmp_path, small_problem,
     assert err.startswith(f"error: {path}") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command, name", [
+    ("solve", "prob/A.mtx"), ("solve", "prob/meta.json"), ("bench", "bench.json"),
+    ("trace-plot", "run/report.json"),
+], ids=["matrix", "meta", "bench-config", "report"])
+def test_non_ascii_input_file_exits_2_naming_it(tmp_path, small_problem, capsys, command, name):
+    (tmp_path / "bench.json").write_text(json.dumps({
+        "problems": [{"m": 10, "n": 2}], "methods": [{"method": "rgdr"}], "seeds": [0]}))
+    assert run_cli("solve", str(small_problem), "--method", "rgdr",
+                   "--out", str(tmp_path / "run")) == 0
+    path = tmp_path / name
+    with open(path, "ab") as fh:
+        fh.write(b"\xff")
+    capsys.readouterr()
+    argv = {"solve": ("solve", str(small_problem), "--method", "rgdr"),
+            "bench": ("bench", str(path)), "trace-plot": ("trace-plot", str(path))}[command]
+    assert run_cli(*argv, "--out", str(tmp_path / "o")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: not an ASCII text file") and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
 def test_certify_deterministic_pass(tmp_path):
     prob = tmp_path / "prob"
     assert run_cli("gen", "--kind", "randn", "--m", "100", "--n", "50",
@@ -342,6 +363,21 @@ def test_trace_plot_empty_inputs_writes_header_only(tmp_path):
     out_csv = tmp_path / "empty.csv"
     assert run_cli("trace-plot", "--out", str(out_csv)) == 0
     assert out_csv.read_text().splitlines() == ["method,theta,k,cumulative_seconds,rse"]
+
+
+@pytest.mark.parametrize("payload", [
+    {},
+    [1],
+    {"method": "rgdr", "params": {}, "runs": [{"rse_trace": [1.0, 0.5]}]},
+], ids=["empty-object", "list", "run-without-iter-seconds"])
+def test_trace_plot_malformed_report_exits_2_naming_it(tmp_path, capsys, payload):
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps(payload))
+    out_csv = tmp_path / "curves.csv"
+    assert run_cli("trace-plot", str(report), "--out", str(out_csv)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {report}: not a solve report") and err.count("\n") == 1
+    assert not out_csv.exists()
 
 
 def test_usage_error_exit_code_from_argparse():

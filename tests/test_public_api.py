@@ -6,6 +6,7 @@ import rgsolve
 from rgsolve import (COL_METHODS, ROW_METHODS, SelectionConfig, StopRule, gen_randn,
                      make_consistent, run_col_method, run_row_method)
 from rgsolve.cli import build_parser
+from rgsolve.state import SolveState
 
 PUBLIC_NAMES = [
     "AggregateCertificate", "BoundCertificate", "COL_METHODS", "CglsConfig", "ConvergedSignal",
@@ -33,6 +34,11 @@ def test_public_names_are_pinned_and_resolve():
 def test_each_knob_has_one_name():
     assert [f.name for f in fields(SelectionConfig)] == ["theta", "eta1", "eta2", "block_size"]
     assert [f.name for f in fields(StopRule)] == ["rse_tol", "max_iters"]
+
+
+def test_solve_state_carries_no_residual():
+    # Only the column methods carry a vector (y) by recursion; the row methods form r.
+    assert [f.name for f in fields(SolveState)] == ["x", "y", "k"]
 
 
 @pytest.mark.parametrize("method", ROW_METHODS + COL_METHODS)

@@ -7,7 +7,6 @@ from rgsolve import (
     ROW_METHODS,
     CglsConfig,
     DenseMatrix,
-    RgsolveError,
     SelectionConfig,
     StalledError,
     StopRule,
@@ -29,48 +28,50 @@ DIAG = DenseMatrix([[1.0, 0.0], [0.0, 2.0]])
 B_DIAG = np.array([1.0, 4.0])
 
 
-def fresh_state(a, b, x=None):
-    x = np.zeros(a.n) if x is None else np.asarray(x, dtype=float).copy()
-    return SolveState(x=x, r=b - a.matvec(x))
+def fresh_state(a, x=None):
+    return SolveState(x=np.zeros(a.n) if x is None else np.asarray(x, dtype=float).copy())
+
+
+def residual(a, b, state):
+    return b - a.matvec(state.x)
 
 
 def test_kaczmarz_identity_row():
     a = DenseMatrix(np.eye(2))
-    state = fresh_state(a, np.array([1.0, 2.0]))
-    kaczmarz_step(state, a, np.array([1.0, 2.0]), 1)
+    state = fresh_state(a)
+    kaczmarz_step(state, a, 2.0, 1)
     np.testing.assert_allclose(state.x, [0.0, 2.0])
 
 
 def test_kaczmarz_hand():
-    state = fresh_state(DIAG, B_DIAG)
-    kaczmarz_step(state, DIAG, B_DIAG, 1)
+    state = fresh_state(DIAG)
+    kaczmarz_step(state, DIAG, 4.0, 1)
     np.testing.assert_allclose(state.x, [0.0, 2.0])
-    assert abs(state.r[1]) < 1e-15
+    assert abs(residual(DIAG, B_DIAG, state)[1]) < 1e-15
 
 
 def test_kaczmarz_satisfied_row_is_noop():
-    state = fresh_state(DIAG, B_DIAG, x=[1.0, 0.0])  # row 0 already satisfied
-    x_before, r_before = state.x.copy(), state.r.copy()
-    kaczmarz_step(state, DIAG, B_DIAG, 0)
+    state = fresh_state(DIAG, x=[1.0, 0.0])  # row 0 already satisfied
+    x_before = state.x.copy()
+    r = residual(DIAG, B_DIAG, state)
+    kaczmarz_step(state, DIAG, float(r[0]), 0)
     assert state.x.tobytes() == x_before.tobytes()
-    assert state.r.tobytes() == r_before.tobytes()
-    rgdr_step(state, DIAG, np.array([0]))  # a satisfied set
+    rgdr_step(state, DIAG, r, np.array([0]))  # a satisfied set
     assert state.x.tobytes() == x_before.tobytes()
-    assert state.r.tobytes() == r_before.tobytes()
 
 
 def test_kaczmarz_rejects_zero_row():
     a = DenseMatrix([[0.0, 0.0], [1.0, 1.0]])
-    state = SolveState(x=np.zeros(2), r=np.array([1.0, 1.0]))
+    state = SolveState(x=np.zeros(2))
     with pytest.raises(UsageError):
-        kaczmarz_step(state, a, np.array([1.0, 1.0]), 0)
+        kaczmarz_step(state, a, 1.0, 0)
 
 
 def test_rgdr_hand_step():
-    state = fresh_state(DIAG, B_DIAG)
-    rgdr_step(state, DIAG, np.array([1]))
+    state = fresh_state(DIAG)
+    rgdr_step(state, DIAG, B_DIAG, np.array([1]))  # r = b at x = 0
     np.testing.assert_allclose(state.x, [0.0, 2.0], atol=1e-15)
-    np.testing.assert_allclose(state.r, [1.0, 0.0], atol=1e-15)
+    np.testing.assert_allclose(residual(DIAG, B_DIAG, state), [1.0, 0.0], atol=1e-15)
     # weight (eta.T r) / ||A.T eta||^2 = 16 / 64 along A.T eta = (0, 8)
     np.testing.assert_array_equal(state.x, 0.25 * np.array([0.0, 8.0]))
 
@@ -78,12 +79,12 @@ def test_rgdr_hand_step():
 def test_rgdr_full_set_identity_converges_in_one_step():
     a = DenseMatrix(np.eye(2))
     b = np.array([2.0, 2.0])
-    state = fresh_state(a, b)
-    rgdr_step(state, a, np.array([0, 1]))
+    state = fresh_state(a)
+    rgdr_step(state, a, b, np.array([0, 1]))
     np.testing.assert_allclose(state.x, [2.0, 2.0], atol=1e-15)
     # weight 8 / 8 = 1 along A.T eta = (2, 2): the step lands exactly on b
     np.testing.assert_array_equal(state.x, [2.0, 2.0])
-    np.testing.assert_array_equal(state.r, [0.0, 0.0])
+    np.testing.assert_array_equal(residual(a, b, state), [0.0, 0.0])
 
 
 def test_rgdr_singleton_equals_kaczmarz():
@@ -92,13 +93,13 @@ def test_rgdr_singleton_equals_kaczmarz():
         a = DenseMatrix(rng.standard_normal((12, 5)))
         b = rng.standard_normal(12)
         x = rng.standard_normal(5)
-        s1 = fresh_state(a, b, x)
-        s2 = fresh_state(a, b, x)
+        s1 = fresh_state(a, x)
+        s2 = fresh_state(a, x)
+        r = residual(a, b, s1)
         i = int(rng.integers(a.m))
-        rgdr_step(s1, a, np.array([i]))
-        kaczmarz_step(s2, a, b, i)
+        rgdr_step(s1, a, r, np.array([i]))
+        kaczmarz_step(s2, a, float(r[i]), i)
         np.testing.assert_allclose(s1.x, s2.x, atol=1e-12)
-        np.testing.assert_allclose(s1.r, s2.r, atol=1e-12)
 
 
 def test_rgdr_petrov_galerkin_orthogonality():
@@ -106,14 +107,15 @@ def test_rgdr_petrov_galerkin_orthogonality():
     for _ in range(50):
         a = DenseMatrix(rng.standard_normal((15, 6)))
         b = rng.standard_normal(15)
-        state = fresh_state(a, b, rng.standard_normal(6))
-        profile = row_losses(a, state.r)
-        sel = relaxed_greedy_set(profile, rng.uniform(0.0, 1.0))
+        state = fresh_state(a, rng.standard_normal(6))
+        r = residual(a, b, state)
+        sel = relaxed_greedy_set(row_losses(a, r), rng.uniform(0.0, 1.0))
         eta = np.zeros(a.m)
-        eta[sel] = state.r[sel]
-        rgdr_step(state, a, sel)
-        bound = 1e-10 * np.linalg.norm(eta) * np.linalg.norm(state.r)
-        assert abs(float(eta @ state.r)) <= max(bound, 1e-30)
+        eta[sel] = r[sel]
+        rgdr_step(state, a, r, sel)
+        r = residual(a, b, state)
+        bound = 1e-10 * np.linalg.norm(eta) * np.linalg.norm(r)
+        assert abs(float(eta @ r)) <= max(bound, 1e-30)
 
 
 def test_rgdr_stalls_when_direction_vanishes():
@@ -121,13 +123,13 @@ def test_rgdr_stalls_when_direction_vanishes():
     # (1, 1) on those rows maps through A.T to zero.
     a = DenseMatrix([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
     b = np.array([1.0, 1.0, 0.0])  # inconsistent on the first two rows
-    state = fresh_state(a, b)
+    state = fresh_state(a)
     with pytest.raises(StalledError):
-        rgdr_step(state, a, np.array([0, 1]))
+        rgdr_step(state, a, b, np.array([0, 1]))
 
 
 def test_rgrk_singleton_support_deterministic():
-    state = fresh_state(DIAG, B_DIAG)
+    state = fresh_state(DIAG)
     rgrk_step(state, DIAG, B_DIAG, np.array([1]), np.random.default_rng(0))
     np.testing.assert_allclose(state.x, [0.0, 2.0])
 
@@ -140,7 +142,7 @@ def test_rgrk_sampling_distribution():
     picks = 0
     trials = 100_000
     for _ in range(trials):
-        state = fresh_state(a, b)
+        state = fresh_state(a)
         rgrk_step(state, a, b, np.array([0, 1]), rng)
         if state.x[1] != 0.0:
             picks += 1
@@ -150,7 +152,7 @@ def test_rgrk_sampling_distribution():
 def test_block_project_full_set_jumps_to_solution():
     a = DenseMatrix(np.eye(2))
     b = np.array([1.0, 2.0])
-    state = fresh_state(a, b)
+    state = fresh_state(a)
     block_project_step(state, a, b, np.array([0, 1]))
     np.testing.assert_allclose(state.x, [1.0, 2.0], atol=1e-10)
 
@@ -160,10 +162,10 @@ def test_block_project_singleton_matches_kaczmarz():
     a = DenseMatrix(rng.standard_normal((10, 4)))
     b = rng.standard_normal(10)
     x = rng.standard_normal(4)
-    s1 = fresh_state(a, b, x)
-    s2 = fresh_state(a, b, x)
+    s1 = fresh_state(a, x)
+    s2 = fresh_state(a, x)
     block_project_step(s1, a, b, np.array([4]))
-    kaczmarz_step(s2, a, b, 4)
+    kaczmarz_step(s2, a, float(residual(a, b, s2)[4]), 4)
     np.testing.assert_allclose(s1.x, s2.x, atol=1e-10)
 
 
@@ -172,13 +174,13 @@ def test_block_project_full_rows_reaches_least_norm():
     a = DenseMatrix(rng.standard_normal((12, 5)))
     x_true = rng.standard_normal(5)
     b = a.matvec(x_true)
-    state = fresh_state(a, b)
+    state = fresh_state(a)
     block_project_step(state, a, b, np.arange(12))
     np.testing.assert_allclose(state.x, x_true, rtol=1e-8)
 
 
 def _assert_row_block_is_min_norm(a, b, indices, x):
-    state = SolveState(x=x.copy(), r=None)
+    state = SolveState(x=x.copy())
     block_project_step(state, a, b, indices)
     sub = a.entries[indices]
     expected = x + np.linalg.lstsq(sub, b[indices] - sub @ x, rcond=None)[0]
@@ -293,39 +295,28 @@ def test_residual_recursion_stays_consistent_over_long_runs():
     inst = make_consistent(a, 31)
     report = run_row_method("rgrk", a, inst.b, x_star=inst.x_star, seed=1,
                             stop=StopRule(rse_tol=1e-10, max_iters=5000))
-    # the driver re-verifies r = b - A x every 100 iterations and raises on drift
+    # r = b - A x is formed afresh at every step, so no recursion can drift
     assert report.iterations > 200
     assert report.termination_reason == "converged"
 
 
-@pytest.mark.parametrize("method, name", [("rgrk", "kaczmarz_step"), ("rgdr", "rgdr_step")])
-def test_refresh_catches_drift_in_carried_residual(monkeypatch, method, name):
+@pytest.mark.parametrize("method", ["rgrk", "rgdr"])
+def test_relaxed_greedy_row_methods_form_the_residual_once_per_step(monkeypatch, method):
     a = gen_randn(200, 40, 11)
     inst = make_consistent(a, 12)
-    original = getattr(row_methods, name)
-
-    def perturbed(state, *args, **kwargs):
-        original(state, *args, **kwargs)
-        if state.k == 20:
-            state.r[0] += 1e-3
-
-    monkeypatch.setattr(row_methods, name, perturbed)
-    with pytest.raises(RgsolveError, match="residual recursion drifted"):
-        run_row_method(method, a, inst.b, x_star=inst.x_star, seed=0,
-                       stop=StopRule(rse_tol=1e-300, max_iters=1000))
+    gemvs = []
+    matvec = DenseMatrix.matvec
+    monkeypatch.setattr(DenseMatrix, "matvec", lambda self, x: gemvs.append(1) or matvec(self, x))
+    report = run_row_method(method, a, inst.b, x_star=inst.x_star, seed=0,
+                            stop=StopRule(rse_tol=1e-300, max_iters=350))
+    assert report.iterations == 350 and report.termination_reason == "max_iters"
+    # b - A x before every step but the first, where x = 0; none at start, refresh or the end
+    assert len(gemvs) == report.iterations - 1
 
 
 def test_cyclic_kaczmarz_carries_no_residual_across_refreshes(monkeypatch):
     a = gen_randn(30, 20, 30)
     inst = make_consistent(a, 31)
-    carried = []
-    original = row_methods.kaczmarz_step
-
-    def watched(state, *args):
-        carried.append(state.r is not None)
-        original(state, *args)
-
-    monkeypatch.setattr(row_methods, "kaczmarz_step", watched)
     gemvs = []
     matvec = DenseMatrix.matvec
     monkeypatch.setattr(DenseMatrix, "matvec", lambda self, x: gemvs.append(1) or matvec(self, x))
@@ -333,23 +324,13 @@ def test_cyclic_kaczmarz_carries_no_residual_across_refreshes(monkeypatch):
                             stop=StopRule(rse_tol=1e-10, max_iters=5000))
     assert report.iterations > 300
     assert report.termination_reason == "converged"
-    assert len(carried) == report.iterations and not any(carried)
     assert gemvs == []  # no start, per-step or refresh GEMV
 
 
-def _block_solve_watching_residual(monkeypatch, method, config):
-    """Solve with ``method``, noting whether each block step saw a carried residual and
-    counting GEMVs."""
+def _block_solve_counting_gemvs(monkeypatch, method, config):
+    """Solve with ``method``, counting GEMVs."""
     a = gen_randn(60, 20, 44)
     inst = make_consistent(a, 45)
-    carried = []
-    original = row_methods.block_project_step
-
-    def watched(state, *args):
-        carried.append(state.r is not None)
-        original(state, *args)
-
-    monkeypatch.setattr(row_methods, "block_project_step", watched)
     gemvs = []
     matvec = DenseMatrix.matvec
     monkeypatch.setattr(DenseMatrix, "matvec", lambda self, x: gemvs.append(1) or matvec(self, x))
@@ -357,17 +338,16 @@ def _block_solve_watching_residual(monkeypatch, method, config):
                             stop=StopRule(rse_tol=1e-10, max_iters=5000))
     assert report.iterations > 300
     assert report.termination_reason == "converged"
-    assert len(carried) == report.iterations and not any(carried)
     return report, gemvs
 
 
 def test_rbk_carries_no_residual_across_refreshes(monkeypatch):
-    _, gemvs = _block_solve_watching_residual(monkeypatch, "rbk", SelectionConfig(block_size=2))
+    _, gemvs = _block_solve_counting_gemvs(monkeypatch, "rbk", SelectionConfig(block_size=2))
     assert gemvs == []  # no start, per-step or refresh GEMV
 
 
 def test_gbk_carries_no_residual_across_refreshes(monkeypatch):
-    report, gemvs = _block_solve_watching_residual(monkeypatch, "gbk", SelectionConfig(eta1=1.0))
+    report, gemvs = _block_solve_counting_gemvs(monkeypatch, "gbk", SelectionConfig(eta1=1.0))
     # b - A x before every step but the first, where x = 0; none at start, refresh or the end
     assert len(gemvs) == report.iterations - 1
 
