@@ -10,8 +10,15 @@ step, independent of m. On wide matrices (n > m), where no Gram is kept, the
 move is ``A.T @ (A[:, S] @ w)`` instead. RBCD solves the s x s system
 ``G[S, S] w = y[S]`` by Cholesky (on wide matrices it forms ``A_S.T @ A_S``).
 No column method carries the residual r itself; y is recomputed from x every
-100 iterations. Step records read the energy error ``||A (x - x*)||^2`` from
-x, one GEMV per recorded step.
+100 iterations, on tall matrices as ``A.T b - G x`` (O(n^2), with ``A.T b``
+kept from the start) and on wide ones as ``A.T (b - A x)``. RGDC's step
+length divides by ``||A_S y_S||^2``, read on tall matrices as the quadratic
+form ``y_S.T G[S, S] y_S``, O(s) once y's move ``y_S.T G[S]`` is formed;
+when that form falls below ``GRAM_WEIGHT_REL`` of ``sum_j y_j^2 ||A_j||^2``
+over S, the columns nearly cancel and the weight is formed from ``A_S y_S``
+(O(m*s)) instead. So between start and stop a tall run touches length-m
+data only for step records, which read the energy error ``||A (x - x*)||^2``
+from x (one GEMV per recorded step), and in RBCD's least-squares fallback.
 """
 
 from __future__ import annotations
@@ -51,6 +58,12 @@ STATIONARITY_REL = 1e-14
 REFRESH_EVERY = 100
 _DRIFT_REL = 1e-8
 
+# RGDC's Gram-form weight ``y_S.T G[S, S] y_S`` is trusted only down to this fraction of
+# ``sum_j y_j^2 G_jj``; below it the selected columns nearly cancel, the form's rounding
+# (about s * (m + s) * eps of that sum) is no longer small against it, and the weight
+# is formed from ``A_S y_S`` instead.
+GRAM_WEIGHT_REL = 1e-4
+
 
 def _normal_product(a: DenseMatrix, indices, w, applied: np.ndarray | None = None) -> np.ndarray:
     """``A.T @ (A[:, indices] @ w)``, the move of y for the step ``x[indices] += w``.
@@ -84,20 +97,29 @@ def rgdc_step(state: SolveState, a: DenseMatrix, indices: np.ndarray) -> None:
 
     With xi supported on ``indices`` carrying the values of y there, the update
     is ``x += (xi.T y / ||A xi||^2) xi``; afterwards xi is orthogonal to the
-    new y. Raises DegenerateStepError if ``A xi`` vanishes, which requires the
-    selected columns to cancel exactly.
+    new y. With a Gram, ``||A xi||^2`` is read off the move of y as
+    ``y_S.T G[S, S] y_S`` unless that falls below ``GRAM_WEIGHT_REL`` of
+    ``sum_j y_j^2 ||A_j||^2``, where ``A xi`` is formed instead. Raises
+    DegenerateStepError if ``A xi`` vanishes, which requires the selected
+    columns to cancel exactly.
     """
     y_sel = state.y[indices]
     h1 = float(y_sel @ y_sel)
     if h1 <= 0.0:
         return
-    combined = a.entries_t[indices].T @ y_sel  # A[:, indices] @ y_sel
-    h2 = float(combined @ combined)
-    if h2 <= 0.0:
-        raise DegenerateStepError("selected columns cancel exactly; aggregate step is degenerate")
+    move = None if a.gram is None else _normal_product(a, indices, y_sel)  # A.T A_S y_S
+    h2 = None if move is None else float(move[indices] @ y_sel)  # y_S.T G[S, S] y_S
+    if h2 is None or h2 <= GRAM_WEIGHT_REL * float((y_sel * y_sel) @ a.col_sqnorms[indices]):
+        combined = a.entries_t[indices].T @ y_sel  # A[:, indices] @ y_sel
+        h2 = float(combined @ combined)
+        if h2 <= 0.0:
+            raise DegenerateStepError(
+                "selected columns cancel exactly; aggregate step is degenerate")
+        if move is None:
+            move = _normal_product(a, indices, y_sel, combined)
     weight = h1 / h2
     state.x[indices] += weight * y_sel
-    state.y -= weight * _normal_product(a, indices, y_sel, combined)
+    state.y -= weight * move
 
 
 def rgrcd_step(state: SolveState, a: DenseMatrix, indices: np.ndarray, rng: np.random.Generator) -> None:
@@ -150,9 +172,9 @@ class _ColFamily(MethodFamily):
     def __post_init__(self):
         a, state = self.a, self.state
         state.y = a.matvec_transpose(residual(a, self.b, state.x))
-        # At x = 0, r is b bit for bit, so y is A.T b.
-        self.atb_norm = float(np.linalg.norm(
-            a.matvec_transpose(self.b) if state.x.any() else state.y))
+        # At x = 0, r is b bit for bit, so y is A.T b; a copy, since steps update y in place.
+        self.atb = a.matvec_transpose(self.b) if state.x.any() else state.y.copy()
+        self.atb_norm = float(np.linalg.norm(self.atb))
         self.sqnorms = a.col_sqnorms
         self.stall_window = None
         self.partition = (
@@ -161,7 +183,10 @@ class _ColFamily(MethodFamily):
 
     def refresh(self) -> None:
         """Recompute y from x, raising when the recursion has drifted from it."""
-        fresh = self.a.matvec_transpose(self.b - self.a.matvec(self.state.x))
+        a, x = self.a, self.state.x
+        gram = a.gram
+        fresh = (a.matvec_transpose(self.b - a.matvec(x)) if gram is None
+                 else self.atb - gram @ x)
         scale = max(1.0, self.atb_norm + float(np.linalg.norm(fresh)))
         drift = float(np.linalg.norm(fresh - self.state.y))
         if drift > _DRIFT_REL * scale:

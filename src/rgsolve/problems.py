@@ -125,7 +125,7 @@ def make_inconsistent(
     moves the residual but not the least-squares solution. Requires the
     orthogonal complement of range(A) to be nontrivial.
     """
-    if noise_scale <= 0.0:
+    if not noise_scale > 0.0:  # also NaN
         raise UsageError(f"noise_scale must be positive, got {noise_scale}")
     rng = np.random.default_rng(seed)
     x_gen = rng.standard_normal(a.n)

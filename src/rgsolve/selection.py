@@ -54,7 +54,7 @@ class SelectionConfig:
             raise UsageError(f"theta must lie in [0, 1], got {self.theta}")
         if not 0.0 < self.eta1 <= 1.0:
             raise UsageError(f"eta1 must lie in (0, 1], got {self.eta1}")
-        if self.eta2 < 0.0:
+        if not self.eta2 >= 0.0:  # also NaN
             raise UsageError(f"eta2 must be nonnegative, got {self.eta2}")
         if int(self.block_size) != self.block_size or self.block_size < 1:
             raise UsageError(f"block_size must be a positive integer, got {self.block_size}")

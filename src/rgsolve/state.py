@@ -43,9 +43,10 @@ class StopRule:
     max_iters: int = 1_000_000
 
     def __post_init__(self):
-        if self.rse_tol <= 0.0:
+        # Negated, so that NaN fails them too.
+        if not self.rse_tol > 0.0:
             raise UsageError(f"rse_tol must be positive, got {self.rse_tol}")
-        if self.max_iters < 1:
+        if not self.max_iters >= 1:
             raise UsageError(f"max_iters must be at least 1, got {self.max_iters}")
 
 

@@ -254,6 +254,31 @@ def test_bench_malformed_config_entries_exit_2(tmp_path, capsys, config):
 
 
 @pytest.mark.parametrize("argv", [
+    ("solve", "PROBLEM", "--method", "amdcd", "--eta2", "nan"),
+    ("solve", "PROBLEM", "--method", "cd", "--tol", "nan"),
+    ("gen", "--kind", "randn", "--m", "20", "--n", "4", "--seed", "1", "--inconsistent",
+     "--noise-scale", "nan"),
+], ids=["eta2", "tol", "noise-scale"])
+def test_nan_parameter_exits_2(tmp_path, small_problem, capsys, argv):
+    argv = [str(small_problem) if arg == "PROBLEM" else arg for arg in argv]
+    assert run_cli(*argv, "--out", str(tmp_path / "o")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.endswith(", got nan\n") and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+def test_bench_nan_tol_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"problems": [{"kind": "randn", "m": 10, "n": 2}],
+                               "methods": [{"method": "cd"}], "seeds": [0],
+                               "tol": float("nan")}))
+    assert "NaN" in cfg.read_text()
+    assert run_cli("bench", str(cfg), "--out", str(tmp_path / "o")) == 2
+    assert capsys.readouterr().err == "error: rse_tol must be positive, got nan\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv", [
     ("gen", "--kind", "randn", "--m", "50", "--n", "10", "--seed", "-1"),
     ("solve", "PROBLEM", "--method", "rgrk", "--seed", "-1"),
     ("solve", "PROBLEM", "--method", "rgrk", "--repeats", "0"),

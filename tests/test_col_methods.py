@@ -123,6 +123,42 @@ def test_rgdc_degenerate_cancelling_columns():
         rgdc_step(state, a, np.array([0, 1]))
 
 
+def _gathered_rgdc_step(state, a, indices):
+    """RGDC's step with its weight from the gathered ``A_S y_S``."""
+    y_sel = state.y[indices]
+    combined = a.entries[:, indices] @ y_sel
+    weight = float(y_sel @ y_sel) / float(combined @ combined)
+    state.x[indices] += weight * y_sel
+    state.y -= weight * (y_sel @ a.gram[indices])
+
+
+def test_rgdc_nearly_cancelling_columns_take_the_gathered_weight():
+    rng = np.random.default_rng(40)
+    v, w, u = rng.standard_normal((3, 50))
+    a = DenseMatrix(np.column_stack([v, -v + 1e-6 * w, u]))
+    b = rng.standard_normal(50)
+    indices = np.array([0, 1])
+    state = SolveState(x=np.zeros(3), y=np.array([1.0, 1.0, 0.5]))
+    gathered = SolveState(x=state.x.copy(), y=state.y.copy())
+    rgdc_step(state, a, indices)
+    _gathered_rgdc_step(gathered, a, indices)
+    np.testing.assert_allclose(state.x, gathered.x, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(state.y, gathered.y, rtol=1e-12, atol=0.0)
+    # A_S y_S = 1e-6 w: the Gram form's rounding is far from negligible against it.
+    y_sel = np.ones(2)
+    gram_h2 = float(y_sel @ a.gram[np.ix_(indices, indices)] @ y_sel)
+    exact_h2 = float(np.sum(np.square(1e-6 * w)))
+    assert abs(gram_h2 - exact_h2) > 1e-6 * exact_h2
+    # Columns that do not cancel take the Gram form itself.
+    a = DenseMatrix(rng.standard_normal((50, 6)))
+    state = fresh_state(a, b)
+    x0, y_sel = state.x.copy(), state.y[[1, 3, 4]]
+    rgdc_step(state, a, np.array([1, 3, 4]))
+    gram_h2 = float(y_sel @ a.gram[np.ix_([1, 3, 4], [1, 3, 4])] @ y_sel)
+    np.testing.assert_allclose(state.x[[1, 3, 4]] - x0[[1, 3, 4]],
+                               float(y_sel @ y_sel) / gram_h2 * y_sel, rtol=1e-14)
+
+
 def test_rgrcd_singleton_deterministic():
     state = fresh_state(DIAG, B_DIAG)
     rgrcd_step(state, DIAG, np.array([1]), np.random.default_rng(0))
@@ -420,6 +456,59 @@ def test_refresh_catches_drift_in_carried_y(monkeypatch, method):
                        stop=StopRule(rse_tol=1e-300, max_iters=1000))
 
 
+def _long_double_normal_residual(a, b, x):
+    big = a.entries.astype(np.longdouble)
+    return big.T @ (b.astype(np.longdouble) - big @ x.astype(np.longdouble))
+
+
+def _family(a, b):
+    return col_methods._ColFamily(method="cd", a=a, b=b, x_star=np.zeros(a.n),
+                                  state=SolveState(x=np.zeros(a.n)), config=SelectionConfig(),
+                                  rng=np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("instance", [
+    lambda: make_inconsistent(gen_randn(500, 50, 70), 71),
+    lambda: make_inconsistent(gen_smatrix(300, 50, 50, 1e3, 1.0, 72), 73),
+], ids=["randn", "smatrix-cond-1e3"])
+@pytest.mark.parametrize("offset", [0.0, 1e-6])
+def test_gram_refresh_matches_a_long_double_normal_residual(monkeypatch, instance, offset):
+    inst = instance()
+    a, b = inst.A, inst.b
+    fam = _family(a, b)
+    x = inst.x_star + offset
+    truth = _long_double_normal_residual(a, b, x)
+    fam.state.x[:] = x
+    fam.state.y = a.matvec_transpose(b - a.matvec(x))
+    for name in ("matvec", "matvec_transpose"):  # the refresh reads A.T b - G x alone
+        monkeypatch.setattr(DenseMatrix, name, None)
+    fam.refresh()
+    assert float(np.linalg.norm(fam.state.y - truth)) <= 1e-14 * fam.atb_norm
+
+
+@pytest.mark.parametrize("start", ["zero", "nonzero"])
+def test_refresh_reads_a_t_b_not_the_start_y(monkeypatch, start):
+    a = gen_randn(200, 40, 74)
+    inst = make_inconsistent(a, 75)
+    x0 = None if start == "zero" else np.random.default_rng(76).standard_normal(a.n)
+    families = []
+    init = col_methods._ColFamily.__post_init__
+
+    def watched_init(self):
+        init(self)
+        families.append((self, self.state.y.copy()))
+
+    monkeypatch.setattr(col_methods._ColFamily, "__post_init__", watched_init)
+    report = run_col_method("cd", a, inst.b, x0=x0, x_star=inst.x_star,
+                            stop=StopRule(rse_tol=1e-300, max_iters=3 * REFRESH_EVERY))
+    assert report.iterations == 3 * REFRESH_EVERY  # three refreshes without drift
+    (fam, y0), = families
+    assert fam.atb.tobytes() == a.matvec_transpose(inst.b).tobytes()
+    assert (fam.atb.tobytes() == y0.tobytes()) == (start == "zero")
+    truth = _long_double_normal_residual(a, inst.b, report.x_final)
+    assert float(np.linalg.norm(fam.state.y - truth)) <= 1e-12 * fam.atb_norm
+
+
 @pytest.mark.parametrize("method", ["rgrcd", "rgdc", "amdcd"])
 def test_greedy_column_methods_reject_a_zero_column(method):
     a = DenseMatrix([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 1.0]])
@@ -484,15 +573,19 @@ def _assert_column_solve_carries_no_residual(monkeypatch, shape, method, record_
                             stop=StopRule(rse_tol=1e-300, max_iters=350))
     assert report.iterations == 350 and report.termination_reason == "max_iters"
     assert refreshed == [100, 200, 300]
-    if a.gram is not None:
-        # A.T b at the start and b - A x, A.T r at each refresh: none inside a step. Records
-        # add A (x - x*) at the start and after each step.
-        want = ["matvec_transpose"] + ["matvec"] * record_steps
-        for k in range(report.iterations):
+    # A.T b at the start. On tall matrices nothing else touches A: steps move y through the
+    # Gram and refreshes read A.T b - G x. On wide ones each step moves y by A.T (A_S w) and
+    # each refresh forms b - A x and A.T r. Records add A (x - x*) at the start and after
+    # each step.
+    tall = a.gram is not None
+    want = ["matvec_transpose"] + ["matvec"] * record_steps
+    for k in range(report.iterations):
+        if not tall:
             if k and k % REFRESH_EVERY == 0:
                 want += ["matvec", "matvec_transpose"]
-            want += ["matvec"] * record_steps
-        assert gemvs == want
+            want += ["matvec_transpose"]
+        want += ["matvec"] * record_steps
+    assert gemvs == want
 
 
 @pytest.mark.parametrize("shape", [(60, 20), (20, 60)], ids=["tall", "wide"])
