@@ -29,10 +29,11 @@ class CglsConfig:
     max_iters: int | None = None
 
     def __post_init__(self):
-        if self.rel_tol <= 0.0:
+        if not self.rel_tol > 0.0:  # also NaN
             raise UsageError(f"rel_tol must be positive, got {self.rel_tol}")
-        if self.max_iters is not None and self.max_iters < 1:
-            raise UsageError(f"max_iters must be at least 1, got {self.max_iters}")
+        if self.max_iters is not None and not (
+                isinstance(self.max_iters, (int, np.integer)) and self.max_iters >= 1):
+            raise UsageError(f"max_iters must be an integer of at least 1, got {self.max_iters}")
 
 
 def cgls(matrix, rhs, cfg: CglsConfig | None = None) -> np.ndarray:
@@ -47,12 +48,11 @@ def cgls(matrix, rhs, cfg: CglsConfig | None = None) -> np.ndarray:
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape != (m_arr.shape[0],):
         raise UsageError(f"rhs must have length {m_arr.shape[0]}, got shape {rhs.shape}")
-    if not np.any(m_arr):
+    frob = float(np.linalg.norm(m_arr))  # one dot over the entries, no temporary
+    if frob == 0.0 and not np.any(m_arr):  # the norm underflows for some nonzero M
         raise UsageError("cgls requires a nonzero matrix")
     cfg = cfg or CglsConfig()
-    max_iters = cfg.max_iters
-    if max_iters is None:
-        max_iters = 2 * min(m_arr.shape) + 10
+    max_iters = cfg.max_iters or 2 * min(m_arr.shape) + 10  # validated: None or >= 1
 
     w = np.zeros(m_arr.shape[1])
     s = rhs.copy()
@@ -63,7 +63,6 @@ def cgls(matrix, rhs, cfg: CglsConfig | None = None) -> np.ndarray:
     target = cfg.rel_tol * base
     # Below this the normal-equations residual is rounding noise relative to the
     # current residual's scale; no further progress is possible in float64.
-    frob = float(np.sqrt((m_arr * m_arr).sum()))
     floor_eps = 4.0 * np.finfo(float).eps
     p = q.copy()
     gamma = float(q @ q)

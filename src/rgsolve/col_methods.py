@@ -69,13 +69,13 @@ def _normal_product(a: DenseMatrix, indices, w, applied: np.ndarray | None = Non
     """``A.T @ (A[:, indices] @ w)``, the move of y for the step ``x[indices] += w``.
 
     Through rows of the Gram when A has one, in O(s*n); otherwise through
-    ``applied = A[:, indices] @ w``, formed here (O(m*s)) when not given.
+    ``applied = a.entries[:, indices] @ w``, formed here (O(m*s)) if not given.
     """
     gram = a.gram
     if gram is not None:
         return np.dot(w, gram[indices])
     if applied is None:
-        applied = a.entries_t[indices].T @ w
+        applied = a.entries[:, indices] @ w
     return a.matvec_transpose(applied)
 
 
@@ -89,7 +89,7 @@ def cd_step(state: SolveState, a: DenseMatrix, j: int) -> None:
         delta = y_j / sq
         state.x[j] += delta
         gram = a.gram
-        state.y -= delta * (a.matvec_transpose(a.entries_t[j]) if gram is None else gram[j])
+        state.y -= delta * (a.matvec_transpose(a.entries[:, j]) if gram is None else gram[j])
 
 
 def rgdc_step(state: SolveState, a: DenseMatrix, indices: np.ndarray) -> None:
@@ -110,7 +110,7 @@ def rgdc_step(state: SolveState, a: DenseMatrix, indices: np.ndarray) -> None:
     move = None if a.gram is None else _normal_product(a, indices, y_sel)  # A.T A_S y_S
     h2 = None if move is None else float(move[indices] @ y_sel)  # y_S.T G[S, S] y_S
     if h2 is None or h2 <= GRAM_WEIGHT_REL * float((y_sel * y_sel) @ a.col_sqnorms[indices]):
-        combined = a.entries_t[indices].T @ y_sel  # A[:, indices] @ y_sel
+        combined = a.entries[:, indices] @ y_sel
         h2 = float(combined @ combined)
         if h2 <= 0.0:
             raise DegenerateStepError(
@@ -145,16 +145,16 @@ def amdcd_step(state: SolveState, a: DenseMatrix, indices: np.ndarray) -> None:
 def rbcd_block_step(state: SolveState, a: DenseMatrix, b: np.ndarray, indices: np.ndarray) -> None:
     """Least-squares-solve the residual against the selected columns and apply it.
 
-    The correction is the minimum-norm solution of ``G[S, S] w = y[S]``, the
-    normal equations of ``A_S w = r``. When the block Gram is numerically
-    singular it is least squares on ``A_S`` against ``r = b - A x``, which
-    only that rare path forms (one GEMV).
+    The correction is the minimum-norm solution of ``G[S, S] w = y[S]`` (on
+    wide matrices ``A_S.T @ A_S``, with ``A_S`` gathered from ``a.entries``),
+    the normal equations of ``A_S w = r``. When that is numerically singular it
+    is least squares on ``A_S`` against ``r = b - A x``, formed only then.
     """
     block = _block_index(indices)
-    cols = a.entries_t[block]  # A[:, indices].T
+    cols = a.entries[:, block]
     gram = a.gram
-    block_gram = cols @ cols.T if gram is None else gram[block][:, block]
-    correction = _min_norm_solve(cols.T, lambda: b - a.matvec(state.x), block_gram,
+    block_gram = cols.T @ cols if gram is None else gram[block][:, block]
+    correction = _min_norm_solve(cols, lambda: b - a.matvec(state.x), block_gram,
                                  state.y[block])
     state.x[block] += correction
     state.y -= _normal_product(a, block, correction)

@@ -34,15 +34,15 @@ def _first_zero(sqnorms: np.ndarray) -> int | None:
 class DenseMatrix:
     """Immutable dense coefficient matrix with cached row/column squared norms.
 
-    The entry array and a contiguous transposed copy are both kept so row and
-    column sweeps are O(m*n) without repeated transposition; matrices in scope
-    fit desk memory. The energy weights (squared norms over ``frob_sq``) and
-    the first zero row and column (``zero_row``, ``zero_col``; None when there
-    is none) are computed once here, so selection reads them at no cost. The
-    Gram matrix ``A.T @ A`` (n*n floats) is built on the first ``gram``
-    access and kept, but only when n <= m, where it is no larger than either
-    copy of A. Instances are safe to share across concurrent solves: the Gram
-    is published only once complete, and a race at worst builds it twice.
+    ``entries`` is the only m x n array, and building makes no other: ``A.T @ r``
+    is a transposed GEMV on it. The energy weights (squared norms over
+    ``frob_sq``) and the first zero row and column (``zero_row``,
+    ``zero_col``; None when there is none) are computed once here, so
+    selection reads them at no cost. The Gram matrix ``A.T @ A`` (n*n floats)
+    is built on the first ``gram`` access and kept, but only when n <= m,
+    where it is no larger than A. Instances are safe to share across
+    concurrent solves: the Gram is published only once complete, and a race
+    at worst builds it twice.
     """
 
     def __init__(self, entries):
@@ -51,13 +51,13 @@ class DenseMatrix:
             raise UsageError(f"matrix entries must be two-dimensional, got shape {arr.shape}")
         if arr.shape[0] < 1 or arr.shape[1] < 1:
             raise UsageError("matrix must have at least one row and one column")
-        if not np.all(np.isfinite(arr)):
-            raise UsageError("matrix contains non-finite entries")
         self.entries = arr
-        self.entries_t = np.ascontiguousarray(arr.T)
         self.row_sqnorms = np.einsum("ij,ij->i", arr, arr)
         self.col_sqnorms = np.einsum("ij,ij->j", arr, arr)
         self.frob_sq = float(self.row_sqnorms.sum())
+        # frob_sq is non-finite for NaN/inf entries and for overflowing squares; only then scan.
+        if not np.isfinite(self.frob_sq) and not np.all(np.isfinite(arr)):
+            raise UsageError("matrix contains non-finite entries")
         # Energy weights ||a_i||^2 / ||A||_F^2 and ||A_j||^2 / ||A||_F^2 for the greedy
         # thresholds; an all-zero matrix has none, and selection rejects its zero rows first.
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -65,7 +65,7 @@ class DenseMatrix:
             self.col_weights = self.col_sqnorms / self.frob_sq
         self.zero_row = _first_zero(self.row_sqnorms)
         self.zero_col = _first_zero(self.col_sqnorms)
-        for a in (self.entries, self.entries_t, self.row_sqnorms, self.col_sqnorms,
+        for a in (self.entries, self.row_sqnorms, self.col_sqnorms,
                   self.row_weights, self.col_weights):
             a.setflags(write=False)
         self._gram = None
@@ -105,7 +105,7 @@ class DenseMatrix:
             raise UsageError(
                 f"matvec_transpose expects a length-{self.m} vector, got shape {r.shape}"
             )
-        return self.entries_t @ r
+        return self.entries.T @ r
 
     def __repr__(self) -> str:
         return f"DenseMatrix({self.m}x{self.n})"

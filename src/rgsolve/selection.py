@@ -114,7 +114,7 @@ def gbk_set(profile: LossProfile, eta1: float) -> np.ndarray:
 
 def max_distance_set(a: DenseMatrix, y, eta2: float) -> np.ndarray:
     """Columns whose scaled correlation |y_j| / ||col_j|| is within eta2 of the best."""
-    if eta2 < 0.0:
+    if not eta2 >= 0.0:  # also NaN
         raise UsageError(f"eta2 must be nonnegative, got {eta2}")
     y = np.asarray(y, dtype=float)
     if y.shape != (a.n,):

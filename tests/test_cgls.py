@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from rgsolve import CglsConfig, SubsolverError, UsageError, cgls, gen_smatrix
+from rgsolve import CglsConfig, DenseMatrix, SubsolverError, UsageError, cgls, gen_smatrix
 
 
 def test_identity():
@@ -80,10 +82,32 @@ def test_budget_exhaustion_reports_diagnostics():
 def test_rejects_zero_matrix():
     with pytest.raises(UsageError):
         cgls(np.zeros((3, 2)), np.ones(3))
+    with pytest.raises(UsageError):
+        cgls(DenseMatrix(np.zeros((3, 2))), np.ones(3))
+
+
+def test_accepts_nonzero_matrix_whose_norm_underflows():
+    m = np.full((4, 2), 1e-170)
+    assert np.linalg.norm(m) == 0.0
+    assert cgls(m, np.ones(4)).shape == (2,)
+
+
+def test_makes_no_full_size_temporary():
+    a = DenseMatrix(np.random.default_rng(6).standard_normal((400, 30)))
+    rhs = np.ones(400)
+    tracemalloc.start()
+    try:
+        cgls(a, rhs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * a.entries.nbytes
 
 
 def test_config_validation():
-    with pytest.raises(UsageError):
-        CglsConfig(rel_tol=0.0)
-    with pytest.raises(UsageError):
-        CglsConfig(max_iters=0)
+    for kwargs in ({"rel_tol": 0.0}, {"rel_tol": -1.0}, {"rel_tol": float("nan")},
+                   {"max_iters": 0}, {"max_iters": float("nan")}, {"max_iters": 2.5},
+                   {"max_iters": 3.0}):
+        with pytest.raises(UsageError):
+            CglsConfig(**kwargs)
+    assert CglsConfig(max_iters=np.int64(3)).max_iters == 3

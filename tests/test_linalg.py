@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -64,10 +66,40 @@ def test_norm_caches_consistent():
 
 
 def test_non_finite_entries_rejected():
-    with pytest.raises(UsageError):
-        DenseMatrix([[1.0, np.nan], [0.0, 1.0]])
-    with pytest.raises(UsageError):
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(UsageError, match="matrix contains non-finite entries"):
+            DenseMatrix([[1.0, bad], [0.0, 1.0]])
+    with pytest.raises(UsageError, match="matrix contains non-finite entries"):
         DenseMatrix([[np.inf]])
+
+
+def test_finite_entries_whose_squares_overflow_are_accepted():
+    a = DenseMatrix([[1e200, 0.0], [0.0, 1.0]])
+    assert a.frob_sq == np.inf
+    np.testing.assert_array_equal(a.matvec([1.0, 1.0]), [1e200, 1.0])
+
+
+@pytest.mark.parametrize("shape", [(400, 120), (120, 400)])
+def test_entries_is_the_only_full_size_array(shape):
+    arr = np.random.default_rng(3).standard_normal(shape)
+    tracemalloc.start()
+    try:
+        a = DenseMatrix(arr)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * arr.nbytes  # the defensive copy and O(m + n) norms, nothing more
+    a.gram
+    two_d = {k for k, v in vars(a).items() if isinstance(v, np.ndarray) and v.ndim == 2}
+    assert two_d == ({"entries", "_gram"} if shape[0] > shape[1] else {"entries"})
+
+
+@pytest.mark.parametrize("shape", [(40, 12), (12, 40)])
+def test_matvec_transpose_is_the_transposed_gemv(shape):
+    rng = np.random.default_rng(4)
+    a = DenseMatrix(rng.standard_normal(shape))
+    r = rng.standard_normal(shape[0])
+    np.testing.assert_array_equal(a.matvec_transpose(r), a.entries.T @ r)
 
 
 def test_entries_are_immutable():

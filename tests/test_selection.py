@@ -163,6 +163,12 @@ def test_max_distance_converged_signal():
         max_distance_set(DIAG, np.zeros(2), 0.1)
 
 
+@pytest.mark.parametrize("eta2", [-1.0, float("nan")])
+def test_max_distance_rejects_negative_or_nan_eta2(eta2):
+    with pytest.raises(UsageError, match="eta2 must be nonnegative"):
+        max_distance_set(DIAG, np.array([1.0, 4.0]), eta2)
+
+
 def test_make_partition_cases():
     blocks = make_partition(5, 2)
     assert [list(b) for b in blocks] == [[0, 1], [2, 3], [4]]
