@@ -9,6 +9,7 @@ solution. The stopping measure is the normal-equations residual
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,11 +37,23 @@ class CglsConfig:
             raise UsageError(f"max_iters must be an integer of at least 1, got {self.max_iters}")
 
 
+def _overflow(what: str, value: float, iterations: int = 0) -> SubsolverError:
+    return SubsolverError(
+        f"cgls cannot run in float64: {what} is {value:g} (squares overflow); "
+        "rescale the matrix and right-hand side",
+        iterations=iterations,
+        residual=math.inf,
+    )
+
+
+@np.errstate(over="ignore", invalid="ignore")  # overflow is checked below, not warned about
 def cgls(matrix, rhs, cfg: CglsConfig | None = None) -> np.ndarray:
     """Minimum-norm least-squares solution of ``matrix @ w ~ rhs`` from a zero guess.
 
     Returns ``w`` with ``||M.T (rhs - M w)|| <= rel_tol * ||M.T rhs||``. Raises
-    SubsolverError with iteration diagnostics when the budget is exhausted.
+    SubsolverError with iteration diagnostics when the budget is exhausted, and
+    when ``||M||_F``, ``||M.T rhs||`` or a later square overflows float64, where
+    the iteration would otherwise return zeros or NaN.
     """
     m_arr = matrix.entries if isinstance(matrix, DenseMatrix) else np.asarray(matrix, dtype=float)
     if m_arr.ndim != 2:
@@ -51,6 +64,8 @@ def cgls(matrix, rhs, cfg: CglsConfig | None = None) -> np.ndarray:
     frob = float(np.linalg.norm(m_arr))  # one dot over the entries, no temporary
     if frob == 0.0 and not np.any(m_arr):  # the norm underflows for some nonzero M
         raise UsageError("cgls requires a nonzero matrix")
+    if not math.isfinite(frob):
+        raise _overflow("||M||_F", frob)
     cfg = cfg or CglsConfig()
     max_iters = cfg.max_iters or 2 * min(m_arr.shape) + 10  # validated: None or >= 1
 
@@ -58,6 +73,8 @@ def cgls(matrix, rhs, cfg: CglsConfig | None = None) -> np.ndarray:
     s = rhs.copy()
     q = m_arr.T @ s
     base = float(np.linalg.norm(q))
+    if not math.isfinite(base):
+        raise _overflow("||M.T rhs||", base)
     if base == 0.0:
         return w  # rhs is orthogonal to the column space; zero is optimal
     target = cfg.rel_tol * base
@@ -74,6 +91,8 @@ def cgls(matrix, rhs, cfg: CglsConfig | None = None) -> np.ndarray:
         t_sq = float(t @ t)
         if t_sq == 0.0:
             return w  # search direction exhausted; w is optimal in range(M.T)
+        if not t_sq < math.inf:  # also NaN, once an earlier square overflowed
+            raise _overflow("||M p||^2", t_sq, it)
         alpha = gamma / t_sq
         w += alpha * p
         s -= alpha * t

@@ -18,7 +18,8 @@ when that form falls below ``GRAM_WEIGHT_REL`` of ``sum_j y_j^2 ||A_j||^2``
 over S, the columns nearly cancel and the weight is formed from ``A_S y_S``
 (O(m*s)) instead. So between start and stop a tall run touches length-m
 data only for step records, which read the energy error ``||A (x - x*)||^2``
-from x (one GEMV per recorded step), and in RBCD's least-squares fallback.
+from the solve loop's ``x - x*`` (one GEMV per recorded step), and in RBCD's
+least-squares fallback.
 """
 
 from __future__ import annotations
@@ -195,9 +196,9 @@ class _ColFamily(MethodFamily):
             )
         self.state.y = fresh
 
-    def err_sq(self) -> float:
-        # From x, never as (x - x*).T G (x - x*), whose rounding can turn negative.
-        ae = self.a.matvec(self.state.x - self.x_star)
+    def err_sq(self, dx: np.ndarray, dd: float) -> float:
+        # As ||A dx||^2, never as dx.T G dx, whose rounding can turn negative.
+        ae = self.a.matvec(dx)
         return float(ae @ ae)
 
     def stationary(self) -> bool:

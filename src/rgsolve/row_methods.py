@@ -112,9 +112,8 @@ class _RowFamily(MethodFamily):
         )
         self.stall_window = 10 * self.a.m
 
-    def err_sq(self) -> float:
-        dx = self.state.x - self.x_star
-        return float(dx @ dx)
+    def err_sq(self, dx: np.ndarray, dd: float) -> float:
+        return dd
 
     def step(self):
         state, a, b, config, method = self.state, self.a, self.b, self.config, self.method

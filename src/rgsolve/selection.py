@@ -10,6 +10,7 @@ scaled correlation. All functions here are pure and safe to call concurrently.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -56,8 +57,18 @@ class SelectionConfig:
             raise UsageError(f"eta1 must lie in (0, 1], got {self.eta1}")
         if not self.eta2 >= 0.0:  # also NaN
             raise UsageError(f"eta2 must be nonnegative, got {self.eta2}")
-        if int(self.block_size) != self.block_size or self.block_size < 1:
-            raise UsageError(f"block_size must be a positive integer, got {self.block_size}")
+        _check_positive_int("block_size", self.block_size)
+
+
+def _check_positive_int(name: str, value) -> None:
+    """Raise UsageError unless ``value`` is a whole number of at least 1; NaN and
+    inf fail before ``int()``, which would raise ValueError or OverflowError."""
+    try:
+        ok = math.isfinite(value) and value >= 1 and int(value) == value
+    except TypeError:  # not a real number
+        ok = False
+    if not ok:
+        raise UsageError(f"{name} must be a positive integer, got {value}")
 
 
 def _make_profile(kind, losses, weights) -> LossProfile:
@@ -151,10 +162,8 @@ def _draw_by_square(v: np.ndarray, indices: np.ndarray, rng: np.random.Generator
 
 def make_partition(count: int, block_size: int) -> list[np.ndarray]:
     """Contiguous blocks of the given size over range(count); final block holds the remainder."""
-    if int(count) != count or count < 1:
-        raise UsageError(f"count must be a positive integer, got {count}")
-    if int(block_size) != block_size or block_size < 1:
-        raise UsageError(f"block_size must be a positive integer, got {block_size}")
+    _check_positive_int("count", count)
+    _check_positive_int("block_size", block_size)
     count = int(count)
     block_size = int(block_size)
     return [np.arange(lo, min(lo + block_size, count)) for lo in range(0, count, block_size)]

@@ -50,13 +50,15 @@ class StopRule:
             raise UsageError(f"max_iters must be at least 1, got {self.max_iters}")
 
 
-@dataclass
+@dataclass(slots=True)
 class StepRecord:
     """Per-iteration data needed to certify contraction bounds after the run.
 
     ``err_sq_before``/``err_sq_after`` are ``||x - x*||^2`` for row methods and the
-    energy error ``||A (x - x*)||^2`` for column methods, both read from x.
-    The certifier reads the selected set's energy from ``indices``.
+    energy error ``||A (x - x*)||^2`` for column methods, both read from the
+    ``x - x*`` the solve loop forms for the RSE. ``indices`` is the selected
+    set as the step returned it (shared, not copied, for ``rbk``/``rbcd``
+    partition blocks); the certifier reads the set's energy from it.
     """
 
     k: int
@@ -120,7 +122,8 @@ class MethodFamily:
     methods) and sets ``sqnorms`` (summed over the zero set by step records)
     and ``stall_window`` (iterations without a 0.1% RSE gain before the run
     stalls, checked after the iteration cap; None for no stall rule).
-    ``err_sq()`` is the squared error step records carry, read from x alone.
+    ``err_sq(dx, dd)`` is the squared error step records carry, given the
+    loop's ``dx = x - x*`` and ``dd = dx @ dx``.
     ``step()`` updates ``x`` (and y) and returns ``(selected, profile or
     None)``, the loss profile whose zero set the step records sum, or a
     termination reason when nothing is left to select; the loop then counts
@@ -169,7 +172,8 @@ def solve_loop(family: type[MethodFamily], method: str, a: DenseMatrix, b, *, co
     name = family.params.get(method)
     params = {} if name is None else {name: getattr(config, name)}
 
-    denom = float(np.linalg.norm(x - x_star))
+    dx = x - x_star
+    denom = float(np.linalg.norm(dx))
     if denom == 0.0:
         return SolveReport(method, params, seed, 0, 0.0, [0.0], [], [0.0], 0.0,
                            "converged", x_final=x, step_records=[] if record_steps else None)
@@ -184,7 +188,7 @@ def solve_loop(family: type[MethodFamily], method: str, a: DenseMatrix, b, *, co
     best_rse = rse
     since_best = 0
     # A step's error before is the previous step's error after.
-    err_sq = fam.err_sq() if record_steps else 0.0
+    err_sq = fam.err_sq(dx, float(dx @ dx)) if record_steps else 0.0
 
     start = time.perf_counter()
     while True:
@@ -207,16 +211,19 @@ def solve_loop(family: type[MethodFamily], method: str, a: DenseMatrix, b, *, co
         selected, profile = outcome
         state.k += 1
         dx = state.x - x_star
-        rse = math.sqrt(dx @ dx) / denom
+        dd = float(dx @ dx)
+        rse = math.sqrt(dd) / denom
         rse_trace.append(rse)
         set_sizes.append(int(selected.size))
         iter_seconds.append(time.perf_counter() - start)
         if record_steps:
-            err_before, err_sq = err_sq, fam.err_sq()
+            err_before, err_sq = err_sq, fam.err_sq(dx, dd)
             records.append(StepRecord(
                 k=state.k - 1,
-                indices=np.array(selected, dtype=int),
-                zero_mass=(float(fam.sqnorms[profile.zero_set].sum())
+                indices=selected,
+                # The zero-loss set's mass through a mask: the same elements in the same
+                # order as gathering ``profile.zero_set``, without building that set.
+                zero_mass=(float(fam.sqnorms[profile.losses < profile.zero_tol].sum())
                            if profile is not None else 0.0),
                 err_sq_before=err_before,
                 err_sq_after=err_sq,

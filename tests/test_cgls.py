@@ -3,7 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rgsolve import CglsConfig, DenseMatrix, SubsolverError, UsageError, cgls, gen_smatrix
+from rgsolve import (CglsConfig, DenseMatrix, SubsolverError, UsageError, cgls, gen_smatrix,
+                     run_col_method, run_row_method)
 
 
 def test_identity():
@@ -90,6 +91,23 @@ def test_accepts_nonzero_matrix_whose_norm_underflows():
     m = np.full((4, 2), 1e-170)
     assert np.linalg.norm(m) == 0.0
     assert cgls(m, np.ones(4)).shape == (2,)
+
+
+def test_squares_that_overflow_raise_instead_of_returning_zero():
+    # ||A||_F and A.T b overflow, so the iteration would stop at once at w = 0.
+    a = np.array([[1e200, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    b = np.array([1e200, 2.0, 3.0])
+    with pytest.raises(SubsolverError, match=r"^cgls cannot run in float64: \|\|M\|\|_F is inf"):
+        cgls(a, b)
+    # Without x_star the solve loop asks cgls for it, and no run reports a false convergence.
+    with pytest.raises(SubsolverError, match="overflow"):
+        run_col_method("cd", DenseMatrix(a), b)
+    with pytest.raises(SubsolverError, match="overflow"):
+        run_row_method("kaczmarz", DenseMatrix(a), b)
+    # ||M||_F and ||M.T rhs|| are finite here, but ||M p||^2 is not.
+    with pytest.raises(SubsolverError, match=r"\|\|M p\|\|\^2 is inf") as err:
+        cgls(1e100 * np.eye(2), np.ones(2))
+    assert err.value.iterations == 0 and err.value.residual == np.inf
 
 
 def test_makes_no_full_size_temporary():

@@ -4,7 +4,7 @@ import threading
 import numpy as np
 import pytest
 
-from rgsolve import col_methods
+from rgsolve import col_methods, row_methods
 from rgsolve import (
     COL_METHODS,
     ROW_METHODS,
@@ -517,38 +517,6 @@ def test_greedy_column_methods_reject_a_zero_column(method):
                        seed=0)
 
 
-def test_step_records_equal_a_fresh_recomputation_across_refreshes(monkeypatch):
-    a = gen_randn(200, 50, 5)
-    inst = make_consistent(a, 6)
-    fresh = []
-    original_losses = col_methods.column_losses_from_y
-    original_step = col_methods.rgrcd_step
-
-    def err_sq(x):
-        d = a.matvec(x - inst.x_star)
-        return float(d @ d)
-
-    def losses(*args, **kwargs):
-        profile = original_losses(*args, **kwargs)
-        zero = np.flatnonzero(profile.losses < profile.zero_tol)
-        fresh.append({"zero_mass": float(a.col_sqnorms[zero].sum())})
-        return profile
-
-    def step(state, *args, **kwargs):
-        fresh[-1]["err_sq_before"] = err_sq(state.x)
-        original_step(state, *args, **kwargs)
-        fresh[-1]["err_sq_after"] = err_sq(state.x)
-
-    monkeypatch.setattr(col_methods, "column_losses_from_y", losses)
-    monkeypatch.setattr(col_methods, "rgrcd_step", step)
-    report = run_col_method("rgrcd", a, inst.b, x_star=inst.x_star, seed=3, record_steps=True)
-    assert report.termination_reason == "converged"
-    assert report.iterations > 2 * REFRESH_EVERY
-    assert len(report.step_records) == len(fresh) == report.iterations
-    for rec, want in zip(report.step_records, fresh):
-        assert {k: getattr(rec, k) for k in want} == want
-
-
 def _assert_column_solve_carries_no_residual(monkeypatch, shape, method, record_steps):
     a = gen_randn(*shape, 60)
     inst = make_consistent(a, 61)
@@ -630,6 +598,46 @@ def test_step_records_never_change_the_iterates(shape, method):
     assert on.set_size_trace == off.set_size_trace
     assert on.x_final.tobytes() == off.x_final.tobytes()
     assert off.step_records is None and len(on.step_records) == on.iterations
+
+
+@pytest.mark.parametrize("shape", [(200, 50), (50, 200)], ids=["tall", "wide"])
+@pytest.mark.parametrize("method", ROW_METHODS + COL_METHODS)
+def test_step_records_equal_a_fresh_recomputation(monkeypatch, shape, method):
+    a = gen_randn(*shape, 5)
+    inst = make_consistent(a, 6)
+    is_row = method in ROW_METHODS
+    family = row_methods._RowFamily if is_row else col_methods._ColFamily
+    sqnorms = a.row_sqnorms if is_row else a.col_sqnorms
+    fresh = []
+
+    def err_sq(x):
+        d = x - inst.x_star if is_row else a.matvec(x - inst.x_star)
+        return float(d @ d)
+
+    def step(self):
+        before = err_sq(self.state.x)
+        outcome = family_step(self)
+        if not isinstance(outcome, str):
+            selected, profile = outcome
+            zero_mass = (0.0 if profile is None else
+                         float(sqnorms[np.flatnonzero(profile.losses < profile.zero_tol)].sum()))
+            fresh.append((selected.copy(), zero_mass, before, err_sq(self.state.x)))
+        return outcome
+
+    family_step = family.step
+    monkeypatch.setattr(family, "step", step)
+    run = run_row_method if is_row else run_col_method
+    report = run(method, a, inst.b, x_star=inst.x_star, seed=3, record_steps=True,
+                 config=SelectionConfig(theta=0.3, block_size=7),
+                 stop=StopRule(rse_tol=1e-10, max_iters=2 * REFRESH_EVERY + 50))
+    assert len(report.step_records) == len(fresh) == report.iterations > 0
+    if method == "rgrcd":  # records straddle the refreshes of y at steps 100 and 200
+        assert report.iterations > 2 * REFRESH_EVERY
+    for k, (rec, (indices, zero_mass, before, after)) in enumerate(zip(report.step_records, fresh)):
+        assert rec.k == k
+        assert rec.indices.dtype == indices.dtype and rec.indices.tobytes() == indices.tobytes()
+        assert [v.hex() for v in (rec.zero_mass, rec.err_sq_before, rec.err_sq_after)] == \
+            [v.hex() for v in (zero_mass, before, after)]
 
 
 def _duplicated_tall_instance():

@@ -399,36 +399,3 @@ def test_greedy_row_methods_reject_a_zero_row(method):
     with pytest.raises(UsageError, match="^zero row 1 unsupported by greedy selection$"):
         run_row_method(method, a, np.array([1.0, 0.0, 1.0]), x_star=np.array([1.0, 1.0]),
                        seed=0)
-
-
-@pytest.mark.parametrize("method, step_name", [("rgrk", "rgrk_step"), ("rgdr", "rgdr_step")])
-def test_step_records_equal_a_fresh_recomputation(monkeypatch, method, step_name):
-    a = gen_randn(200, 50, 5)
-    inst = make_consistent(a, 6)
-    fresh = []
-    original_losses = row_methods.row_losses
-    original_step = getattr(row_methods, step_name)
-
-    def err_sq(x):
-        d = x - inst.x_star
-        return float(d @ d)
-
-    def losses(*args, **kwargs):
-        profile = original_losses(*args, **kwargs)
-        zero = np.flatnonzero(profile.losses < profile.zero_tol)
-        fresh.append({"zero_mass": float(a.row_sqnorms[zero].sum())})
-        return profile
-
-    def step(state, *args, **kwargs):
-        fresh[-1]["err_sq_before"] = err_sq(state.x)
-        original_step(state, *args, **kwargs)
-        fresh[-1]["err_sq_after"] = err_sq(state.x)
-
-    monkeypatch.setattr(row_methods, "row_losses", losses)
-    monkeypatch.setattr(row_methods, step_name, step)
-    report = run_row_method(method, a, inst.b, x_star=inst.x_star, seed=3, record_steps=True,
-                            config=SelectionConfig(theta=0.3))
-    assert report.termination_reason == "converged"
-    assert len(report.step_records) == len(fresh) == report.iterations
-    for rec, want in zip(report.step_records, fresh):
-        assert {k: getattr(rec, k) for k in want} == want

@@ -195,6 +195,16 @@ def test_selection_config_validation():
         SelectionConfig(block_size=0)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), 2.5, "3"])
+def test_non_integer_block_sizes_raise_usage_error(bad):
+    with pytest.raises(UsageError, match="^block_size must be a positive integer"):
+        SelectionConfig(block_size=bad)
+    with pytest.raises(UsageError, match="^block_size must be a positive integer"):
+        make_partition(10, bad)
+    with pytest.raises(UsageError, match="^count must be a positive integer"):
+        make_partition(bad, 2)
+
+
 def test_zero_set_uses_relative_tolerance():
     a = DenseMatrix(np.eye(3))
     r = np.array([1.0, 1e-20, 0.0])
