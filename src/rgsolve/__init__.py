@@ -16,17 +16,10 @@ from .errors import (
     GenerationError,
     RgsolveError,
     SizeGuardError,
-    StalledError,
     SubsolverError,
     UsageError,
 )
-from .linalg import (
-    DenseMatrix,
-    as_vector,
-    orthonormalize_columns,
-    sigma_extremes,
-    singular_values,
-)
+from .linalg import DenseMatrix, sigma_extremes, singular_values
 from .mmio import read_matrix, read_vector, write_matrix, write_vector
 from .problems import (
     ProblemInstance,
@@ -57,8 +50,6 @@ from .theory import (
     certify_run,
     flops_rgdc,
     flops_rgdr,
-    rgdc_factor,
-    rgdr_factor,
     rgrcd_factor,
     rgrk_factor,
 )
@@ -81,12 +72,10 @@ __all__ = [
     "SelectionConfig",
     "SizeGuardError",
     "SolveReport",
-    "StalledError",
     "StepRecord",
     "StopRule",
     "SubsolverError",
     "UsageError",
-    "as_vector",
     "certificates_to_csv",
     "certify_randomized",
     "certify_run",
@@ -102,12 +91,9 @@ __all__ = [
     "make_inconsistent",
     "make_partition",
     "max_distance_set",
-    "orthonormalize_columns",
     "read_matrix",
     "read_vector",
     "relaxed_greedy_set",
-    "rgdc_factor",
-    "rgdr_factor",
     "rgrcd_factor",
     "rgrk_factor",
     "row_losses",

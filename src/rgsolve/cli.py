@@ -15,14 +15,13 @@ flags and seeds except for wall-clock columns.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from dataclasses import fields
 from pathlib import Path
 
 from .col_methods import COL_METHODS, run_col_method
 from .errors import GenerationError, RgsolveError, SizeGuardError, UsageError
-from .mmio import read_json, write_json
+from .mmio import read_json, write_csv, write_json
 from .problems import (
     ProblemInstance,
     gen_randn,
@@ -95,13 +94,11 @@ def _run_cell(method, instance, config, stop, base_seed, repeats, record_steps=F
 
 
 def _write_trace_csv(reports: list[SolveReport], path: Path) -> None:
-    with open(path, "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["run", "k", "rse", "set_size", "cumulative_seconds"])
-        for run_idx, rep in enumerate(reports):
-            for k, rse in enumerate(rep.rse_trace):
-                set_size = rep.set_size_trace[k - 1] if k > 0 else ""
-                writer.writerow([run_idx, k, repr(rse), set_size, repr(rep.iter_seconds[k])])
+    write_csv(path, ["run", "k", "rse", "set_size", "cumulative_seconds"], (
+        [run_idx, k, repr(rse), rep.set_size_trace[k - 1] if k > 0 else "",
+         repr(rep.iter_seconds[k])]
+        for run_idx, rep in enumerate(reports) for k, rse in enumerate(rep.rse_trace)
+    ))
 
 
 def _aggregate(reports: list[SolveReport]) -> dict:
@@ -293,27 +290,23 @@ def cmd_bench(args) -> int:
 
     fields = ["kind", "m", "n", "case", "method", "label", "seeds", "runs",
               "mean_it", "mean_wall_seconds", "mean_final_rse", "reasons", "status"]
-    with open(out / "results.csv", "w", newline="", encoding="ascii") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields, lineterminator="\n")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+    write_csv(out / "results.csv", fields, ([row[name] for name in fields] for row in rows))
 
     # Trend summary: iteration-count ratios between method pairs on each problem.
-    with open(out / "summary.csv", "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["kind", "m", "n", "case", "method_a", "method_b", "it_ratio"])
-        by_problem: dict[tuple, list[dict]] = {}
-        for row in rows:
-            by_problem.setdefault((row["kind"], row["m"], row["n"], row["case"]), []).append(row)
-        for key, group in by_problem.items():
-            for i, row_a in enumerate(group):
-                for row_b in group[i + 1:]:
-                    if row_a["mean_it"] and row_b["mean_it"] and row_b["mean_it"] > 0:
-                        ratio = repr(row_a["mean_it"] / row_b["mean_it"])
-                    else:
-                        ratio = ""
-                    writer.writerow([*key, row_a["label"], row_b["label"], ratio])
+    by_problem: dict[tuple, list[dict]] = {}
+    for row in rows:
+        by_problem.setdefault((row["kind"], row["m"], row["n"], row["case"]), []).append(row)
+    summary = []
+    for key, group in by_problem.items():
+        for i, row_a in enumerate(group):
+            for row_b in group[i + 1:]:
+                if row_a["mean_it"] and row_b["mean_it"] and row_b["mean_it"] > 0:
+                    ratio = repr(row_a["mean_it"] / row_b["mean_it"])
+                else:
+                    ratio = ""
+                summary.append([*key, row_a["label"], row_b["label"], ratio])
+    write_csv(out / "summary.csv",
+              ["kind", "m", "n", "case", "method_a", "method_b", "it_ratio"], summary)
 
     print(f"wrote {len(rows)} result rows to {out / 'results.csv'}")
     return 3 if any_failure else 0
@@ -345,15 +338,11 @@ def cmd_certify(args) -> int:
     reports = _run_cell(args.method, instance, config, stop, args.seed, args.repeats,
                         record_steps=True)
     aggregate = certify_randomized(reports, instance.A)
-    with open(out / "certificates.csv", "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["method", "theta", "factor", "mean_contraction",
-                         "std_error", "runs", "satisfied"])
-        writer.writerow([
-            aggregate.method, repr(aggregate.theta), repr(aggregate.factor),
-            repr(aggregate.mean_contraction), repr(aggregate.std_error),
-            aggregate.runs, int(aggregate.satisfied),
-        ])
+    write_csv(out / "certificates.csv",
+              ["method", "theta", "factor", "mean_contraction", "std_error", "runs", "satisfied"],
+              [[aggregate.method, repr(aggregate.theta), repr(aggregate.factor),
+                repr(aggregate.mean_contraction), repr(aggregate.std_error),
+                aggregate.runs, int(aggregate.satisfied)]])
     print(
         f"{args.method} theta={args.theta:g}: mean contraction "
         f"{aggregate.mean_contraction:.6f} vs factor {aggregate.factor:.6f} "
@@ -378,11 +367,9 @@ def cmd_trace_plot(args) -> int:
             raise UsageError(
                 f"{path}: not a solve report ({type(exc).__name__}: {exc})") from None
     rows.sort(key=lambda row: (row[0], str(row[1]), row[2]))
-    with open(args.out, "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["method", "theta", "k", "cumulative_seconds", "rse"])
-        for method, theta, k, seconds, rse in rows:
-            writer.writerow([method, theta, k, repr(seconds), repr(rse)])
+    write_csv(args.out, ["method", "theta", "k", "cumulative_seconds", "rse"],
+              ([method, theta, k, repr(seconds), repr(rse)]
+               for method, theta, k, seconds, rse in rows))
     print(f"wrote {len(rows)} trace rows to {args.out}")
     return 0
 

@@ -4,11 +4,13 @@ Files use the ``%%MatrixMarket matrix array real general`` header, values in
 column-major order, one value per line. Vectors are stored as m x 1 matrices.
 Writes are deterministic: the same data always produces byte-identical files.
 Every file the package reads (these and its JSON files) is ASCII text, and a
-file that is not raises a UsageError naming it.
+file that is not raises a UsageError naming it. Its JSON and CSV outputs are
+written here too.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 from pathlib import Path
 
@@ -64,6 +66,14 @@ def write_json(path, payload) -> None:
     with open(path, "w", encoding="ascii") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def write_csv(path, header, rows) -> None:
+    """Write ``header`` and then each of ``rows`` as ASCII CSV lines ending in ``\\n``."""
+    with open(path, "w", newline="", encoding="ascii") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def read_array(path) -> np.ndarray:

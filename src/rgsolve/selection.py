@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -26,18 +25,13 @@ _ZERO_TOL_FLOOR = 1e-300
 
 @dataclass
 class LossProfile:
-    """Per-index losses with their energy-weighted mean and zero-loss bookkeeping."""
+    """Per-index losses with their energy-weighted mean; a loss below ``zero_tol`` counts
+    as zero."""
 
-    kind: str  # "row" or "column"
     losses: np.ndarray
     max_loss: float
     weighted_mean: float
     zero_tol: float
-
-    @cached_property
-    def zero_set(self) -> np.ndarray:
-        """Indices whose loss is below ``zero_tol``, found on first access."""
-        return (self.losses < self.zero_tol).nonzero()[0]
 
 
 @dataclass
@@ -71,10 +65,10 @@ def _check_positive_int(name: str, value) -> None:
         raise UsageError(f"{name} must be a positive integer, got {value}")
 
 
-def _make_profile(kind, losses, weights) -> LossProfile:
+def _make_profile(losses, weights) -> LossProfile:
     max_loss = float(losses.max())
     zero_tol = max(1e-14 * max_loss, _ZERO_TOL_FLOOR)
-    return LossProfile(kind, losses, max_loss, float(weights @ losses), zero_tol)
+    return LossProfile(losses, max_loss, float(weights @ losses), zero_tol)
 
 
 def row_losses(a: DenseMatrix, r) -> LossProfile:
@@ -84,7 +78,7 @@ def row_losses(a: DenseMatrix, r) -> LossProfile:
         raise UsageError(f"residual must have length {a.m}, got shape {r.shape}")
     if a.zero_row is not None:
         raise UsageError(f"zero row {a.zero_row} unsupported by greedy selection")
-    return _make_profile("row", r * r / a.row_sqnorms, a.row_weights)
+    return _make_profile(r * r / a.row_sqnorms, a.row_weights)
 
 
 def column_losses_from_y(a: DenseMatrix, y) -> LossProfile:
@@ -94,7 +88,7 @@ def column_losses_from_y(a: DenseMatrix, y) -> LossProfile:
         raise UsageError(f"y must have length {a.n}, got shape {y.shape}")
     if a.zero_col is not None:
         raise UsageError(f"zero column {a.zero_col} unsupported by greedy selection")
-    return _make_profile("column", y * y / a.col_sqnorms, a.col_weights)
+    return _make_profile(y * y / a.col_sqnorms, a.col_weights)
 
 
 def relaxed_greedy_set(profile: LossProfile, theta: float) -> np.ndarray:

@@ -138,7 +138,6 @@ class MethodFamily:
     method: str
     a: DenseMatrix
     b: np.ndarray
-    x_star: np.ndarray
     state: SolveState
     config: SelectionConfig
     rng: np.random.Generator
@@ -179,7 +178,7 @@ def solve_loop(family: type[MethodFamily], method: str, a: DenseMatrix, b, *, co
                            "converged", x_final=x, step_records=[] if record_steps else None)
 
     state = SolveState(x=x)
-    fam = family(method=method, a=a, b=b, x_star=x_star, state=state, config=config, rng=rng)
+    fam = family(method=method, a=a, b=b, state=state, config=config, rng=rng)
     rse = 1.0
     rse_trace = [1.0]
     set_sizes: list[int] = []
@@ -221,8 +220,6 @@ def solve_loop(family: type[MethodFamily], method: str, a: DenseMatrix, b, *, co
             records.append(StepRecord(
                 k=state.k - 1,
                 indices=selected,
-                # The zero-loss set's mass through a mask: the same elements in the same
-                # order as gathering ``profile.zero_set``, without building that set.
                 zero_mass=(float(fam.sqnorms[profile.losses < profile.zero_tol].sum())
                            if profile is not None else 0.0),
                 err_sq_before=err_before,

@@ -16,14 +16,13 @@ desk-scale instances.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import SizeGuardError, UsageError
 from .linalg import DenseMatrix, sigma_extremes, singular_values
-from .selection import LossProfile
+from .mmio import write_csv
 from .state import SolveReport
 
 # Certification requires full-matrix and per-step submatrix spectra; refuse
@@ -101,25 +100,6 @@ def _aggregate_factor(a, row_kind, indices, zero_mass, theta, sigma_min) -> tupl
         "sigma_max_subset": sigma_max_sub,
         "set_energy_fraction": energy_fraction,
     }
-
-
-def _step_factor(name, kind, a, indices, profile, theta) -> float:
-    if profile.kind != kind:
-        raise UsageError(f"{name} expects a {kind} loss profile")
-    sqnorms = a.row_sqnorms if kind == "row" else a.col_sqnorms
-    zero_mass = float(sqnorms[profile.zero_set].sum())
-    return _aggregate_factor(a, kind == "row", np.asarray(indices, dtype=int), zero_mass, theta,
-                             sigma_extremes(a)[1])[0]
-
-
-def rgdr_factor(a: DenseMatrix, indices: np.ndarray, profile: LossProfile, theta: float) -> float:
-    """Per-step contraction bound for the aggregate row update on ``indices``."""
-    return _step_factor("rgdr_factor", "row", a, indices, profile, theta)
-
-
-def rgdc_factor(a: DenseMatrix, indices: np.ndarray, profile: LossProfile, theta: float) -> float:
-    """Per-step contraction bound for the aggregate column update on ``indices``."""
-    return _step_factor("rgdc_factor", "column", a, indices, profile, theta)
 
 
 def _randomized_factor(a, theta, sqnorms, kind) -> float:
@@ -256,14 +236,8 @@ _CSV_COMPONENTS = (
 
 def certificates_to_csv(certificates: list[BoundCertificate], path) -> None:
     """Write per-iteration certificates as CSV: k, factor, ratio, satisfied, components."""
-    with open(path, "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["k", "factor", "ratio", "satisfied", *_CSV_COMPONENTS])
-        for cert in certificates:
-            writer.writerow([
-                cert.k,
-                repr(cert.factor_theoretical),
-                repr(cert.ratio_measured),
-                int(cert.satisfied),
-                *(repr(float(cert.components[name])) for name in _CSV_COMPONENTS),
-            ])
+    write_csv(path, ["k", "factor", "ratio", "satisfied", *_CSV_COMPONENTS], (
+        [cert.k, repr(cert.factor_theoretical), repr(cert.ratio_measured), int(cert.satisfied),
+         *(repr(float(cert.components[name])) for name in _CSV_COMPONENTS)]
+        for cert in certificates
+    ))

@@ -390,6 +390,45 @@ def test_trace_plot_empty_inputs_writes_header_only(tmp_path):
     assert out_csv.read_text().splitlines() == ["method,theta,k,cumulative_seconds,rse"]
 
 
+def test_every_csv_output_is_ascii_with_newline_line_ends(tmp_path, small_problem):
+    # csv.DictReader accepts any line end, so the other tests cannot see the dialect.
+    cfg = tmp_path / "bench.json"
+    cfg.write_text(json.dumps({"problems": [{"kind": "randn", "m": 30, "n": 6}],
+                               "methods": [{"method": "rgdr"}, {"method": "cd"}],
+                               "seeds": [0], "repeats": 1}))
+    runs = [
+        ("solve", str(small_problem), "--method", "rgdr", "--out", str(tmp_path / "s")),
+        ("solve", str(small_problem), "--method", "rgrk", "--repeats", "2",
+         "--out", str(tmp_path / "r")),
+        ("bench", str(cfg), "--out", str(tmp_path / "b")),
+        ("certify", str(small_problem), "--method", "rgdc", "--out", str(tmp_path / "c1")),
+        ("certify", str(small_problem), "--method", "rgrcd", "--repeats", "3",
+         "--out", str(tmp_path / "c2")),
+        ("trace-plot", str(tmp_path / "s" / "report.json"), str(tmp_path / "r" / "report.json"),
+         "--out", str(tmp_path / "curves.csv")),
+    ]
+    for argv in runs:
+        assert run_cli(*argv) == 0, argv
+    headers = {
+        "s/trace.csv": "run,k,rse,set_size,cumulative_seconds",
+        "r/trace.csv": "run,k,rse,set_size,cumulative_seconds",
+        "b/results.csv": "kind,m,n,case,method,label,seeds,runs,mean_it,mean_wall_seconds,"
+                         "mean_final_rse,reasons,status",
+        "b/summary.csv": "kind,m,n,case,method_a,method_b,it_ratio",
+        "c1/certificates.csv": "k,factor,ratio,satisfied,relaxation_factor,active_energy,"
+                               "zero_set_mass,sigma_min,sigma_max_subset,set_energy_fraction",
+        "c2/certificates.csv": "method,theta,factor,mean_contraction,std_error,runs,satisfied",
+        "curves.csv": "method,theta,k,cumulative_seconds,rse",
+    }
+    for name, header in headers.items():
+        data = (tmp_path / name).read_bytes()
+        assert data.isascii(), name
+        assert b"\r" not in data and data.endswith(b"\n"), name
+        lines = data.decode("ascii").split("\n")
+        assert lines[0] == header, name
+        assert len(lines) > 2 and lines[-1] == "", name  # a header, rows, a final newline
+
+
 @pytest.mark.parametrize("payload", [
     {},
     [1],

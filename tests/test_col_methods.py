@@ -462,9 +462,8 @@ def _long_double_normal_residual(a, b, x):
 
 
 def _family(a, b):
-    return col_methods._ColFamily(method="cd", a=a, b=b, x_star=np.zeros(a.n),
-                                  state=SolveState(x=np.zeros(a.n)), config=SelectionConfig(),
-                                  rng=np.random.default_rng(0))
+    return col_methods._ColFamily(method="cd", a=a, b=b, state=SolveState(x=np.zeros(a.n)),
+                                  config=SelectionConfig(), rng=np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("instance", [

@@ -9,10 +9,10 @@ from rgsolve import (
     SizeGuardError,
     UsageError,
     gen_smatrix,
-    orthonormalize_columns,
     sigma_extremes,
     singular_values,
 )
+from rgsolve.linalg import orthonormalize_columns
 
 
 def test_matvec_diagonal():

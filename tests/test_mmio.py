@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from rgsolve import DenseMatrix, UsageError
-from rgsolve.mmio import read_array, read_matrix, read_vector, write_matrix, write_vector
+from rgsolve.mmio import (read_array, read_matrix, read_vector, write_csv, write_matrix,
+                          write_vector)
 
 
 def test_matrix_roundtrip_exact(tmp_path):
@@ -77,3 +78,13 @@ def test_vector_file_must_be_single_column(tmp_path):
     write_matrix(path, DenseMatrix([[1.0, 2.0], [3.0, 4.0]]))
     with pytest.raises(UsageError):
         read_vector(path)
+
+
+def test_write_csv_is_ascii_with_newline_line_ends(tmp_path):
+    path = tmp_path / "out.csv"
+    write_csv(path, ["k", "label", "value"], [[0, "a,b", repr(0.1)], [1, "", 2]])
+    assert path.read_bytes() == b'k,label,value\n0,"a,b",0.1\n1,,2\n'
+    write_csv(path, ["k"], iter([]))
+    assert path.read_bytes() == b"k\n"
+    with pytest.raises(UnicodeEncodeError):
+        write_csv(path, ["\u03b8"], [])

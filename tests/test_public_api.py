@@ -3,21 +3,20 @@ from dataclasses import fields
 import pytest
 
 import rgsolve
-from rgsolve import (COL_METHODS, ROW_METHODS, SelectionConfig, StopRule, gen_randn,
-                     make_consistent, run_col_method, run_row_method)
+from rgsolve import (COL_METHODS, ROW_METHODS, SelectionConfig, StopRule, gen_randn, gen_smatrix,
+                     make_consistent, make_inconsistent, run_col_method, run_row_method)
 from rgsolve.cli import build_parser
-from rgsolve.state import SolveState
+from rgsolve.state import TERMINATION_REASONS, SolveState
 
 PUBLIC_NAMES = [
     "AggregateCertificate", "BoundCertificate", "COL_METHODS", "CglsConfig", "ConvergedSignal",
     "DegenerateStepError", "DenseMatrix", "GenerationError", "LossProfile", "ProblemInstance",
     "ROW_METHODS", "RgsolveError", "SelectionConfig", "SizeGuardError", "SolveReport",
-    "StalledError", "StepRecord", "StopRule", "SubsolverError", "UsageError", "as_vector",
-    "certificates_to_csv", "certify_randomized", "certify_run", "cgls", "column_losses_from_y",
-    "flops_rgdc", "flops_rgdr", "gbk_set", "gen_randn", "gen_smatrix", "load_instance",
-    "make_consistent", "make_inconsistent", "make_partition", "max_distance_set",
-    "orthonormalize_columns", "read_matrix", "read_vector", "relaxed_greedy_set", "rgdc_factor",
-    "rgdr_factor", "rgrcd_factor", "rgrk_factor", "row_losses", "run_col_method",
+    "StepRecord", "StopRule", "SubsolverError", "UsageError", "certificates_to_csv",
+    "certify_randomized", "certify_run", "cgls", "column_losses_from_y", "flops_rgdc",
+    "flops_rgdr", "gbk_set", "gen_randn", "gen_smatrix", "load_instance", "make_consistent",
+    "make_inconsistent", "make_partition", "max_distance_set", "read_matrix", "read_vector",
+    "relaxed_greedy_set", "rgrcd_factor", "rgrk_factor", "row_losses", "run_col_method",
     "run_row_method", "save_instance", "sigma_extremes", "singular_values", "write_matrix",
     "write_vector",
 ]
@@ -26,7 +25,7 @@ PUBLIC_NAMES = [
 def test_public_names_are_pinned_and_resolve():
     # Step functions and SolveState are internals of rgsolve.row_methods, col_methods and state.
     assert sorted(rgsolve.__all__) == sorted(PUBLIC_NAMES)
-    assert len(set(rgsolve.__all__)) == len(rgsolve.__all__) == 52
+    assert len(set(rgsolve.__all__)) == len(rgsolve.__all__) == 47
     for name in rgsolve.__all__:
         assert getattr(rgsolve, name) is not None, name
 
@@ -50,6 +49,29 @@ def test_reported_params_are_selection_config_fields(method):
     assert set(report.params) <= {f.name for f in fields(SelectionConfig)}
     assert report.params == {name: getattr(SelectionConfig(block_size=3), name)
                              for name in report.params}
+
+
+def test_every_termination_reason_is_listed_and_reached():
+    instances = {
+        "consistent": make_consistent(gen_randn(40, 8, 5), 6),
+        # Row methods stall on a noisy right-hand side.
+        "inconsistent": make_inconsistent(gen_randn(40, 8, 1), 2),
+        # Column methods reach a least-squares point that is not the least-norm x*.
+        "rank-deficient": make_consistent(gen_smatrix(30, 10, 4, 2.0, 1.0, 3), 4),
+    }
+    reasons = {}
+    for case, inst in instances.items():
+        for method in ROW_METHODS + COL_METHODS:
+            run = run_row_method if method in ROW_METHODS else run_col_method
+            for cap in (2, 2000):
+                report = run(method, inst.A, inst.b, x_star=inst.x_star, seed=0,
+                             config=SelectionConfig(block_size=3), stop=StopRule(1e-6, cap))
+                reasons[case, method, cap] = report.termination_reason
+    assert set(reasons.values()) <= set(TERMINATION_REASONS)
+    assert reasons["consistent", "rgdr", 2000] == "converged"
+    assert reasons["consistent", "rgdr", 2] == "max_iters"
+    assert reasons["inconsistent", "kaczmarz", 2000] == "stalled"
+    assert reasons["rank-deficient", "cd", 2000] == "stationary"
 
 
 @pytest.mark.parametrize("command", ["solve", "certify"])

@@ -8,7 +8,6 @@ from rgsolve import (
     CglsConfig,
     DenseMatrix,
     SelectionConfig,
-    StalledError,
     StopRule,
     UsageError,
     cgls,
@@ -21,6 +20,7 @@ from rgsolve import (
     run_col_method,
     run_row_method,
 )
+from rgsolve.errors import StalledError
 from rgsolve.row_methods import block_project_step, kaczmarz_step, rgdr_step, rgrk_step
 from rgsolve.state import SolveState
 

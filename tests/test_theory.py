@@ -16,8 +16,6 @@ from rgsolve import (
     gen_randn,
     make_consistent,
     relaxed_greedy_set,
-    rgdc_factor,
-    rgdr_factor,
     rgrcd_factor,
     rgrk_factor,
     row_losses,
@@ -25,21 +23,41 @@ from rgsolve import (
     run_row_method,
     sigma_extremes,
 )
+from rgsolve.theory import _aggregate_factor
 
 DIAG = DenseMatrix([[1.0, 0.0], [0.0, 2.0]])
 
 
+def _zero_mass(sqnorms, profile):
+    # The zero-loss mass as the solve loop records it: the norms under the below-tolerance mask.
+    return float(sqnorms[profile.losses < profile.zero_tol].sum())
+
+
+def _factor(a, row_kind, indices, profile, theta):
+    """The per-step bound that certify_run checks, for a set chosen from ``profile``."""
+    zero_mass = _zero_mass(a.row_sqnorms if row_kind else a.col_sqnorms, profile)
+    return _aggregate_factor(a, row_kind, indices, zero_mass, theta, sigma_extremes(a)[1])[0]
+
+
+def _first_certificate(method, theta):
+    # On DIAG with b = [1, 4] the first step selects index 1 alone at every theta,
+    # with no zero-loss mass, so the bound is 1 - (4/5) * 1^2 / 2^2 = 0.8.
+    run = run_row_method if method == "rgdr" else run_col_method
+    report = run(method, DIAG, np.array([1.0, 4.0]), config=SelectionConfig(theta=theta),
+                 x_star=np.array([1.0, 2.0]), record_steps=True)
+    np.testing.assert_array_equal(report.step_records[0].indices, [1])
+    return certify_run(report, DIAG)[0]
+
+
 def test_rgdr_factor_hand():
-    profile = row_losses(DIAG, np.array([1.0, 4.0]))
     for theta in (0.0, 0.5, 1.0):
-        factor = rgdr_factor(DIAG, np.array([1]), profile, theta)
-        assert abs(factor - 0.8) < 1e-12
+        assert abs(_first_certificate("rgdr", theta).factor_theoretical - 0.8) < 1e-12
 
 
 def test_rgdr_factor_orthonormal_full_set_is_zero():
     a = DenseMatrix(np.eye(3))
     profile = row_losses(a, np.array([1.0, 1.0, 1.0]))
-    factor = rgdr_factor(a, np.arange(3), profile, 0.5)
+    factor = _factor(a, True, np.arange(3), profile, 0.5)
     assert abs(factor) < 1e-12
 
 
@@ -54,17 +72,15 @@ def test_rgdr_hand_ratio_below_factor():
 
 
 def test_rgdc_factor_hand():
-    y = DIAG.matvec_transpose(np.array([1.0, 4.0]))
-    profile = column_losses_from_y(DIAG, y)
-    factor = rgdc_factor(DIAG, np.array([1]), profile, 0.7)
-    assert abs(factor - 0.8) < 1e-12
+    for theta in (0.0, 0.7, 1.0):
+        assert abs(_first_certificate("rgdc", theta).factor_theoretical - 0.8) < 1e-12
 
 
 def test_rgdc_factor_full_set_equal_norm_orthogonal_columns():
     a = DenseMatrix(np.eye(4) * 2.0)
     y = a.matvec_transpose(np.array([1.0, 1.0, 1.0, 1.0]))
     profile = column_losses_from_y(a, y)
-    factor = rgdc_factor(a, np.arange(4), profile, 0.5)
+    factor = _factor(a, False, np.arange(4), profile, 0.5)
     smax, smin = sigma_extremes(a)
     expected = 1.0 - smin**2 * 4 / a.frob_sq
     assert abs(factor - expected) < 1e-12
@@ -77,12 +93,12 @@ def test_factors_stay_in_unit_interval():
         r = rng.standard_normal(25)
         profile = row_losses(a, r)
         sel = relaxed_greedy_set(profile, rng.uniform(0, 1))
-        f = rgdr_factor(a, sel, profile, rng.uniform(0, 1))
+        f = _factor(a, True, sel, profile, rng.uniform(0, 1))
         assert 0.0 <= f < 1.0
         y = a.matvec_transpose(r)
         cprofile = column_losses_from_y(a, y)
         csel = relaxed_greedy_set(cprofile, rng.uniform(0, 1))
-        g = rgdc_factor(a, csel, cprofile, rng.uniform(0, 1))
+        g = _factor(a, False, csel, cprofile, rng.uniform(0, 1))
         assert 0.0 <= g < 1.0
 
 
@@ -235,8 +251,7 @@ def test_active_energy_bounds():
         a = gen_randn(25, 8, seed)
         r = rng.standard_normal(25)
         profile = row_losses(a, r)
-        zero_mass = float(a.row_sqnorms[profile.zero_set].sum())
-        active = a.frob_sq - zero_mass
+        active = a.frob_sq - _zero_mass(a.row_sqnorms, profile)
         assert active <= a.frob_sq + 1e-12
         if profile.max_loss > 0:
             assert active >= a.row_sqnorms.max() - 1e-12
