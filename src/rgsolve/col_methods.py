@@ -7,8 +7,9 @@ perturbation from the null space of A.T to b leaves the iterates unchanged.
 A step on the column set S with weights w moves y by ``w @ G[S]``, rows of the
 Gram matrix ``G = A.T @ A`` that the matrix caches on first use: O(s*n) per
 step, independent of m. On wide matrices (n > m), where no Gram is kept, the
-move is ``A.T @ (A[:, S] @ w)`` instead. RBCD solves the s x s system
-``G[S, S] w = y[S]`` by Cholesky (on wide matrices it forms ``A_S.T @ A_S``).
+move is ``A.T @ (A[:, S] @ w)`` instead. RBCD applies the inverse of
+``G[S, S]`` (on wide matrices of ``A_S.T @ A_S``) to ``y[S]``; the matrix
+keeps each partition block's inverse from its first use.
 No column method carries the residual r itself; y is recomputed from x every
 100 iterations, on tall matrices as ``A.T b - G x`` (O(n^2), with ``A.T b``
 kept from the start) and on wide ones as ``A.T (b - A x)``. RGDC's step
@@ -31,7 +32,7 @@ import numpy as np
 
 from .cgls import CglsConfig, cgls
 from .errors import ConvergedSignal, DegenerateStepError, RgsolveError, UsageError
-from .linalg import DenseMatrix, _block_index, _min_norm_solve
+from .linalg import NO_FACTOR, DenseMatrix, _block_index
 from .selection import (
     SelectionConfig,
     _draw_by_square,
@@ -143,22 +144,34 @@ def amdcd_step(state: SolveState, a: DenseMatrix, indices: np.ndarray) -> None:
     state.y -= _normal_product(a, indices, weights)
 
 
-def rbcd_block_step(state: SolveState, a: DenseMatrix, b: np.ndarray, indices: np.ndarray) -> None:
+def rbcd_block_step(state: SolveState, a: DenseMatrix, b: np.ndarray, indices: np.ndarray,
+                    inverse=None) -> None:
     """Least-squares-solve the residual against the selected columns and apply it.
 
-    The correction is the minimum-norm solution of ``G[S, S] w = y[S]`` (on
-    wide matrices ``A_S.T @ A_S``, with ``A_S`` gathered from ``a.entries``),
-    the normal equations of ``A_S w = r``. When that is numerically singular it
-    is least squares on ``A_S`` against ``r = b - A x``, formed only then.
+    The correction w solves ``G[S, S] w = y[S]``, the normal equations of
+    ``A_S w = r`` (on wide matrices ``G[S, S]`` is ``A_S.T @ A_S``), as
+    ``G[S, S]^-1 y[S]`` refined once against ``y[S] - G[S, S] w``, which keeps
+    the error of applying an inverse to that of a backward-stable solve.
+    ``inverse`` is ``G[S, S]^-1`` as ``a.block_factor(1, indices)`` gives it,
+    built here when None; applying it costs O(s^2) (O(m*s) on wide
+    matrices). When the block is numerically singular (``NO_FACTOR``) the
+    correction is least squares on ``A_S`` against ``r = b - A x``, formed
+    only then.
     """
     block = _block_index(indices)
+    if inverse is None:
+        inverse = a.block_factor(1, block)
     cols = a.entries[:, block]
-    gram = a.gram
-    block_gram = cols.T @ cols if gram is None else gram[block][:, block]
-    correction = _min_norm_solve(cols, lambda: b - a.matvec(state.x), block_gram,
-                                 state.y[block])
-    state.x[block] += correction
-    state.y -= _normal_product(a, block, correction)
+    if inverse is NO_FACTOR:
+        w = np.linalg.lstsq(cols, b - a.matvec(state.x), rcond=None)[0]
+    else:
+        y_sel = state.y[block]
+        w = inverse @ y_sel
+        gram = a.gram
+        w += inverse @ (y_sel - (cols.T @ (cols @ w) if gram is None
+                                 else gram[block][:, block] @ w))
+    state.x[block] += w
+    state.y -= _normal_product(a, block, w)
 
 
 @dataclass
@@ -225,8 +238,10 @@ class _ColFamily(MethodFamily):
                 selected = max_distance_set(a, state.y, config.eta2)
                 amdcd_step(state, a, selected)
             else:  # rbcd
-                selected = self.partition[int(self.rng.integers(len(self.partition)))]
-                rbcd_block_step(state, a, self.b, selected)
+                block = int(self.rng.integers(len(self.partition)))
+                selected = self.partition[block]
+                rbcd_block_step(state, a, self.b, selected,
+                                a.partition_factor(1, config.block_size, block))
         except ConvergedSignal:
             return "stationary"
         return selected, profile

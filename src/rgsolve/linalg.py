@@ -1,4 +1,5 @@
-"""Dense matrix/vector primitives: cached norms, block solves, orthonormalization, small-scale SVD."""
+"""Dense matrix/vector primitives: cached norms, Gram and block inverses, orthonormalization,
+small-scale SVD."""
 
 from __future__ import annotations
 
@@ -11,6 +12,10 @@ SVD_MIN_DIM_LIMIT = 512
 
 # Singular values below this fraction of the largest one are treated as zero.
 ZERO_SIGMA_REL = 1e-10
+
+# What a rank-deficient block keeps in place of its Gram inverse: it is solved by least
+# squares at every step.
+NO_FACTOR = object()
 
 
 def as_vector(v, length: int | None = None, name: str = "vector") -> np.ndarray:
@@ -40,9 +45,19 @@ class DenseMatrix:
     ``zero_col``; None when there is none) are computed once here, so
     selection reads them at no cost. The Gram matrix ``A.T @ A`` (n*n floats)
     is built on the first ``gram`` access and kept, but only when n <= m,
-    where it is no larger than A. Instances are safe to share across
-    concurrent solves: the Gram is published only once complete, and a race
-    at worst builds it twice.
+    where it is no larger than A.
+
+    For ``rbk`` and ``rbcd``, ``partition_factor`` keeps the ``block_factor``
+    (the inverse of the block's Gram) of each block of one ``make_partition``
+    per axis, built on the block's first use; only the last block size asked
+    for is kept. With block size s the row inverses hold at most ``m * s``
+    floats and the column ones ``n * s``, and a block larger than the other
+    dimension is rank deficient and keeps only ``NO_FACTOR``, so they are
+    never larger than A or ``n * n``. Instances are safe to share across
+    concurrent solves: the Gram and each inverse are published only once
+    complete, and a race at worst builds one twice (solves at two block sizes
+    at once displace each other's partition, which costs rebuilds, never a
+    wrong factor).
     """
 
     def __init__(self, entries):
@@ -69,6 +84,8 @@ class DenseMatrix:
                   self.row_weights, self.col_weights):
             a.setflags(write=False)
         self._gram = None
+        # Per axis: (block size, a slot per partition block, None until built).
+        self._factors = [(0, []), (0, [])]
 
     @property
     def gram(self) -> np.ndarray | None:
@@ -78,6 +95,38 @@ class DenseMatrix:
             g.setflags(write=False)
             self._gram = g
         return self._gram
+
+    def block_factor(self, axis: int, block):
+        """Read-only inverse of the Gram of the rows (axis 0) or columns (axis 1) that
+        ``block`` (a slice or index array) picks: ``A_S @ A_S.T`` for rows, ``G[S, S]``
+        for columns (``A_S.T @ A_S`` when no Gram is kept); NO_FACTOR when it is rank
+        deficient (see ``_gram_inverse``). Built afresh on every call."""
+        if axis == 0:
+            sub = self.entries[block]
+            return _gram_inverse(sub @ sub.T)
+        gram = self.gram
+        if gram is not None:
+            return _gram_inverse(gram[block][:, block])
+        cols = self.entries[:, block]
+        return _gram_inverse(cols.T @ cols)
+
+    def partition_factor(self, axis: int, block_size: int, index: int):
+        """``block_factor`` of block ``index`` of ``make_partition(count, block_size)``
+        over the rows (axis 0) or columns (axis 1), built on first use and kept until
+        a solve asks for another block size on that axis."""
+        block_size = int(block_size)
+        count = self.entries.shape[axis]
+        table = self._factors[axis]
+        if table[0] != block_size:
+            table = (block_size, [None] * -(-count // block_size))
+            self._factors[axis] = table
+        slots = table[1]
+        factor = slots[index]
+        if factor is None:
+            lo = index * block_size
+            factor = self.block_factor(axis, slice(lo, min(lo + block_size, count)))
+            slots[index] = factor
+        return factor
 
     @property
     def m(self) -> int:
@@ -111,32 +160,23 @@ class DenseMatrix:
         return f"DenseMatrix({self.m}x{self.n})"
 
 
-def _min_norm_solve(sub: np.ndarray, rhs, gram: np.ndarray,
-                    normal_rhs: np.ndarray | None = None) -> np.ndarray:
-    """Minimum-norm least-squares solution ``w`` of ``sub @ w = rhs`` through an s x s Gram.
+def _gram_inverse(gram: np.ndarray):
+    """Read-only inverse of the s x s Gram of a block, or NO_FACTOR when it is rank deficient.
 
-    Row blocks (``normal_rhs`` None): ``gram`` is ``sub @ sub.T`` and
-    ``w = sub.T @ gram^-1 rhs``, refined once against ``rhs - sub @ w`` (the
-    corrected seminormal equations), which takes the error from about
-    cond(sub)^2 * eps to cond(sub) * eps. Column blocks: ``gram`` is
-    ``sub.T @ sub``, ``normal_rhs`` stands for ``sub.T @ rhs``, and
-    ``w = gram^-1 normal_rhs``; there ``rhs`` is a function that returns the
-    right-hand side, called only by the fallback below, since forming it costs
-    a full GEMV. Cholesky vets the Gram. When it fails, or the
-    smallest squared pivot is below ``ZERO_SIGMA_REL`` times the largest
-    diagonal entry, the block is rank deficient in float64, and
-    ``numpy.linalg.lstsq`` on ``sub`` gives the minimum-norm answer instead.
+    Cholesky vets the Gram. When it fails, or the smallest squared pivot is
+    below ``ZERO_SIGMA_REL`` times the largest diagonal entry, the block is
+    rank deficient in float64, and the block steps take the minimum-norm
+    least-squares correction from ``numpy.linalg.lstsq`` instead.
     """
     try:
         pivots = np.diagonal(np.linalg.cholesky(gram))
     except np.linalg.LinAlgError:
-        pivots = None
-    if pivots is None or pivots.min() ** 2 < ZERO_SIGMA_REL * np.diagonal(gram).max():
-        return np.linalg.lstsq(sub, rhs if normal_rhs is None else rhs(), rcond=None)[0]
-    if normal_rhs is None:
-        w = np.linalg.solve(gram, rhs) @ sub
-        return w + np.linalg.solve(gram, rhs - sub @ w) @ sub
-    return np.linalg.solve(gram, normal_rhs)
+        return NO_FACTOR
+    if pivots.min() ** 2 < ZERO_SIGMA_REL * np.diagonal(gram).max():
+        return NO_FACTOR
+    inverse = np.linalg.inv(gram)
+    inverse.setflags(write=False)
+    return inverse
 
 
 def _block_index(indices: np.ndarray):

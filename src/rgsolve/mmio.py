@@ -11,6 +11,7 @@ written here too.
 from __future__ import annotations
 
 import csv
+import io
 import json
 from pathlib import Path
 
@@ -69,11 +70,21 @@ def write_json(path, payload) -> None:
 
 
 def write_csv(path, header, rows) -> None:
-    """Write ``header`` and then each of ``rows`` as ASCII CSV lines ending in ``\\n``."""
+    """Write ``header`` and then each of ``rows`` as ASCII CSV lines ending in ``\\n``.
+
+    The text is formed before the file is opened, so text that is not ASCII
+    raises a UsageError naming ``path`` and leaves no file behind.
+    """
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    text = buf.getvalue()
+    if not text.isascii():
+        line = next(line for line in text.split("\n") if not line.isascii())
+        raise UsageError(f"{path}: cannot write non-ASCII text to an ASCII CSV: {line!r}")
     with open(path, "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(text)
 
 
 def read_array(path) -> np.ndarray:

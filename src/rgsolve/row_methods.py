@@ -6,8 +6,9 @@ residual: without a row Gram ``A @ A.T`` (O(m^2) memory), the recursion
 ``r -= weight * A @ d`` costs the same GEMV as ``b - A @ x``, which RGRK,
 RGDR and GBK form at the start of each step (none at x = 0) since they
 select on all of r. Cyclic Kaczmarz and RBK read ``b_S - A_S @ x`` for
-their rows only, in O(s*n). A block projection solves the s x s system of
-the selected rows' Gram ``A_S @ A_S.T`` by Cholesky.
+their rows only, in O(s*n). A block projection applies the inverse of the
+selected rows' Gram ``A_S @ A_S.T``; RBK's blocks are those of one
+partition, so the matrix keeps each block's inverse from its first use.
 
 Row methods converge to the least-norm solution of consistent systems when
 started in the row space; on inconsistent systems they stall, which the driver
@@ -22,7 +23,7 @@ import numpy as np
 
 from .cgls import CglsConfig, cgls
 from .errors import ConvergedSignal, StalledError, UsageError
-from .linalg import DenseMatrix, _block_index, _min_norm_solve
+from .linalg import NO_FACTOR, DenseMatrix, _block_index, _gram_inverse
 from .selection import (
     SelectionConfig,
     _draw_by_square,
@@ -85,16 +86,28 @@ def rgrk_step(
     kaczmarz_step(state, a, float(r[i]), i)
 
 
-def block_project_step(state: SolveState, a: DenseMatrix, b: np.ndarray, indices: np.ndarray) -> None:
+def block_project_step(state: SolveState, a: DenseMatrix, b: np.ndarray, indices: np.ndarray,
+                       inverse=None) -> None:
     """Project the iterate orthogonally onto the solution set of the selected rows.
 
-    The correction is the minimum-norm solution of ``A_S dx = b_S - A_S x``,
-    ``A_S.T K^-1 (b_S - A_S x)`` with ``K = A_S A_S.T`` vetted by Cholesky and
-    refined once (least squares on ``A_S`` when K is numerically singular).
+    The correction is the minimum-norm solution of ``A_S dx = r_S``, with
+    ``r_S = b_S - A_S x``: ``A_S.T K^-1 r_S`` for ``K = A_S A_S.T``, refined
+    once against ``r_S - A_S dx`` (the corrected seminormal equations), which
+    takes its error from about cond(A_S)^2 * eps to cond(A_S) * eps.
+    ``inverse`` is K^-1 as ``_gram_inverse`` gives it, built here when None;
+    applying it costs O(s*n + s^2). When K is rank deficient (``NO_FACTOR``)
+    the correction is least squares on ``A_S``.
     """
     rows = _block_index(indices)
     sub = a.entries[rows]
-    state.x += _min_norm_solve(sub, b[rows] - sub @ state.x, sub @ sub.T)
+    if inverse is None:
+        inverse = _gram_inverse(sub @ sub.T)
+    rhs = b[rows] - sub @ state.x
+    if inverse is NO_FACTOR:
+        state.x += np.linalg.lstsq(sub, rhs, rcond=None)[0]
+        return
+    dx = (inverse @ rhs) @ sub
+    state.x += dx + (inverse @ (rhs - sub @ dx)) @ sub
 
 
 @dataclass
@@ -136,8 +149,10 @@ class _RowFamily(MethodFamily):
                     else:
                         rgrk_step(state, a, r, selected, self.rng)
             else:  # rbk
-                selected = self.partition[int(self.rng.integers(len(self.partition)))]
-                block_project_step(state, a, b, selected)
+                block = int(self.rng.integers(len(self.partition)))
+                selected = self.partition[block]
+                block_project_step(state, a, b, selected,
+                                   a.partition_factor(0, config.block_size, block))
         except (ConvergedSignal, StalledError):
             # A zero residual away from x* (the loop found RSE >= rse_tol) is a stall too.
             return "stalled"

@@ -444,6 +444,21 @@ def test_trace_plot_malformed_report_exits_2_naming_it(tmp_path, capsys, payload
     assert not out_csv.exists()
 
 
+@pytest.mark.parametrize("params", [{}, {"theta": "\u03b8"}], ids=["method", "theta"])
+def test_trace_plot_non_ascii_text_exits_2_naming_the_output(tmp_path, capsys, params):
+    # An ASCII report can still hold non-ASCII text through JSON escapes.
+    report = tmp_path / "report.json"
+    method = "rgdc" if params else "\u03b8x"
+    report.write_text(json.dumps({"method": method, "params": params,
+                                  "runs": [{"rse_trace": [1.0], "iter_seconds": [0.0]}]}))
+    assert report.read_bytes().isascii()
+    out_csv = tmp_path / "o.csv"
+    assert run_cli("trace-plot", str(report), "--out", str(out_csv)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {out_csv}: cannot write non-ASCII text") and err.count("\n") == 1
+    assert not out_csv.exists()
+
+
 def test_usage_error_exit_code_from_argparse():
     with pytest.raises(SystemExit) as excinfo:
         main(["solve"])  # missing required arguments

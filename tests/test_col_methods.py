@@ -25,6 +25,7 @@ from rgsolve import (
 )
 from rgsolve.col_methods import amdcd_step, cd_step, rbcd_block_step, rgdc_step, rgrcd_step
 from rgsolve.col_methods import REFRESH_EVERY
+from rgsolve.linalg import NO_FACTOR
 from rgsolve.state import SolveState
 
 DIAG = DenseMatrix([[1.0, 0.0], [0.0, 2.0]])
@@ -277,6 +278,27 @@ def test_rbcd_ill_conditioned_columns_is_min_norm(spread):
                                   rng.standard_normal(20))
 
 
+def test_rbcd_block_inverse_is_as_accurate_as_a_solve():
+    # cond(G[S, S]) = 1e10 still passes the pivot test, so the step applies the inverse;
+    # it must stay within 2x of a backward-stable solve of the same normal equations.
+    a = gen_smatrix(60, 20, 20, 1e5, 1.0, 3)
+    block = np.arange(20)
+    assert a.block_factor(1, block) is not NO_FACTOR
+    errors, solve_errors = [], []
+    for seed in range(8):
+        rng = np.random.default_rng(seed)
+        b = rng.standard_normal(60)
+        x = np.zeros(20) if seed == 0 else rng.standard_normal(20)  # seed 0: the first probe
+        state = fresh_state(a, b, x)
+        oracle = np.linalg.lstsq(a.entries, b - a.matvec(x), rcond=None)[0]
+        solved = np.linalg.solve(a.gram, state.y)
+        rbcd_block_step(state, a, b, block)
+        for err, w in ((errors, state.x - x), (solve_errors, solved)):
+            err.append(np.linalg.norm(w - oracle) / np.linalg.norm(oracle))
+    assert errors[0] <= 2 * solve_errors[0]
+    assert max(errors) <= 2 * max(solve_errors)
+
+
 def test_run_rgdc_hand_instance():
     report = run_col_method("rgdc", DIAG, B_DIAG, config=SelectionConfig(theta=0.5),
                             x_star=np.array([1.0, 2.0]))
@@ -408,21 +430,31 @@ def test_gram_is_cached_read_only_and_tall_only():
     assert wide.gram is None
 
 
-def test_concurrent_solves_share_one_matrix():
-    # Every thread may race to build the Gram; each must still see a complete one.
+@pytest.mark.parametrize("method", ["rgdc", "rbk", "rbcd"])
+def test_concurrent_solves_share_one_matrix(method):
+    # Every thread may race to build the Gram and the block factors, and threads that
+    # alternate block sizes replace each other's partition; each must still see complete
+    # factors of its own blocks.
     a = gen_randn(300, 60, 36)
     inst = make_consistent(a, 37)
-    serial = run_col_method("rgdc", gen_randn(300, 60, 36), inst.b, x_star=inst.x_star)
-    results = []
+    runner = run_row_method if method in ROW_METHODS else run_col_method
+    sizes = (20, 25)
 
-    def solve():
-        report = run_col_method("rgdc", a, inst.b, x_star=inst.x_star)
-        results.append((report.iterations, report.x_final.tobytes()))
+    def solve(matrix, block_size):
+        report = runner(method, matrix, inst.b, x_star=inst.x_star, seed=1,
+                        config=SelectionConfig(block_size=block_size))
+        return report.iterations, report.x_final.tobytes()
+
+    serial = [solve(gen_randn(300, 60, 36), size) for size in sizes]
+    results = [None] * 6
+
+    def worker(i):
+        results[i] = solve(a, sizes[i % 2])
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=solve) for _ in range(6)]
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(results))]
         for t in threads:
             t.start()
         for t in threads:
@@ -430,7 +462,7 @@ def test_concurrent_solves_share_one_matrix():
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    assert results == [(serial.iterations, serial.x_final.tobytes())] * len(threads)
+    assert results == [serial[i % 2] for i in range(len(results))]
 
 
 DRIFT_STEPS = {"cd": "cd_step", "rgrcd": "cd_step", "rgdc": "rgdc_step",

@@ -1,4 +1,5 @@
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -6,13 +7,19 @@ import pytest
 from rgsolve import (
     DenseMatrix,
     GenerationError,
+    SelectionConfig,
     SizeGuardError,
+    StopRule,
     UsageError,
+    gen_randn,
     gen_smatrix,
+    make_consistent,
+    run_col_method,
+    run_row_method,
     sigma_extremes,
     singular_values,
 )
-from rgsolve.linalg import orthonormalize_columns
+from rgsolve.linalg import NO_FACTOR, orthonormalize_columns
 
 
 def test_matvec_diagonal():
@@ -190,3 +197,88 @@ def test_energy_weights_and_zero_facts_are_cached_read_only():
             arr[0] = 1.0
     full = DenseMatrix(np.eye(2))
     assert (full.zero_row, full.zero_col) == (None, None)
+
+
+BLOCK_SOLVES = {"rbk": (run_row_method, 0), "rbcd": (run_col_method, 1)}  # runner, axis
+
+
+def _block_solve(method, a, inst, block_size, seed=3, max_iters=400):
+    runner, _ = BLOCK_SOLVES[method]
+    report = runner(method, a, inst.b, x_star=inst.x_star, seed=seed,
+                    config=SelectionConfig(block_size=block_size),
+                    stop=StopRule(rse_tol=1e-10, max_iters=max_iters))
+    return report.iterations, report.termination_reason, report.set_size_trace, \
+        report.x_final.tobytes()
+
+
+@pytest.fixture()
+def linalg_calls(monkeypatch):
+    """Counts of the numpy.linalg calls made while the test runs, by function name."""
+    counts = Counter()
+    for name in ("cholesky", "inv", "solve", "lstsq"):
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("block_size", [7, 100])
+@pytest.mark.parametrize("shape", [(150, 110), (110, 150)], ids=["tall", "wide"])
+@pytest.mark.parametrize("method", sorted(BLOCK_SOLVES))
+def test_block_solves_repeat_exactly_on_a_warmed_matrix(method, shape, block_size,
+                                                        linalg_calls):
+    a = gen_randn(*shape, 60)
+    inst = make_consistent(a, 61)
+    cold = _block_solve(method, a, inst, block_size)
+    # Every block of these shapes is factored, each once.
+    assert linalg_calls["inv"] == linalg_calls["cholesky"] > 0
+    linalg_calls.clear()
+    assert _block_solve(method, a, inst, block_size) == cold
+    assert not linalg_calls  # a warm solve vets, inverts and solves nothing
+    assert _block_solve(method, gen_randn(*shape, 60), inst, block_size) == cold
+
+
+def _duplicated_rows():
+    base = np.random.default_rng(64).standard_normal((10, 12))
+    return DenseMatrix(np.repeat(base, 2, axis=0))  # every row twice, side by side
+
+
+@pytest.mark.parametrize("method, matrix, block_size", [
+    ("rbk", _duplicated_rows, 4),
+    ("rbk", lambda: gen_randn(40, 5, 65), 10),  # more rows per block than columns
+    ("rbcd", lambda: DenseMatrix(_duplicated_rows().entries.T.copy()), 4),
+], ids=["rbk-duplicated-rows", "rbk-more-rows-than-columns", "rbcd-duplicated-columns"])
+def test_rank_deficient_blocks_take_lstsq_at_every_step(method, matrix, block_size,
+                                                        linalg_calls):
+    a = matrix()
+    inst = make_consistent(a, 66)
+    for _ in range(2):  # cold, then warm
+        linalg_calls.clear()
+        iterations, *_ = _block_solve(method, a, inst, block_size, max_iters=25)
+        assert iterations > 0
+        assert linalg_calls["lstsq"] == iterations
+        assert linalg_calls["inv"] == 0
+    assert linalg_calls["cholesky"] == 0  # the warm solve vets no block again
+    axis = BLOCK_SOLVES[method][1]
+    assert a.partition_factor(axis, block_size, 0) is NO_FACTOR
+
+
+def test_cached_factors_keep_one_partition_per_axis_within_its_bound():
+    a = gen_randn(120, 40, 67)
+    inst = make_consistent(a, 68)
+    for block_size in (25, 30):
+        for method in BLOCK_SOLVES:
+            _block_solve(method, a, inst, block_size, max_iters=50)
+    for axis, count, bound in ((0, a.m, a.entries.size), (1, a.n, a.n * a.n)):
+        blocks = -(-count // 30)
+        for index in range(blocks):  # fill every slot, not just the ones the solves drew
+            a.partition_factor(axis, 30, index)
+        size, slots = a._factors[axis]
+        assert size == 30 and len(slots) == blocks
+        held = [f for f in slots if f is not NO_FACTOR]
+        assert held and all(not f.flags.writeable for f in held)
+        assert sum(f.size for f in held) <= bound

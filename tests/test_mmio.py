@@ -86,5 +86,7 @@ def test_write_csv_is_ascii_with_newline_line_ends(tmp_path):
     assert path.read_bytes() == b'k,label,value\n0,"a,b",0.1\n1,,2\n'
     write_csv(path, ["k"], iter([]))
     assert path.read_bytes() == b"k\n"
-    with pytest.raises(UnicodeEncodeError):
-        write_csv(path, ["\u03b8"], [])
+    path.unlink()
+    with pytest.raises(UsageError, match="out.csv: cannot write non-ASCII text"):
+        write_csv(path, ["k"], [["\u03b8"]])
+    assert not path.exists()

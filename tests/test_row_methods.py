@@ -210,6 +210,26 @@ def test_block_project_ill_conditioned_rows_is_min_norm(spread):
     _assert_row_block_is_min_norm(a, rng.standard_normal(20), np.arange(20), rng.standard_normal(60))
 
 
+def test_block_project_inverse_is_as_accurate_as_solves():
+    # Square 100x100 blocks: the inverse of A_S A_S.T, applied and refined once, must stay
+    # within 2x of the same projection through two solves.
+    errors, solve_errors = [], []
+    for seed in range(8):
+        rng = np.random.default_rng(100 + seed)
+        a = DenseMatrix(rng.standard_normal((100, 100)))
+        b, x = rng.standard_normal(100), rng.standard_normal(100)
+        rhs = b - a.matvec(x)
+        oracle = np.linalg.lstsq(a.entries, rhs, rcond=None)[0]
+        gram = a.entries @ a.entries.T
+        solved = np.linalg.solve(gram, rhs) @ a.entries
+        solved += np.linalg.solve(gram, rhs - a.entries @ solved) @ a.entries
+        state = fresh_state(a, x)
+        block_project_step(state, a, b, np.arange(100))
+        for err, dx in ((errors, state.x - x), (solve_errors, solved)):
+            err.append(np.linalg.norm(dx - oracle) / np.linalg.norm(oracle))
+    assert max(errors) <= 2 * max(solve_errors)
+
+
 def test_run_rgdr_hand_instance():
     report = run_row_method("rgdr", DIAG, B_DIAG, config=SelectionConfig(theta=0.5),
                             x_star=np.array([1.0, 2.0]))
