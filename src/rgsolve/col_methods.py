@@ -9,7 +9,11 @@ Gram matrix ``G = A.T @ A`` that the matrix caches on first use: O(s*n) per
 step, independent of m. On wide matrices (n > m), where no Gram is kept, the
 move is ``A.T @ (A[:, S] @ w)`` instead. RBCD applies the inverse of
 ``G[S, S]`` (on wide matrices of ``A_S.T @ A_S``) to ``y[S]``; the matrix
-keeps each partition block's inverse from its first use.
+keeps each partition block's inverse from its first use. Cyclic CD
+advances in sweep blocks of up to ``SWEEP_BLOCK`` consecutive columns
+(``cd_sweep``): their successive coordinate steps are one Gauss-Seidel
+solve on ``tril(G[S, S])`` and one move of y, and near the stationarity
+floor it goes back to single steps.
 No column method carries the residual r itself; y is recomputed from x every
 100 iterations, on tall matrices as ``A.T b - G x`` (O(n^2), with ``A.T b``
 kept from the start) and on wide ones as ``A.T (b - A x)``. RGDC's step
@@ -42,6 +46,8 @@ from .selection import (
     relaxed_greedy_set,
 )
 from .state import (
+    SWEEP_BLOCK,
+    _forward_solve,
     MethodFamily,
     SolveReport,
     SolveState,
@@ -54,6 +60,11 @@ COL_METHODS = ("cd", "rgrcd", "rgdc", "amdcd", "rbcd")
 
 # A run is stationary once ||y|| = ||A.T r|| falls to this fraction of ||A.T b||.
 STATIONARITY_REL = 1e-14
+
+# cd advances in sweep blocks only while a block ends with ||y|| above this multiple of the
+# stationarity floor. Near the floor, y's rounding noise can dip below it inside a block and
+# rise above it by the block's end, so single steps check the floor after every iteration.
+SWEEP_FLOOR_MARGIN = 1e3
 
 # y is recomputed from x this often, and the run fails if its recursion drifted by
 # more than _DRIFT_REL of its scale.
@@ -92,6 +103,27 @@ def cd_step(state: SolveState, a: DenseMatrix, j: int) -> None:
         state.x[j] += delta
         gram = a.gram
         state.y -= delta * (a.matvec_transpose(a.entries[:, j]) if gram is None else gram[j])
+
+
+def cd_sweep(state: SolveState, a: DenseMatrix, cols: slice,
+             dx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``cd_step`` on each of ``cols`` (nonzero, in order) as one Gauss-Seidel solve.
+
+    The successive coordinate steps add delta to ``x[cols]``, where delta
+    solves ``tril(G[S, S]) delta = y[S]`` (``A_S.T A_S`` on wide matrices):
+    each column's y counts the moves of the columns before it. Returns delta,
+    which the caller applies, and how much each step changes
+    ``||x - x*||^2``, given ``dx = x - x*`` before the first:
+    ``delta_t (2 dx_t + delta_t)``, since each column of the block moves once.
+    """
+    gram = a.gram
+    if gram is None:
+        sub = a.entries[:, cols]
+        block = sub.T @ sub
+    else:
+        block = gram[cols, cols]
+    delta = _forward_solve(block, state.y[cols])
+    return delta, delta * (2.0 * dx[cols] + delta)
 
 
 def rgdc_step(state: SolveState, a: DenseMatrix, indices: np.ndarray) -> None:
@@ -194,6 +226,8 @@ class _ColFamily(MethodFamily):
         self.partition = (
             make_partition(a.n, self.config.block_size) if self.method == "rbcd" else None
         )
+        # A zero column keeps cd on single steps, which raise when they reach it.
+        self.sweeps = self.method == "cd" and a.zero_col is None
 
     def refresh(self) -> None:
         """Recompute y from x, raising when the recursion has drifted from it."""
@@ -217,6 +251,42 @@ class _ColFamily(MethodFamily):
     def stationary(self) -> bool:
         y = self.state.y
         return math.sqrt(y @ y) <= STATIONARITY_REL * self.atb_norm
+
+    def sweep(self, dx: np.ndarray, budget: int):
+        k, n = self.state.k, self.a.n
+        if k and k % REFRESH_EVERY == 0:
+            self.refresh()
+        # Blocks end at refreshes, so each refresh comes where single steps make it.
+        j = k % n
+        cols = slice(j, j + min(SWEEP_BLOCK, n - j, REFRESH_EVERY - k % REFRESH_EVERY, budget))
+        delta, changes = cd_sweep(self.state, self.a, cols, dx)
+        move = _normal_product(self.a, cols, delta)
+        self.pending = j, delta, dx, move
+        y = self.state.y - move
+        count = len(delta)
+        if math.sqrt(y @ y) <= SWEEP_FLOOR_MARGIN * STATIONARITY_REL * self.atb_norm:
+            self.sweeps = False  # this block's first iteration, then single steps
+            count = 1
+        dx = dx.copy()
+        dx[j:j + count] += delta[:count]
+        return j, changes[:count], dx
+
+    def commit(self, count: int) -> None:
+        j, delta, _, move = self.pending
+        if count < len(delta):
+            delta = delta[:count]
+            move = _normal_product(self.a, slice(j, j + count), delta)
+        self.state.x[j:j + count] += delta
+        self.state.y -= move
+
+    def sweep_err_sq(self, dds: list[float]) -> list[float]:
+        j, delta, dx, _ = self.pending
+        dx = dx.copy()
+        errs = []
+        for t, dd in enumerate(dds):
+            dx[j + t] += delta[t]
+            errs.append(self.err_sq(dx, dd))
+        return errs
 
     def step(self):
         state, a, config, method = self.state, self.a, self.config, self.method

@@ -160,19 +160,25 @@ class DenseMatrix:
         return f"DenseMatrix({self.m}x{self.n})"
 
 
-def _gram_inverse(gram: np.ndarray):
-    """Read-only inverse of the s x s Gram of a block, or NO_FACTOR when it is rank deficient.
+def _full_rank(gram: np.ndarray) -> bool:
+    """Whether the s x s Gram of a block has full rank in float64.
 
     Cholesky vets the Gram. When it fails, or the smallest squared pivot is
     below ``ZERO_SIGMA_REL`` times the largest diagonal entry, the block is
-    rank deficient in float64, and the block steps take the minimum-norm
-    least-squares correction from ``numpy.linalg.lstsq`` instead.
+    rank deficient, and the block steps take the minimum-norm least-squares
+    correction from ``numpy.linalg.lstsq`` instead.
     """
     try:
         pivots = np.diagonal(np.linalg.cholesky(gram))
     except np.linalg.LinAlgError:
-        return NO_FACTOR
-    if pivots.min() ** 2 < ZERO_SIGMA_REL * np.diagonal(gram).max():
+        return False
+    return not pivots.min() ** 2 < ZERO_SIGMA_REL * np.diagonal(gram).max()
+
+
+def _gram_inverse(gram: np.ndarray):
+    """Read-only inverse of the s x s Gram of a block, or NO_FACTOR when it is rank
+    deficient (see ``_full_rank``)."""
+    if not _full_rank(gram):
         return NO_FACTOR
     inverse = np.linalg.inv(gram)
     inverse.setflags(write=False)

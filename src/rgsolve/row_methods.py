@@ -6,9 +6,15 @@ residual: without a row Gram ``A @ A.T`` (O(m^2) memory), the recursion
 ``r -= weight * A @ d`` costs the same GEMV as ``b - A @ x``, which RGRK,
 RGDR and GBK form at the start of each step (none at x = 0) since they
 select on all of r. Cyclic Kaczmarz and RBK read ``b_S - A_S @ x`` for
-their rows only, in O(s*n). A block projection applies the inverse of the
-selected rows' Gram ``A_S @ A_S.T``; RBK's blocks are those of one
-partition, so the matrix keeps each block's inverse from its first use.
+their rows only, in O(s*n). A block projection solves with the selected
+rows' Gram ``A_S @ A_S.T``: GBK, whose set changes every step, solves with
+the Gram it forms, and RBK, whose blocks are those of one partition, applies
+the inverse that the matrix keeps for each block from its first use.
+Cyclic Kaczmarz advances in sweep blocks of up to ``SWEEP_BLOCK``
+consecutive rows (``kaczmarz_sweep``): their successive projections are one
+Gauss-Seidel solve on ``tril(A_S @ A_S.T)``, O(s^2 n + s^3) in a few numpy
+calls, where single steps would cost O(n) each plus the fixed cost of their
+calls.
 
 Row methods converge to the least-norm solution of consistent systems when
 started in the row space; on inconsistent systems they stall, which the driver
@@ -23,7 +29,7 @@ import numpy as np
 
 from .cgls import CglsConfig, cgls
 from .errors import ConvergedSignal, StalledError, UsageError
-from .linalg import NO_FACTOR, DenseMatrix, _block_index, _gram_inverse
+from .linalg import NO_FACTOR, DenseMatrix, _block_index, _full_rank
 from .selection import (
     SelectionConfig,
     _draw_by_square,
@@ -33,6 +39,8 @@ from .selection import (
     row_losses,
 )
 from .state import (
+    SWEEP_BLOCK,
+    _forward_solve,
     MethodFamily,
     SolveReport,
     SolveState,
@@ -94,20 +102,45 @@ def block_project_step(state: SolveState, a: DenseMatrix, b: np.ndarray, indices
     ``r_S = b_S - A_S x``: ``A_S.T K^-1 r_S`` for ``K = A_S A_S.T``, refined
     once against ``r_S - A_S dx`` (the corrected seminormal equations), which
     takes its error from about cond(A_S)^2 * eps to cond(A_S) * eps.
-    ``inverse`` is K^-1 as ``_gram_inverse`` gives it, built here when None;
-    applying it costs O(s*n + s^2). When K is rank deficient (``NO_FACTOR``)
-    the correction is least squares on ``A_S``.
+    ``inverse`` is K^-1 as ``_gram_inverse`` gives it, which costs O(s*n + s^2)
+    to apply; when None, K is formed, vetted by ``_full_rank`` and solved
+    with, which for a set used once costs less than inverting it. When K is
+    rank deficient (``NO_FACTOR``) the correction is least squares on ``A_S``.
     """
     rows = _block_index(indices)
     sub = a.entries[rows]
-    if inverse is None:
-        inverse = _gram_inverse(sub @ sub.T)
     rhs = b[rows] - sub @ state.x
-    if inverse is NO_FACTOR:
+    if inverse is None:
+        gram = sub @ sub.T
+        solve = (lambda v: np.linalg.solve(gram, v)) if _full_rank(gram) else None
+    else:
+        solve = None if inverse is NO_FACTOR else inverse.__matmul__
+    if solve is None:
         state.x += np.linalg.lstsq(sub, rhs, rcond=None)[0]
         return
-    dx = (inverse @ rhs) @ sub
-    state.x += dx + (inverse @ (rhs - sub @ dx)) @ sub
+    dx = solve(rhs) @ sub
+    state.x += dx + solve(rhs - sub @ dx) @ sub
+
+
+def kaczmarz_sweep(state: SolveState, a: DenseMatrix, b: np.ndarray, rows: slice,
+                   dx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``kaczmarz_step`` on each of ``rows`` (nonzero, in order) as one Gauss-Seidel solve.
+
+    The successive projections move x by ``z @ A_S``, where z solves
+    ``tril(K) z = r_S`` for ``K = A_S A_S.T`` and ``r_S = b_S - A_S x``: each
+    row's residual counts the moves of the rows before it. Returns z, which
+    the caller applies, and how much each projection changes
+    ``||x - x*||^2``, given ``dx = x - x*`` before the first:
+    ``z_t (2 a_t.(x_t - x*) + K_tt z_t)``, where ``a_t.(x_t - x*)`` is
+    ``(A_S dx)_t`` plus the earlier rows' moves, ``(r_S - K_tt z)_t``.
+    O(s^2 n + s^3) for s rows, in a few numpy calls.
+    """
+    sub = a.entries[rows]
+    gram = sub @ sub.T
+    rhs = b[rows] - sub @ state.x
+    z = _forward_solve(gram, rhs)
+    diag = np.diagonal(gram)
+    return z, z * (2.0 * (sub @ dx + rhs) - diag * z)
 
 
 @dataclass
@@ -124,9 +157,29 @@ class _RowFamily(MethodFamily):
             make_partition(self.a.m, self.config.block_size) if self.method == "rbk" else None
         )
         self.stall_window = 10 * self.a.m
+        # A zero row keeps kaczmarz on single steps, which raise when they reach it.
+        self.sweeps = self.method == "kaczmarz" and self.a.zero_row is None
 
     def err_sq(self, dx: np.ndarray, dd: float) -> float:
         return dd
+
+    def sweep(self, dx: np.ndarray, budget: int):
+        m = self.a.m
+        i = self.state.k % m
+        rows = slice(i, i + min(SWEEP_BLOCK, m - i, budget))
+        z, changes = kaczmarz_sweep(self.state, self.a, self.b, rows, dx)
+        move = z @ self.a.entries[rows]
+        self.pending = i, z, move
+        return i, changes, dx + move
+
+    def commit(self, count: int) -> None:
+        i, z, move = self.pending
+        if count < len(z):
+            move = z[:count] @ self.a.entries[i:i + count]
+        self.state.x += move
+
+    def sweep_err_sq(self, dds: list[float]) -> list[float]:
+        return dds
 
     def step(self):
         state, a, b, config, method = self.state, self.a, self.b, self.config, self.method

@@ -20,6 +20,22 @@ TERMINATION_REASONS = ("converged", "max_iters", "stalled", "stationary")
 # its family's stall window.
 _STALL_IMPROVEMENT = 1e-3
 
+# Iterations that a cyclic method (kaczmarz, cd) advances per sweep block. Larger blocks
+# spread the fixed cost of their numpy calls over more iterations but cost O(s^2 n + s^3);
+# at n = 100 and 300 (one BLAS thread) solve times were flat from 32 to 64. 50 divides
+# col_methods.REFRESH_EVERY, so cd blocks stay full between refreshes.
+SWEEP_BLOCK = 50
+# The lower triangle of every sweep block, made once: np.tril makes its mask on every call.
+_SWEEP_LOWER = np.tri(SWEEP_BLOCK)
+_SWEEP_LOWER.setflags(write=False)
+
+
+def _forward_solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """z with ``tril(gram) z = rhs``, for the Gram of a sweep block: one Gauss-Seidel sweep
+    from zero on the block's equations."""
+    size = len(rhs)
+    return np.linalg.solve(gram * _SWEEP_LOWER[:size, :size], rhs)
+
 
 @dataclass
 class SolveState:
@@ -73,7 +89,8 @@ class SolveReport:
     """Trace of a solve run: per-iteration relative solution error and set sizes.
 
     ``rse_trace[k]`` is ||x_k - x*|| / ||x_0 - x*||; ``iter_seconds[k]`` is the
-    cumulative wall time of the solver loop when iterate k was produced.
+    cumulative wall time of the solver loop when iterate k was produced, and
+    the iterates of one sweep block (``kaczmarz``, ``cd``) share one stamp.
     ``final_rse`` always equals the trace tail.
     """
 
@@ -129,6 +146,16 @@ class MethodFamily:
     termination reason when nothing is left to select; the loop then counts
     the iteration in ``state.k``. ``stationary()`` is an extra stop rule
     checked before the iteration cap.
+
+    While a family's ``sweeps`` is true it advances in sweep blocks of
+    consecutive single-index iterations instead of ``step()``; a family may
+    turn it off for the rest of the solve.
+    ``sweep(dx, budget)`` prepares the next block of at most ``budget``
+    iterations without applying it and returns its first index, how much
+    each of its iterations changes ``||x - x*||^2``, and ``x - x*`` after
+    the whole block; ``commit(count)`` applies its first ``count``
+    iterations; ``sweep_err_sq(dds)`` gives the record errors after its
+    first ``len(dds)`` iterations, whose ``||x - x*||^2`` are ``dds``.
     """
 
     kind: ClassVar[str]
@@ -144,6 +171,32 @@ class MethodFamily:
 
     def stationary(self) -> bool:
         return False
+
+
+def _stall_count(rse: float, best: float, since: int) -> tuple[float, int]:
+    """The best RSE so far and the iterations since it last improved, after an iteration
+    that reached ``rse``."""
+    if rse < best * (1.0 - _STALL_IMPROVEMENT):
+        return rse, 0
+    return best, since + 1
+
+
+def _block_errors(dd_start: float, changes: np.ndarray, dd_end: float) -> np.ndarray:
+    """``||x - x*||^2`` after each iteration of a sweep block but the last, from its value
+    before the block, the change each iteration makes and its value after the block.
+
+    Each is summed from whichever end of the block the changes in between are smaller in
+    magnitude, so its rounding is relative to it whether the error falls through the block
+    or jumps inside it: from the start while the magnitudes summed so far are at most half
+    of ``dd_end - dd_start + sum |changes|``, from the end after that.
+    """
+    # np.add.accumulate is np.cumsum without its dispatch cost, which dominates at s = 50.
+    sizes = np.add.accumulate(np.abs(changes))
+    split = int(np.count_nonzero(sizes[:-1] <= 0.5 * (dd_end - dd_start + float(sizes[-1]))))
+    dds = np.add.accumulate(changes[:-1])
+    dds[:split] += dd_start
+    dds[split:] = dd_end - np.add.accumulate(changes[:split:-1])[::-1]
+    return np.maximum(dds, 0.0, out=dds)
 
 
 def solve_loop(family: type[MethodFamily], method: str, a: DenseMatrix, b, *, config, stop,
@@ -186,9 +239,11 @@ def solve_loop(family: type[MethodFamily], method: str, a: DenseMatrix, b, *, co
     records: list[StepRecord] | None = [] if record_steps else None
     best_rse = rse
     since_best = 0
+    dd = float(dx @ dx)
     # A step's error before is the previous step's error after.
-    err_sq = fam.err_sq(dx, float(dx @ dx)) if record_steps else 0.0
+    err_sq = fam.err_sq(dx, dd) if record_steps else 0.0
 
+    window = fam.stall_window
     start = time.perf_counter()
     while True:
         if rse < stop.rse_tol:
@@ -200,9 +255,41 @@ def solve_loop(family: type[MethodFamily], method: str, a: DenseMatrix, b, *, co
         if state.k >= stop.max_iters:
             reason = "max_iters"
             break
-        if fam.stall_window is not None and since_best >= fam.stall_window:
+        if window is not None and since_best >= window:
             reason = "stalled"
             break
+        if fam.sweeps:
+            # Only the iterations up to the first at which the RSE or stall rule fires are
+            # applied, and x - x* is re-formed exactly after the last of them.
+            first, changes, dx_end = fam.sweep(dx, stop.max_iters - state.k)
+            dds = _block_errors(dd, changes, float(dx_end @ dx_end))
+            rses = (np.sqrt(dds) / denom).tolist()
+            count = len(changes)
+            best, since = best_rse, since_best
+            for t, guess in enumerate(rses):
+                after_t = _stall_count(guess, best, since)
+                if guess < stop.rse_tol or (window is not None and after_t[1] >= window):
+                    count = t + 1
+                    break
+                best, since = after_t
+            fam.commit(count)
+            state.k += count
+            dx = state.x - x_star
+            dd = float(dx @ dx)
+            rse = math.sqrt(dd) / denom
+            rses[count - 1:] = [rse]
+            rse_trace += rses
+            set_sizes += [1] * count
+            iter_seconds += [time.perf_counter() - start] * count
+            if record_steps:
+                errs = fam.sweep_err_sq(dds[:count - 1].tolist()) + [fam.err_sq(dx, dd)]
+                for t, err in enumerate(errs):
+                    records.append(StepRecord(k=state.k - count + t,
+                                              indices=np.array([first + t]), zero_mass=0.0,
+                                              err_sq_before=err_sq, err_sq_after=err))
+                    err_sq = err
+            best_rse, since_best = _stall_count(rse, best, since)
+            continue
         outcome = fam.step()
         if isinstance(outcome, str):
             reason = outcome
@@ -225,11 +312,7 @@ def solve_loop(family: type[MethodFamily], method: str, a: DenseMatrix, b, *, co
                 err_sq_before=err_before,
                 err_sq_after=err_sq,
             ))
-        if rse < best_rse * (1.0 - _STALL_IMPROVEMENT):
-            best_rse = rse
-            since_best = 0
-        else:
-            since_best += 1
+        best_rse, since_best = _stall_count(rse, best_rse, since_best)
 
     wall = time.perf_counter() - start
     return SolveReport(

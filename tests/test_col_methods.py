@@ -27,6 +27,7 @@ from rgsolve.col_methods import amdcd_step, cd_step, rbcd_block_step, rgdc_step,
 from rgsolve.col_methods import REFRESH_EVERY
 from rgsolve.linalg import NO_FACTOR
 from rgsolve.state import SolveState
+from sweep_reference import sequential_run
 
 DIAG = DenseMatrix([[1.0, 0.0], [0.0, 2.0]])
 B_DIAG = np.array([1.0, 4.0])
@@ -465,7 +466,7 @@ def test_concurrent_solves_share_one_matrix(method):
     assert results == [serial[i % 2] for i in range(len(results))]
 
 
-DRIFT_STEPS = {"cd": "cd_step", "rgrcd": "cd_step", "rgdc": "rgdc_step",
+DRIFT_STEPS = {"cd": "cd_sweep", "rgrcd": "cd_step", "rgdc": "rgdc_step",
                "amdcd": "amdcd_step", "rbcd": "rbcd_block_step"}
 
 
@@ -477,9 +478,12 @@ def test_refresh_catches_drift_in_carried_y(monkeypatch, method):
     original = getattr(col_methods, name)
 
     def perturbed(state, *args, **kwargs):
-        original(state, *args, **kwargs)
-        if state.k == 20:
+        out = original(state, *args, **kwargs)
+        # A step runs iteration state.k; the sweep kernel returns the block of iterations
+        # from state.k on, and the perturbation outlives the block's move of y.
+        if state.k <= 20 < state.k + (1 if out is None else len(out[0])):
             state.y[0] += 1e-3
+        return out
 
     monkeypatch.setattr(col_methods, name, perturbed)
     with pytest.raises(RgsolveError, match="y recursion drifted"):
@@ -567,22 +571,32 @@ def _assert_column_solve_carries_no_residual(monkeypatch, shape, method, record_
 
         monkeypatch.setattr(DenseMatrix, name, counted)
     monkeypatch.setattr(col_methods, "STATIONARITY_REL", 1e-300)
+    sweeps = []
+    sweep = col_methods.cd_sweep
+
+    def watched_sweep(state, *args):
+        sweeps.append(state.k)
+        return sweep(state, *args)
+
+    monkeypatch.setattr(col_methods, "cd_sweep", watched_sweep)
     report = run_col_method(method, a, inst.b, x_star=inst.x_star, seed=62,
                             config=SelectionConfig(block_size=3), record_steps=record_steps,
                             stop=StopRule(rse_tol=1e-300, max_iters=350))
     assert report.iterations == 350 and report.termination_reason == "max_iters"
     assert refreshed == [100, 200, 300]
+    assert (method == "cd") == bool(sweeps) and len(sweeps) < report.iterations / 10
     # A.T b at the start. On tall matrices nothing else touches A: steps move y through the
-    # Gram and refreshes read A.T b - G x. On wide ones each step moves y by A.T (A_S w) and
-    # each refresh forms b - A x and A.T r. Records add A (x - x*) at the start and after
-    # each step.
+    # Gram and refreshes read A.T b - G x. On wide ones each step, and cd's each sweep block,
+    # moves y by A.T (A_S w), and each refresh forms b - A x and A.T r. Records add
+    # A (x - x*) at the start and after each iteration.
     tall = a.gram is not None
     want = ["matvec_transpose"] + ["matvec"] * record_steps
     for k in range(report.iterations):
         if not tall:
             if k and k % REFRESH_EVERY == 0:
                 want += ["matvec", "matvec_transpose"]
-            want += ["matvec_transpose"]
+            if method != "cd" or k in sweeps:
+                want += ["matvec_transpose"]
         want += ["matvec"] * record_steps
     assert gemvs == want
 
@@ -658,9 +672,22 @@ def test_step_records_equal_a_fresh_recomputation(monkeypatch, shape, method):
     family_step = family.step
     monkeypatch.setattr(family, "step", step)
     run = run_row_method if is_row else run_col_method
+    stop = StopRule(rse_tol=1e-10, max_iters=2 * REFRESH_EVERY + 50)
     report = run(method, a, inst.b, x_star=inst.x_star, seed=3, record_steps=True,
-                 config=SelectionConfig(theta=0.3, block_size=7),
-                 stop=StopRule(rse_tol=1e-10, max_iters=2 * REFRESH_EVERY + 50))
+                 config=SelectionConfig(theta=0.3, block_size=7), stop=stop)
+    if method in ("kaczmarz", "cd"):
+        # Sweep blocks take no step() and read the errors of their inner iterations from
+        # block quantities, so they agree with single steps to rounding.
+        reference = sequential_run(method, a, inst.b, x_star=inst.x_star,
+                                   rse_tol=stop.rse_tol, max_iters=stop.max_iters)
+        assert not fresh and report.iterations == reference.iterations == stop.max_iters
+        for k, rec in enumerate(report.step_records):
+            assert rec.k == k and rec.zero_mass == 0.0
+            assert rec.indices.dtype == np.array([0]).dtype
+            assert rec.indices.tolist() == [k % (a.m if is_row else a.n)]
+            assert [rec.err_sq_before, rec.err_sq_after] == \
+                pytest.approx(reference.errs[k:k + 2], rel=1e-12, abs=0.0)
+        return
     assert len(report.step_records) == len(fresh) == report.iterations > 0
     if method == "rgrcd":  # records straddle the refreshes of y at steps 100 and 200
         assert report.iterations > 2 * REFRESH_EVERY
