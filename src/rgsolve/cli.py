@@ -33,9 +33,8 @@ from .problems import (
 )
 from .row_methods import ROW_METHODS, run_row_method
 from .selection import SelectionConfig
-from .state import SolveReport, StopRule
-from .theory import (STAT_CERTIFIED, STEP_CERTIFIED, _check_certify_size, certificates_to_csv,
-                     certify_randomized, certify_run)
+from .state import STAT_CERTIFIED, STEP_CERTIFIED, SolveReport, StopRule
+from .theory import _check_certify_size, certificates_to_csv, certify_randomized, certify_run
 
 RANDOMIZED_METHODS = ("rgrk", "rbk", "rgrcd", "rbcd")
 ALL_METHODS = ROW_METHODS + COL_METHODS

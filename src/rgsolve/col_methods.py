@@ -177,22 +177,20 @@ def amdcd_step(state: SolveState, a: DenseMatrix, indices: np.ndarray) -> None:
 
 
 def rbcd_block_step(state: SolveState, a: DenseMatrix, b: np.ndarray, indices: np.ndarray,
-                    inverse=None) -> None:
+                    inverse) -> None:
     """Least-squares-solve the residual against the selected columns and apply it.
 
     The correction w solves ``G[S, S] w = y[S]``, the normal equations of
     ``A_S w = r`` (on wide matrices ``G[S, S]`` is ``A_S.T @ A_S``), as
     ``G[S, S]^-1 y[S]`` refined once against ``y[S] - G[S, S] w``, which keeps
     the error of applying an inverse to that of a backward-stable solve.
-    ``inverse`` is ``G[S, S]^-1`` as ``a.block_factor(1, indices)`` gives it,
-    built here when None; applying it costs O(s^2) (O(m*s) on wide
+    ``inverse`` is ``G[S, S]^-1`` as ``a.block_factor(1, indices)`` or
+    ``a.partition_factor`` gives it; applying it costs O(s^2) (O(m*s) on wide
     matrices). When the block is numerically singular (``NO_FACTOR``) the
     correction is least squares on ``A_S`` against ``r = b - A x``, formed
     only then.
     """
     block = _block_index(indices)
-    if inverse is None:
-        inverse = a.block_factor(1, block)
     cols = a.entries[:, block]
     if inverse is NO_FACTOR:
         w = np.linalg.lstsq(cols, b - a.matvec(state.x), rcond=None)[0]
@@ -261,7 +259,7 @@ class _ColFamily(MethodFamily):
         cols = slice(j, j + min(SWEEP_BLOCK, n - j, REFRESH_EVERY - k % REFRESH_EVERY, budget))
         delta, changes = cd_sweep(self.state, self.a, cols, dx)
         move = _normal_product(self.a, cols, delta)
-        self.pending = j, delta, dx, move
+        self.pending = j, delta, move
         y = self.state.y - move
         count = len(delta)
         if math.sqrt(y @ y) <= SWEEP_FLOOR_MARGIN * STATIONARITY_REL * self.atb_norm:
@@ -269,24 +267,15 @@ class _ColFamily(MethodFamily):
             count = 1
         dx = dx.copy()
         dx[j:j + count] += delta[:count]
-        return j, changes[:count], dx
+        return changes[:count], dx
 
     def commit(self, count: int) -> None:
-        j, delta, _, move = self.pending
+        j, delta, move = self.pending
         if count < len(delta):
             delta = delta[:count]
             move = _normal_product(self.a, slice(j, j + count), delta)
         self.state.x[j:j + count] += delta
         self.state.y -= move
-
-    def sweep_err_sq(self, dds: list[float]) -> list[float]:
-        j, delta, dx, _ = self.pending
-        dx = dx.copy()
-        errs = []
-        for t, dd in enumerate(dds):
-            dx[j + t] += delta[t]
-            errs.append(self.err_sq(dx, dd))
-        return errs
 
     def step(self):
         state, a, config, method = self.state, self.a, self.config, self.method

@@ -170,16 +170,13 @@ class _RowFamily(MethodFamily):
         z, changes = kaczmarz_sweep(self.state, self.a, self.b, rows, dx)
         move = z @ self.a.entries[rows]
         self.pending = i, z, move
-        return i, changes, dx + move
+        return changes, dx + move
 
     def commit(self, count: int) -> None:
         i, z, move = self.pending
         if count < len(z):
             move = z[:count] @ self.a.entries[i:i + count]
         self.state.x += move
-
-    def sweep_err_sq(self, dds: list[float]) -> list[float]:
-        return dds
 
     def step(self):
         state, a, b, config, method = self.state, self.a, self.b, self.config, self.method

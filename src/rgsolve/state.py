@@ -12,13 +12,18 @@ import numpy as np
 from .cgls import CglsConfig
 from .errors import UsageError
 from .linalg import DenseMatrix, as_vector
-from .selection import SelectionConfig
+from .selection import SelectionConfig, _check_positive_int
 
 TERMINATION_REASONS = ("converged", "max_iters", "stalled", "stationary")
 
 # A run stalls when the best RSE fails to improve by this relative amount over
 # its family's stall window.
 _STALL_IMPROVEMENT = 1e-3
+
+# Methods with per-step certificates (theory.certify_run) and with statistical ones
+# (theory.certify_randomized); only these record steps.
+STEP_CERTIFIED = ("rgdr", "rgdc")
+STAT_CERTIFIED = ("rgrk", "rgrcd")
 
 # Iterations that a cyclic method (kaczmarz, cd) advances per sweep block. Larger blocks
 # spread the fixed cost of their numpy calls over more iterations but cost O(s^2 n + s^3);
@@ -62,19 +67,19 @@ class StopRule:
         # Negated, so that NaN fails them too.
         if not self.rse_tol > 0.0:
             raise UsageError(f"rse_tol must be positive, got {self.rse_tol}")
-        if not self.max_iters >= 1:
-            raise UsageError(f"max_iters must be at least 1, got {self.max_iters}")
+        _check_positive_int("max_iters", self.max_iters)
+        self.max_iters = int(self.max_iters)
 
 
 @dataclass(slots=True)
 class StepRecord:
-    """Per-iteration data needed to certify contraction bounds after the run.
+    """Per-iteration data needed to certify contraction bounds after the run, kept
+    for the certified methods ``rgrk``, ``rgdr``, ``rgrcd`` and ``rgdc`` only.
 
     ``err_sq_before``/``err_sq_after`` are ``||x - x*||^2`` for row methods and the
     energy error ``||A (x - x*)||^2`` for column methods, both read from the
     ``x - x*`` the solve loop forms for the RSE. ``indices`` is the selected
-    set as the step returned it (shared, not copied, for ``rbk``/``rbcd``
-    partition blocks); the certifier reads the set's energy from it.
+    set as the step returned it; the certifier reads the set's energy from it.
     """
 
     k: int
@@ -91,7 +96,9 @@ class SolveReport:
     ``rse_trace[k]`` is ||x_k - x*|| / ||x_0 - x*||; ``iter_seconds[k]`` is the
     cumulative wall time of the solver loop when iterate k was produced, and
     the iterates of one sweep block (``kaczmarz``, ``cd``) share one stamp.
-    ``final_rse`` always equals the trace tail.
+    ``final_rse`` always equals the trace tail. ``step_records`` holds one
+    record per iteration when a certified method ran with ``record_steps``,
+    and is None otherwise.
     """
 
     method: str
@@ -142,20 +149,18 @@ class MethodFamily:
     ``err_sq(dx, dd)`` is the squared error step records carry, given the
     loop's ``dx = x - x*`` and ``dd = dx @ dx``.
     ``step()`` updates ``x`` (and y) and returns ``(selected, profile or
-    None)``, the loss profile whose zero set the step records sum, or a
-    termination reason when nothing is left to select; the loop then counts
-    the iteration in ``state.k``. ``stationary()`` is an extra stop rule
-    checked before the iteration cap.
+    None)``, the loss profile whose zero set the step records sum (every
+    certified method has one), or a termination reason when nothing is left
+    to select; the loop then counts the iteration in ``state.k``.
+    ``stationary()`` is an extra stop rule checked before the iteration cap.
 
     While a family's ``sweeps`` is true it advances in sweep blocks of
     consecutive single-index iterations instead of ``step()``; a family may
     turn it off for the rest of the solve.
     ``sweep(dx, budget)`` prepares the next block of at most ``budget``
-    iterations without applying it and returns its first index, how much
-    each of its iterations changes ``||x - x*||^2``, and ``x - x*`` after
-    the whole block; ``commit(count)`` applies its first ``count``
-    iterations; ``sweep_err_sq(dds)`` gives the record errors after its
-    first ``len(dds)`` iterations, whose ``||x - x*||^2`` are ``dds``.
+    iterations without applying it and returns how much each of its
+    iterations changes ``||x - x*||^2`` and ``x - x*`` after the whole
+    block; ``commit(count)`` applies its first ``count`` iterations.
     """
 
     kind: ClassVar[str]
@@ -206,11 +211,17 @@ def solve_loop(family: type[MethodFamily], method: str, a: DenseMatrix, b, *, co
     ``reference`` is the CGLS solver that supplies ``x_star``, with ``cgls_cfg``
     (default tolerance 1e-12), when it is not given. The family modules pass
     the ``cgls`` they import, looked up when they call, so a wrapper installed
-    on that module attribute sees the solve.
+    on that module attribute sees the solve. ``record_steps`` is accepted only
+    for the certified methods.
     """
     if method not in family.methods:
         raise UsageError(
             f"unknown {family.kind} method {method!r}; expected one of {family.methods}"
+        )
+    if record_steps and method not in STEP_CERTIFIED + STAT_CERTIFIED:
+        raise UsageError(
+            f"step records exist only for the certified methods rgrk, rgdr, rgrcd, rgdc, "
+            f"not {method!r}"
         )
     config = config if config is not None else SelectionConfig()
     stop = stop if stop is not None else StopRule()
@@ -261,7 +272,7 @@ def solve_loop(family: type[MethodFamily], method: str, a: DenseMatrix, b, *, co
         if fam.sweeps:
             # Only the iterations up to the first at which the RSE or stall rule fires are
             # applied, and x - x* is re-formed exactly after the last of them.
-            first, changes, dx_end = fam.sweep(dx, stop.max_iters - state.k)
+            changes, dx_end = fam.sweep(dx, stop.max_iters - state.k)
             dds = _block_errors(dd, changes, float(dx_end @ dx_end))
             rses = (np.sqrt(dds) / denom).tolist()
             count = len(changes)
@@ -281,13 +292,6 @@ def solve_loop(family: type[MethodFamily], method: str, a: DenseMatrix, b, *, co
             rse_trace += rses
             set_sizes += [1] * count
             iter_seconds += [time.perf_counter() - start] * count
-            if record_steps:
-                errs = fam.sweep_err_sq(dds[:count - 1].tolist()) + [fam.err_sq(dx, dd)]
-                for t, err in enumerate(errs):
-                    records.append(StepRecord(k=state.k - count + t,
-                                              indices=np.array([first + t]), zero_mass=0.0,
-                                              err_sq_before=err_sq, err_sq_after=err))
-                    err_sq = err
             best_rse, since_best = _stall_count(rse, best, since)
             continue
         outcome = fam.step()
@@ -307,8 +311,7 @@ def solve_loop(family: type[MethodFamily], method: str, a: DenseMatrix, b, *, co
             records.append(StepRecord(
                 k=state.k - 1,
                 indices=selected,
-                zero_mass=(float(fam.sqnorms[profile.losses < profile.zero_tol].sum())
-                           if profile is not None else 0.0),
+                zero_mass=float(fam.sqnorms[profile.losses < profile.zero_tol].sum()),
                 err_sq_before=err_before,
                 err_sq_after=err_sq,
             ))

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import SizeGuardError, UsageError
 from .linalg import DenseMatrix, sigma_extremes, singular_values
 from .mmio import write_csv
-from .state import SolveReport
+from .state import STAT_CERTIFIED, STEP_CERTIFIED, SolveReport
 
 # Certification requires full-matrix and per-step submatrix spectra; refuse
 # instances where either dimension exceeds this.
@@ -31,11 +31,6 @@ CERTIFY_DIM_LIMIT = 512
 
 # Absorbs floating-point zero-set detection and SVD error in bound checks.
 BOUND_SLACK = 1e-8
-
-# Methods with per-step certificates (certify_run) and with statistical ones
-# (certify_randomized).
-STEP_CERTIFIED = ("rgdr", "rgdc")
-STAT_CERTIFIED = ("rgrk", "rgrcd")
 
 
 @dataclass

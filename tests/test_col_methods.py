@@ -26,8 +26,7 @@ from rgsolve import (
 from rgsolve.col_methods import amdcd_step, cd_step, rbcd_block_step, rgdc_step, rgrcd_step
 from rgsolve.col_methods import REFRESH_EVERY
 from rgsolve.linalg import NO_FACTOR
-from rgsolve.state import SolveState
-from sweep_reference import sequential_run
+from rgsolve.state import STAT_CERTIFIED, STEP_CERTIFIED, SolveState
 
 DIAG = DenseMatrix([[1.0, 0.0], [0.0, 2.0]])
 B_DIAG = np.array([1.0, 4.0])
@@ -212,7 +211,7 @@ def test_rbcd_full_block_reaches_least_squares():
     a = gen_randn(20, 6, 14)
     inst = make_inconsistent(a, 15)
     state = fresh_state(a, inst.b)
-    rbcd_block_step(state, a, inst.b, np.arange(6))
+    rbcd_block_step(state, a, inst.b, np.arange(6), a.block_factor(1, np.arange(6)))
     np.testing.assert_allclose(state.x, inst.x_star, rtol=1e-8, atol=1e-10)
 
 
@@ -222,7 +221,7 @@ def test_rbcd_singleton_matches_cd():
     b = rng.standard_normal(10)
     s1 = fresh_state(a, b)
     s2 = fresh_state(a, b)
-    rbcd_block_step(s1, a, b, np.array([1]))
+    rbcd_block_step(s1, a, b, np.array([1]), a.block_factor(1, [1]))
     cd_step(s2, a, 1)
     np.testing.assert_allclose(s1.x, s2.x, atol=1e-10)
 
@@ -231,13 +230,13 @@ def test_rbcd_identity():
     a = DenseMatrix(np.eye(2))
     b = np.array([1.0, 2.0])
     state = fresh_state(a, b)
-    rbcd_block_step(state, a, b, np.array([0, 1]))
+    rbcd_block_step(state, a, b, np.array([0, 1]), a.block_factor(1, [0, 1]))
     np.testing.assert_allclose(state.x, [1.0, 2.0], atol=1e-12)
 
 
 def _assert_col_block_is_min_norm(a, b, indices, x):
     state = fresh_state(a, b, x)
-    rbcd_block_step(state, a, b, indices)
+    rbcd_block_step(state, a, b, indices, a.block_factor(1, indices))
     expected = x.copy()
     expected[indices] += np.linalg.lstsq(a.entries[:, indices], b - a.matvec(x), rcond=None)[0]
     assert np.linalg.norm(state.x - expected) <= 1e-8 * np.linalg.norm(expected)
@@ -284,7 +283,8 @@ def test_rbcd_block_inverse_is_as_accurate_as_a_solve():
     # it must stay within 2x of a backward-stable solve of the same normal equations.
     a = gen_smatrix(60, 20, 20, 1e5, 1.0, 3)
     block = np.arange(20)
-    assert a.block_factor(1, block) is not NO_FACTOR
+    inverse = a.block_factor(1, block)
+    assert inverse is not NO_FACTOR
     errors, solve_errors = [], []
     for seed in range(8):
         rng = np.random.default_rng(seed)
@@ -293,7 +293,7 @@ def test_rbcd_block_inverse_is_as_accurate_as_a_solve():
         state = fresh_state(a, b, x)
         oracle = np.linalg.lstsq(a.entries, b - a.matvec(x), rcond=None)[0]
         solved = np.linalg.solve(a.gram, state.y)
-        rbcd_block_step(state, a, b, block)
+        rbcd_block_step(state, a, b, block, inverse)
         for err, w in ((errors, state.x - x), (solve_errors, solved)):
             err.append(np.linalg.norm(w - oracle) / np.linalg.norm(oracle))
     assert errors[0] <= 2 * solve_errors[0]
@@ -394,7 +394,7 @@ COLUMN_STEPS = {
     "cd": lambda s, a, b, idx: cd_step(s, a, int(idx[0])),
     "rgdc": lambda s, a, b, idx: rgdc_step(s, a, idx),
     "amdcd": lambda s, a, b, idx: amdcd_step(s, a, idx),
-    "rbcd": rbcd_block_step,
+    "rbcd": lambda s, a, b, idx: rbcd_block_step(s, a, b, idx, a.block_factor(1, idx)),
 }
 
 
@@ -552,9 +552,34 @@ def test_greedy_column_methods_reject_a_zero_column(method):
                        seed=0)
 
 
+CERTIFIED = STEP_CERTIFIED + STAT_CERTIFIED
+
+
+def _assert_records_refused(monkeypatch, method, a, b, **kwargs):
+    """``record_steps=True`` on an uncertified method raises before the CGLS reference
+    solve and before any iteration."""
+    is_row = method in ROW_METHODS
+    module, family = ((row_methods, row_methods._RowFamily) if is_row
+                      else (col_methods, col_methods._ColFamily))
+
+    def never(*args, **kw):
+        raise AssertionError("the solve started before refusing the records")
+
+    monkeypatch.setattr(module, "cgls", never)
+    for hook in ("step", "sweep"):
+        monkeypatch.setattr(family, hook, never)
+    run = run_row_method if is_row else run_col_method
+    with pytest.raises(UsageError, match=rf"^step records exist only for the certified "
+                                         rf"methods rgrk, rgdr, rgrcd, rgdc, not '{method}'$"):
+        run(method, a, b, record_steps=True, **kwargs)
+
+
 def _assert_column_solve_carries_no_residual(monkeypatch, shape, method, record_steps):
     a = gen_randn(*shape, 60)
     inst = make_consistent(a, 61)
+    if record_steps and method not in CERTIFIED:
+        _assert_records_refused(monkeypatch, method, a, inst.b, seed=62)
+        return
     refreshed = []
     refresh = col_methods._ColFamily.refresh
 
@@ -614,12 +639,15 @@ def test_column_solves_with_records_carry_no_residual(monkeypatch, shape, method
 
 
 @pytest.mark.parametrize("method", COL_METHODS)
-def test_column_step_records_are_never_negative_on_rank_deficient_matrices(method):
+def test_column_step_records_are_never_negative_on_rank_deficient_matrices(monkeypatch, method):
     # The Gram form (x - x*).T G (x - x*) rounds below zero here once A (x - x*) is tiny.
     for seed in range(3):
         a = gen_smatrix(60, 20, 6, 10.0, 1.0, seed)
         inst = make_consistent(a, seed + 10)
         x0 = np.random.default_rng(seed + 20).standard_normal(a.n)
+        if method not in CERTIFIED:
+            _assert_records_refused(monkeypatch, method, a, inst.b, x0=x0, seed=seed)
+            continue
         report = run_col_method(method, a, inst.b, x0=x0, x_star=inst.x_star, seed=seed,
                                 config=SelectionConfig(block_size=5), record_steps=True,
                                 stop=StopRule(rse_tol=1e-12, max_iters=3000))
@@ -629,14 +657,18 @@ def test_column_step_records_are_never_negative_on_rank_deficient_matrices(metho
 
 @pytest.mark.parametrize("shape", [(60, 20), (20, 60)], ids=["tall", "wide"])
 @pytest.mark.parametrize("method", ROW_METHODS + COL_METHODS)
-def test_step_records_never_change_the_iterates(shape, method):
+def test_step_records_never_change_the_iterates(monkeypatch, shape, method):
     a = gen_randn(*shape, 63)
     inst = make_consistent(a, 64)
     run = run_row_method if method in ROW_METHODS else run_col_method
-    off, on = (run(method, a, inst.b, x_star=inst.x_star, seed=65, record_steps=rec,
-                   config=SelectionConfig(block_size=3),
-                   stop=StopRule(rse_tol=1e-10, max_iters=350))
-               for rec in (False, True))
+    kwargs = dict(seed=65, config=SelectionConfig(block_size=3),
+                  stop=StopRule(rse_tol=1e-10, max_iters=350))
+    off = run(method, a, inst.b, x_star=inst.x_star, **kwargs)
+    if method not in CERTIFIED:
+        assert off.iterations > 0 and off.step_records is None
+        _assert_records_refused(monkeypatch, method, a, inst.b, **kwargs)
+        return
+    on = run(method, a, inst.b, x_star=inst.x_star, record_steps=True, **kwargs)
     assert on.iterations == off.iterations > 0
     assert on.termination_reason == off.termination_reason
     assert on.rse_trace == off.rse_trace
@@ -650,6 +682,9 @@ def test_step_records_never_change_the_iterates(shape, method):
 def test_step_records_equal_a_fresh_recomputation(monkeypatch, shape, method):
     a = gen_randn(*shape, 5)
     inst = make_consistent(a, 6)
+    if method not in CERTIFIED:
+        _assert_records_refused(monkeypatch, method, a, inst.b, seed=3)
+        return
     is_row = method in ROW_METHODS
     family = row_methods._RowFamily if is_row else col_methods._ColFamily
     sqnorms = a.row_sqnorms if is_row else a.col_sqnorms
@@ -664,8 +699,7 @@ def test_step_records_equal_a_fresh_recomputation(monkeypatch, shape, method):
         outcome = family_step(self)
         if not isinstance(outcome, str):
             selected, profile = outcome
-            zero_mass = (0.0 if profile is None else
-                         float(sqnorms[np.flatnonzero(profile.losses < profile.zero_tol)].sum()))
+            zero_mass = float(sqnorms[np.flatnonzero(profile.losses < profile.zero_tol)].sum())
             fresh.append((selected.copy(), zero_mass, before, err_sq(self.state.x)))
         return outcome
 
@@ -675,19 +709,6 @@ def test_step_records_equal_a_fresh_recomputation(monkeypatch, shape, method):
     stop = StopRule(rse_tol=1e-10, max_iters=2 * REFRESH_EVERY + 50)
     report = run(method, a, inst.b, x_star=inst.x_star, seed=3, record_steps=True,
                  config=SelectionConfig(theta=0.3, block_size=7), stop=stop)
-    if method in ("kaczmarz", "cd"):
-        # Sweep blocks take no step() and read the errors of their inner iterations from
-        # block quantities, so they agree with single steps to rounding.
-        reference = sequential_run(method, a, inst.b, x_star=inst.x_star,
-                                   rse_tol=stop.rse_tol, max_iters=stop.max_iters)
-        assert not fresh and report.iterations == reference.iterations == stop.max_iters
-        for k, rec in enumerate(report.step_records):
-            assert rec.k == k and rec.zero_mass == 0.0
-            assert rec.indices.dtype == np.array([0]).dtype
-            assert rec.indices.tolist() == [k % (a.m if is_row else a.n)]
-            assert [rec.err_sq_before, rec.err_sq_after] == \
-                pytest.approx(reference.errs[k:k + 2], rel=1e-12, abs=0.0)
-        return
     assert len(report.step_records) == len(fresh) == report.iterations > 0
     if method == "rgrcd":  # records straddle the refreshes of y at steps 100 and 200
         assert report.iterations > 2 * REFRESH_EVERY
@@ -708,17 +729,18 @@ def _duplicated_tall_instance():
     _duplicated_tall_instance,
     lambda: (make_consistent(gen_randn(7, 30, 34), 35), 100),
 ], ids=["duplicated-tall", "wide"])
-def test_rbcd_least_squares_fallback_is_the_same_with_and_without_records(monkeypatch, instance):
+def test_rbcd_least_squares_fallback_solves_the_system(monkeypatch, instance):
     inst, block_size = instance()
     fallbacks = []
     lstsq = np.linalg.lstsq
     monkeypatch.setattr(np.linalg, "lstsq",
                         lambda *args, **kw: fallbacks.append(1) or lstsq(*args, **kw))
-    off, on = (run_col_method("rbcd", inst.A, inst.b, x_star=inst.x_star, seed=66,
-                              record_steps=rec, config=SelectionConfig(block_size=block_size),
-                              stop=StopRule(rse_tol=1e-8, max_iters=2000))
-               for rec in (False, True))
+    report = run_col_method("rbcd", inst.A, inst.b, x_star=inst.x_star, seed=66,
+                            config=SelectionConfig(block_size=block_size),
+                            stop=StopRule(rse_tol=1e-8, max_iters=2000))
     assert fallbacks  # rank-deficient blocks reached least squares
-    assert on.termination_reason == off.termination_reason
-    assert on.termination_reason in ("converged", "stationary")
-    assert np.linalg.norm(on.x_final - off.x_final) <= 1e-12 * np.linalg.norm(off.x_final)
+    assert report.termination_reason in ("converged", "stationary")
+    # Consistent systems: the iterate solves A x = b, though with duplicated columns it
+    # need not be x*.
+    residual = inst.b - inst.A.matvec(report.x_final)
+    assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(inst.b)

@@ -240,7 +240,7 @@ _WEIGHT = st.one_of(
 )
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=400, deadline=None, derandomize=True)
 @given(weights=st.lists(_WEIGHT, min_size=1, max_size=60),
        seed=st.integers(min_value=0, max_value=2**63 - 1))
 def test_inverse_cdf_draw_is_generator_choice(weights, seed):

@@ -1,8 +1,10 @@
 """Sweep blocks: kaczmarz and cd take the iterations of one sequential step at a time."""
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rgsolve import (
@@ -88,10 +90,9 @@ def _instances(draw):
     return inst, x0
 
 
-# Derandomized, so that every run draws the same examples. No explain phase: it imports
-# libcst, whose deprecation warnings are errors under this suite's warning filter.
-@settings(max_examples=120, deadline=None, derandomize=True,
-          phases=set(Phase) - {Phase.explain})
+# Derandomized, so that every run draws the same examples. A failing example reports as a
+# failure: tests/conftest.py keeps Hypothesis's patch writer from ending the session.
+@settings(max_examples=120, deadline=None, derandomize=True)
 @given(case=_instances(), method=st.sampled_from(["kaczmarz", "cd"]),
        rse_tol=st.sampled_from([1e-4, 1e-6, 1e-12]), max_iters=st.integers(1, 700))
 def test_sweep_blocks_match_single_steps(case, method, rse_tol, max_iters):
@@ -108,6 +109,19 @@ def test_a_cap_inside_a_block_ends_at_the_cap(method, max_iters):
     assert report.termination_reason == "max_iters" and report.iterations == max_iters
     assert len(report.rse_trace) == len(report.iter_seconds) == max_iters + 1
     _assert_same_run(report, reference, inst.A)
+
+
+@pytest.mark.parametrize("method", ["kaczmarz", "cd", "rgdr"])
+def test_a_whole_float_cap_runs_as_an_int_and_other_caps_are_refused(method):
+    inst = make_consistent(gen_randn(200, 50, 80), 81)
+    stop = StopRule(rse_tol=1e-300, max_iters=30.0)
+    assert type(stop.max_iters) is int
+    run = run_row_method if method in ("kaczmarz", "rgdr") else run_col_method
+    report = run(method, inst.A, inst.b, x_star=inst.x_star, stop=stop)
+    assert report.termination_reason == "max_iters" and report.iterations == 30
+    for cap in (2.5, math.inf, math.nan):
+        with pytest.raises(UsageError, match=f"^max_iters must be a positive integer, got {cap}$"):
+            StopRule(rse_tol=1e-4, max_iters=cap)
 
 
 def test_inconsistent_kaczmarz_stalls_inside_a_block_where_single_steps_do():

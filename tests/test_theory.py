@@ -194,8 +194,8 @@ def test_certify_requires_trace():
 def test_certify_rejects_unsupported_method():
     a = gen_randn(20, 5, 1)
     inst = make_consistent(a, 2)
-    report = run_row_method("kaczmarz", a, inst.b, x_star=inst.x_star, record_steps=True)
-    with pytest.raises(UsageError):
+    report = run_row_method("rgrk", a, inst.b, x_star=inst.x_star, seed=0, record_steps=True)
+    with pytest.raises(UsageError, match="per-step certificates exist only for rgdr and rgdc"):
         certify_run(report, a)
 
 
