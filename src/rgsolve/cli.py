@@ -170,11 +170,17 @@ def _method_label(entry: dict, config: SelectionConfig) -> str:
 
 
 def _config_number(value, key: str, kind):
-    """``kind(value)``, or a usage error naming the bench config entry when it is not a number."""
+    """``kind(value)``, or a usage error naming the bench config entry when it is not a number,
+    is a boolean, or is a fraction where ``kind`` is int (a whole float such as 30.0 is taken)."""
     try:
-        return kind(value)
+        number = kind(value)
     except (TypeError, ValueError, OverflowError):
-        raise UsageError(f"bench config {key} must be a number, got {value!r}") from None
+        number = None
+    fraction = kind is int and isinstance(value, float) and number != value
+    if number is None or isinstance(value, bool) or fraction:
+        what = "a whole number" if kind is int else "a number"
+        raise UsageError(f"bench config {key} must be {what}, got {value!r}")
+    return number
 
 
 def _at_least(value: int, least: int, name: str) -> int:

@@ -12,8 +12,9 @@ move is ``A.T @ (A[:, S] @ w)`` instead. RBCD applies the inverse of
 keeps each partition block's inverse from its first use. Cyclic CD
 advances in sweep blocks of up to ``SWEEP_BLOCK`` consecutive columns
 (``cd_sweep``): their successive coordinate steps are one Gauss-Seidel
-solve on ``tril(G[S, S])`` and one move of y, and near the stationarity
-floor it goes back to single steps.
+solve on ``tril(G[S, S])`` and one move of y. A block ends at the next
+refresh of y and before the first zero column, which raises when a block
+starts on it, and near the stationarity floor a block is one iteration.
 No column method carries the residual r itself; y is recomputed from x every
 100 iterations, on tall matrices as ``A.T b - G x`` (O(n^2), with ``A.T b``
 kept from the start) and on wide ones as ``A.T (b - A x)``. RGDC's step
@@ -47,6 +48,7 @@ from .selection import (
 )
 from .state import (
     SWEEP_BLOCK,
+    _block_errors,
     _forward_solve,
     MethodFamily,
     SolveReport,
@@ -61,9 +63,10 @@ COL_METHODS = ("cd", "rgrcd", "rgdc", "amdcd", "rbcd")
 # A run is stationary once ||y|| = ||A.T r|| falls to this fraction of ||A.T b||.
 STATIONARITY_REL = 1e-14
 
-# cd advances in sweep blocks only while a block ends with ||y|| above this multiple of the
-# stationarity floor. Near the floor, y's rounding noise can dip below it inside a block and
-# rise above it by the block's end, so single steps check the floor after every iteration.
+# A cd sweep block that would end with ||y|| within this multiple of the stationarity floor
+# is cut to its first iteration. Near the floor, y's rounding noise can dip below it inside
+# a block and rise above it by the block's end, so blocks of one check it after every
+# iteration.
 SWEEP_FLOOR_MARGIN = 1e3
 
 # y is recomputed from x this often, and the run fails if its recursion drifted by
@@ -224,8 +227,6 @@ class _ColFamily(MethodFamily):
         self.partition = (
             make_partition(a.n, self.config.block_size) if self.method == "rbcd" else None
         )
-        # A zero column keeps cd on single steps, which raise when they reach it.
-        self.sweeps = self.method == "cd" and a.zero_col is None
 
     def refresh(self) -> None:
         """Recompute y from x, raising when the recursion has drifted from it."""
@@ -250,43 +251,16 @@ class _ColFamily(MethodFamily):
         y = self.state.y
         return math.sqrt(y @ y) <= STATIONARITY_REL * self.atb_norm
 
-    def sweep(self, dx: np.ndarray, budget: int):
-        k, n = self.state.k, self.a.n
+    def step(self, dx: np.ndarray, dd: float, budget: int):
+        k = self.state.k
         if k and k % REFRESH_EVERY == 0:
             self.refresh()
-        # Blocks end at refreshes, so each refresh comes where single steps make it.
-        j = k % n
-        cols = slice(j, j + min(SWEEP_BLOCK, n - j, REFRESH_EVERY - k % REFRESH_EVERY, budget))
-        delta, changes = cd_sweep(self.state, self.a, cols, dx)
-        move = _normal_product(self.a, cols, delta)
-        self.pending = j, delta, move
-        y = self.state.y - move
-        count = len(delta)
-        if math.sqrt(y @ y) <= SWEEP_FLOOR_MARGIN * STATIONARITY_REL * self.atb_norm:
-            self.sweeps = False  # this block's first iteration, then single steps
-            count = 1
-        dx = dx.copy()
-        dx[j:j + count] += delta[:count]
-        return changes[:count], dx
-
-    def commit(self, count: int) -> None:
-        j, delta, move = self.pending
-        if count < len(delta):
-            delta = delta[:count]
-            move = _normal_product(self.a, slice(j, j + count), delta)
-        self.state.x[j:j + count] += delta
-        self.state.y -= move
-
-    def step(self):
+        if self.method == "cd":
+            return self._sweep(dx, dd, budget)
         state, a, config, method = self.state, self.a, self.config, self.method
-        if state.k and state.k % REFRESH_EVERY == 0:
-            self.refresh()
         profile = None
         try:
-            if method == "cd":
-                selected = np.array([state.k % a.n])
-                cd_step(state, a, int(selected[0]))
-            elif method in ("rgrcd", "rgdc"):
+            if method in ("rgrcd", "rgdc"):
                 profile = column_losses_from_y(a, state.y)
                 selected = relaxed_greedy_set(profile, config.theta)
                 if method == "rgdc":
@@ -303,7 +277,36 @@ class _ColFamily(MethodFamily):
                                 a.partition_factor(1, config.block_size, block))
         except ConvergedSignal:
             return "stationary"
-        return selected, profile
+        return selected, profile, (), None
+
+    def _sweep(self, dx: np.ndarray, dd: float, budget: int):
+        """A cd sweep block from column ``k mod n``, ending at the next refresh and before the
+        first zero column; one iteration near the stationarity floor."""
+        state, a, zero = self.state, self.a, self.a.zero_col
+        k = state.k
+        j = k % a.n
+        # Blocks end at refreshes, so each refresh comes where single steps would make it.
+        end = min(j + SWEEP_BLOCK, j + REFRESH_EVERY - k % REFRESH_EVERY, j + budget,
+                  a.n if zero is None else zero)
+        if end == j:
+            raise UsageError(f"zero column {j} cannot drive a coordinate step")
+        cols = slice(j, end)
+        delta, changes = cd_sweep(state, a, cols, dx)
+        move = _normal_product(a, cols, delta)
+        y = state.y - move
+        size = len(delta)
+        if math.sqrt(y @ y) <= SWEEP_FLOOR_MARGIN * STATIONARITY_REL * self.atb_norm:
+            size = 1
+        dx_end = dx.copy()
+        dx_end[j:j + size] += delta[:size]
+
+        def apply(count: int) -> None:
+            part = delta[:count]
+            state.x[j:j + count] += part
+            state.y -= (move if count == len(delta)
+                        else _normal_product(a, slice(j, j + count), part))
+
+        return (j,), None, _block_errors(dd, changes[:size], float(dx_end @ dx_end)), apply
 
 
 def run_col_method(

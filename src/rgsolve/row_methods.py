@@ -14,7 +14,8 @@ Cyclic Kaczmarz advances in sweep blocks of up to ``SWEEP_BLOCK``
 consecutive rows (``kaczmarz_sweep``): their successive projections are one
 Gauss-Seidel solve on ``tril(A_S @ A_S.T)``, O(s^2 n + s^3) in a few numpy
 calls, where single steps would cost O(n) each plus the fixed cost of their
-calls.
+calls. A block ends before the first zero row, which raises when a block
+starts on it.
 
 Row methods converge to the least-norm solution of consistent systems when
 started in the row space; on inconsistent systems they stall, which the driver
@@ -40,6 +41,7 @@ from .selection import (
 )
 from .state import (
     SWEEP_BLOCK,
+    _block_errors,
     _forward_solve,
     MethodFamily,
     SolveReport,
@@ -157,36 +159,17 @@ class _RowFamily(MethodFamily):
             make_partition(self.a.m, self.config.block_size) if self.method == "rbk" else None
         )
         self.stall_window = 10 * self.a.m
-        # A zero row keeps kaczmarz on single steps, which raise when they reach it.
-        self.sweeps = self.method == "kaczmarz" and self.a.zero_row is None
 
     def err_sq(self, dx: np.ndarray, dd: float) -> float:
         return dd
 
-    def sweep(self, dx: np.ndarray, budget: int):
-        m = self.a.m
-        i = self.state.k % m
-        rows = slice(i, i + min(SWEEP_BLOCK, m - i, budget))
-        z, changes = kaczmarz_sweep(self.state, self.a, self.b, rows, dx)
-        move = z @ self.a.entries[rows]
-        self.pending = i, z, move
-        return changes, dx + move
-
-    def commit(self, count: int) -> None:
-        i, z, move = self.pending
-        if count < len(z):
-            move = z[:count] @ self.a.entries[i:i + count]
-        self.state.x += move
-
-    def step(self):
+    def step(self, dx: np.ndarray, dd: float, budget: int):
+        if self.method == "kaczmarz":
+            return self._sweep(dx, dd, budget)
         state, a, b, config, method = self.state, self.a, self.b, self.config, self.method
         profile = None
         try:
-            if method == "kaczmarz":
-                i = state.k % a.m
-                selected = np.array([i])
-                kaczmarz_step(state, a, float(b[i] - a.entries[i] @ state.x), i)
-            elif method in ("gbk", "rgrk", "rgdr"):
+            if method in ("gbk", "rgrk", "rgdr"):
                 r = residual(a, b, state.x)
                 profile = row_losses(a, r)
                 if method == "gbk":
@@ -206,7 +189,24 @@ class _RowFamily(MethodFamily):
         except (ConvergedSignal, StalledError):
             # A zero residual away from x* (the loop found RSE >= rse_tol) is a stall too.
             return "stalled"
-        return selected, profile
+        return selected, profile, (), None
+
+    def _sweep(self, dx: np.ndarray, dd: float, budget: int):
+        """A kaczmarz sweep block from row ``k mod m``, ending before the first zero row."""
+        a, zero = self.a, self.a.zero_row
+        i = self.state.k % a.m
+        end = min(i + SWEEP_BLOCK, i + budget, a.m if zero is None else zero)
+        if end == i:
+            raise UsageError(f"zero row {i} cannot drive a projection step")
+        rows = slice(i, end)
+        z, changes = kaczmarz_sweep(self.state, a, self.b, rows, dx)
+        move = z @ a.entries[rows]
+        dx_end = dx + move
+
+        def apply(count: int) -> None:
+            self.state.x += move if count == len(z) else z[:count] @ a.entries[i:i + count]
+
+        return (i,), None, _block_errors(dd, changes, float(dx_end @ dx_end)), apply
 
 
 def run_row_method(

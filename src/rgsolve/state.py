@@ -148,19 +148,19 @@ class MethodFamily:
     stalls, checked after the iteration cap; None for no stall rule).
     ``err_sq(dx, dd)`` is the squared error step records carry, given the
     loop's ``dx = x - x*`` and ``dd = dx @ dx``.
-    ``step()`` updates ``x`` (and y) and returns ``(selected, profile or
-    None)``, the loss profile whose zero set the step records sum (every
-    certified method has one), or a termination reason when nothing is left
-    to select; the loop then counts the iteration in ``state.k``.
     ``stationary()`` is an extra stop rule checked before the iteration cap.
 
-    While a family's ``sweeps`` is true it advances in sweep blocks of
-    consecutive single-index iterations instead of ``step()``; a family may
-    turn it off for the rest of the solve.
-    ``sweep(dx, budget)`` prepares the next block of at most ``budget``
-    iterations without applying it and returns how much each of its
-    iterations changes ``||x - x*||^2`` and ``x - x*`` after the whole
-    block; ``commit(count)`` applies its first ``count`` iterations.
+    ``step(dx, dd, budget)`` advances iteration ``state.k`` and up to
+    ``budget - 1`` more. It returns a termination reason when nothing is
+    left to select, or ``(selected, profile, dds, apply)``. A single step
+    has moved x (and y) when it returns: ``selected`` is its set,
+    ``profile`` the loss profile whose zero set the step records sum (every
+    certified method has one) or None, ``dds`` is empty and ``apply`` None.
+    A sweep block of s consecutive single-index iterations (``kaczmarz``,
+    ``cd``) has moved nothing: ``selected`` is ``(first index,)``, ``dds``
+    holds ``_block_errors``' s - 1 guesses of ``||x - x*||^2`` inside it,
+    and ``apply(count)`` applies its first ``count`` iterations. The loop
+    counts the iterations in ``state.k``.
     """
 
     kind: ClassVar[str]
@@ -269,43 +269,31 @@ def solve_loop(family: type[MethodFamily], method: str, a: DenseMatrix, b, *, co
         if window is not None and since_best >= window:
             reason = "stalled"
             break
-        if fam.sweeps:
-            # Only the iterations up to the first at which the RSE or stall rule fires are
-            # applied, and x - x* is re-formed exactly after the last of them.
-            changes, dx_end = fam.sweep(dx, stop.max_iters - state.k)
-            dds = _block_errors(dd, changes, float(dx_end @ dx_end))
-            rses = (np.sqrt(dds) / denom).tolist()
-            count = len(changes)
-            best, since = best_rse, since_best
-            for t, guess in enumerate(rses):
-                after_t = _stall_count(guess, best, since)
-                if guess < stop.rse_tol or (window is not None and after_t[1] >= window):
-                    count = t + 1
-                    break
-                best, since = after_t
-            fam.commit(count)
-            state.k += count
-            dx = state.x - x_star
-            dd = float(dx @ dx)
-            rse = math.sqrt(dd) / denom
-            rses[count - 1:] = [rse]
-            rse_trace += rses
-            set_sizes += [1] * count
-            iter_seconds += [time.perf_counter() - start] * count
-            best_rse, since_best = _stall_count(rse, best, since)
-            continue
-        outcome = fam.step()
+        outcome = fam.step(dx, dd, stop.max_iters - state.k)
         if isinstance(outcome, str):
             reason = outcome
             break
-        selected, profile = outcome
-        state.k += 1
+        selected, profile, dds, apply = outcome
+        # Of a sweep block, only the iterations up to the first at which the RSE or stall
+        # rule fires are applied; the guessed RSEs of the others go on the trace, and x - x*
+        # is re-formed exactly after the last of them.
+        count = 1
+        for guess in (np.sqrt(dds) / denom).tolist() if len(dds) else ():
+            after = _stall_count(guess, best_rse, since_best)
+            if guess < stop.rse_tol or (window is not None and after[1] >= window):
+                break
+            best_rse, since_best = after
+            rse_trace.append(guess)
+            count += 1
+        if apply is not None:
+            apply(count)
+        state.k += count
         dx = state.x - x_star
         dd = float(dx @ dx)
         rse = math.sqrt(dd) / denom
         rse_trace.append(rse)
-        set_sizes.append(int(selected.size))
-        iter_seconds.append(time.perf_counter() - start)
+        set_sizes += [len(selected)] * count
+        iter_seconds += [time.perf_counter() - start] * count
         if record_steps:
             err_before, err_sq = err_sq, fam.err_sq(dx, dd)
             records.append(StepRecord(

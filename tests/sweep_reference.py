@@ -1,9 +1,9 @@
 """Sequential reference for the cyclic methods: one ``kaczmarz_step``/``cd_step`` per iteration.
 
-The solve loop advances ``kaczmarz`` and ``cd`` in sweep blocks. This loop
-takes one step at a time, as the single-step path does, with the same stop
-rules checked after every iteration (stationarity included), and forms
-``x - x*`` after each step. Tests compare the block path against it.
+The solve loop advances ``kaczmarz`` and ``cd`` only in sweep blocks. This
+loop takes one step at a time, with the same stop rules checked after every
+iteration (stationarity included), and forms ``x - x*`` after each step.
+Tests compare the blocks against it.
 """
 
 import math

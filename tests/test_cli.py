@@ -183,6 +183,23 @@ def test_bench_labels_numeric_string_parameters_by_their_value(tmp_path):
     assert labels == ["rgdr theta=0.5", "rbcd block_size=3"]
 
 
+def test_bench_takes_whole_floats_and_numeric_strings_for_integer_fields(tmp_path):
+    config = {
+        "problems": [{"kind": "randn", "m": 30, "n": 6}],
+        "methods": [{"method": "rbk", "block_size": 3.0}, {"method": "rgrk"}],
+        "seeds": [1.0, "2"],
+        "repeats": "2",
+        "max_iters": 30000.0,
+    }
+    cfg = tmp_path / "bench.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "bench"
+    assert run_cli("bench", str(cfg), "--out", str(out)) == 0
+    rows = read_csv(out / "results.csv")
+    assert [(row["label"], row["runs"]) for row in rows] == [("rbk block_size=3", "4"),
+                                                             ("rgrk", "4")]
+
+
 def test_bench_empty_methods_exits_2(tmp_path):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"problems": [{"kind": "randn", "m": 10, "n": 2}],
@@ -240,10 +257,21 @@ def test_bench_problem_without_positive_integer_dims_exits_2(tmp_path, capsys, p
      "seeds": [-2]},
     {"problems": [{"kind": "randn", "m": 10, "n": 2}], "methods": [{"method": "rgrk"}],
      "seeds": [0], "repeats": 0},
+    {"problems": [{"kind": "randn", "m": 10, "n": 2}],
+     "methods": [{"method": "rbk", "block_size": 2.5}], "seeds": [0]},
+    {"problems": [{"kind": "randn", "m": 10, "n": 2}], "methods": [{"method": "rgdr"}],
+     "seeds": [1.9]},
+    {"problems": [{"kind": "randn", "m": 10, "n": 2}], "methods": [{"method": "rgrk"}],
+     "seeds": [0], "repeats": 1.5},
+    {"problems": [{"kind": "randn", "m": 10, "n": 2}], "methods": [{"method": "rgdr"}],
+     "seeds": [0], "max_iters": 2000.7},
+    {"problems": [{"kind": "randn", "m": 10, "n": 2}],
+     "methods": [{"method": "rgdr", "theta": True}], "seeds": [0]},
 ], ids=["not-an-object", "problem-5", "method-string", "tol", "max_iters", "repeats",
         "sigma1", "noise_scale", "theta", "block_size", "seed", "seeds-not-a-list",
         "methods-not-a-list", "unknown-kind", "unknown-method", "unknown-case",
-        "negative-seed", "zero-repeats"])
+        "negative-seed", "zero-repeats", "fractional-block_size", "fractional-seed",
+        "fractional-repeats", "fractional-max_iters", "boolean-theta"])
 def test_bench_malformed_config_entries_exit_2(tmp_path, capsys, config):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps(config))

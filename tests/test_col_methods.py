@@ -566,8 +566,7 @@ def _assert_records_refused(monkeypatch, method, a, b, **kwargs):
         raise AssertionError("the solve started before refusing the records")
 
     monkeypatch.setattr(module, "cgls", never)
-    for hook in ("step", "sweep"):
-        monkeypatch.setattr(family, hook, never)
+    monkeypatch.setattr(family, "step", never)
     run = run_row_method if is_row else run_col_method
     with pytest.raises(UsageError, match=rf"^step records exist only for the certified "
                                          rf"methods rgrk, rgdr, rgrcd, rgdc, not '{method}'$"):
@@ -694,11 +693,12 @@ def test_step_records_equal_a_fresh_recomputation(monkeypatch, shape, method):
         d = x - inst.x_star if is_row else a.matvec(x - inst.x_star)
         return float(d @ d)
 
-    def step(self):
+    def step(self, *args):
         before = err_sq(self.state.x)
-        outcome = family_step(self)
+        outcome = family_step(self, *args)
         if not isinstance(outcome, str):
-            selected, profile = outcome
+            selected, profile, dds, apply = outcome
+            assert len(dds) == 0 and apply is None  # a single step, already applied
             zero_mass = float(sqnorms[np.flatnonzero(profile.losses < profile.zero_tol)].sum())
             fresh.append((selected.copy(), zero_mass, before, err_sq(self.state.x)))
         return outcome

@@ -153,6 +153,16 @@ def test_a_zero_row_or_column_still_raises_when_reached(method, entries, message
         RUNS[method](method, a, np.ones(a.m), x_star=np.ones(a.n))
 
 
+@pytest.mark.parametrize("method, entries, b, x_star", [
+    ("kaczmarz", [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]], [1.0, 2.0, 0.0], [1.0, 2.0]),
+    ("cd", [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], [1.0, 2.0], [1.0, 2.0, 0.0]),
+])
+def test_a_zero_row_or_column_never_reached_does_not_raise(method, entries, b, x_star):
+    a = DenseMatrix(entries)
+    report = RUNS[method](method, a, np.array(b), x_star=np.array(x_star))
+    assert report.termination_reason == "converged" and report.iterations == 2
+
+
 def test_cd_stops_stationary_where_single_steps_do_when_y_hovers_at_the_floor(monkeypatch):
     # Column 3 repeats column 0 and column 4 nearly repeats column 1, so A is rank deficient:
     # the run ends stationary with its RSE stuck, and y's rounding noise is about the floor.
