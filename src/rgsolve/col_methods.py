@@ -12,9 +12,11 @@ move is ``A.T @ (A[:, S] @ w)`` instead. RBCD applies the inverse of
 keeps each partition block's inverse from its first use. Cyclic CD
 advances in sweep blocks of up to ``SWEEP_BLOCK`` consecutive columns
 (``cd_sweep``): their successive coordinate steps are one Gauss-Seidel
-solve on ``tril(G[S, S])`` and one move of y. A block ends at the next
-refresh of y and before the first zero column, which raises when a block
-starts on it, and near the stationarity floor a block is one iteration.
+solve on ``tril(G[S, S])``, which the matrix keeps for each whole block
+(and, from a run's second pass over the columns on, its inverse, applied
+in O(s^2)), and one move of y. A block ends at the next refresh of y and
+before the first zero column, which raises when a block starts on it, and
+near the stationarity floor a block is one iteration.
 No column method carries the residual r itself; y is recomputed from x every
 100 iterations, on tall matrices as ``A.T b - G x`` (O(n^2), with ``A.T b``
 kept from the start) and on wide ones as ``A.T (b - A x)``. RGDC's step
@@ -37,7 +39,7 @@ import numpy as np
 
 from .cgls import CglsConfig, cgls
 from .errors import ConvergedSignal, DegenerateStepError, RgsolveError, UsageError
-from .linalg import NO_FACTOR, DenseMatrix, _block_index
+from .linalg import NO_FACTOR, SWEEP_BLOCK, DenseMatrix, _block_index
 from .selection import (
     SelectionConfig,
     _draw_by_square,
@@ -47,9 +49,7 @@ from .selection import (
     relaxed_greedy_set,
 )
 from .state import (
-    SWEEP_BLOCK,
     _block_errors,
-    _forward_solve,
     MethodFamily,
     SolveReport,
     SolveState,
@@ -108,8 +108,8 @@ def cd_step(state: SolveState, a: DenseMatrix, j: int) -> None:
         state.y -= delta * (a.matvec_transpose(a.entries[:, j]) if gram is None else gram[j])
 
 
-def cd_sweep(state: SolveState, a: DenseMatrix, cols: slice,
-             dx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def cd_sweep(state: SolveState, a: DenseMatrix, cols: slice, dx: np.ndarray,
+             revisit: bool) -> tuple[np.ndarray, np.ndarray]:
     """``cd_step`` on each of ``cols`` (nonzero, in order) as one Gauss-Seidel solve.
 
     The successive coordinate steps add delta to ``x[cols]``, where delta
@@ -118,14 +118,10 @@ def cd_sweep(state: SolveState, a: DenseMatrix, cols: slice,
     which the caller applies, and how much each step changes
     ``||x - x*||^2``, given ``dx = x - x*`` before the first:
     ``delta_t (2 dx_t + delta_t)``, since each column of the block moves once.
+    The triangle and, for a ``revisit`` on a later pass, its inverse come from
+    ``DenseMatrix._sweep_solve``.
     """
-    gram = a.gram
-    if gram is None:
-        sub = a.entries[:, cols]
-        block = sub.T @ sub
-    else:
-        block = gram[cols, cols]
-    delta = _forward_solve(block, state.y[cols])
+    delta = a._sweep_solve(1, cols, state.y[cols], revisit)[0]
     return delta, delta * (2.0 * dx[cols] + delta)
 
 
@@ -291,7 +287,7 @@ class _ColFamily(MethodFamily):
         if end == j:
             raise UsageError(f"zero column {j} cannot drive a coordinate step")
         cols = slice(j, end)
-        delta, changes = cd_sweep(state, a, cols, dx)
+        delta, changes = cd_sweep(state, a, cols, dx, k >= a.n)
         move = _normal_product(a, cols, delta)
         y = state.y - move
         size = len(delta)

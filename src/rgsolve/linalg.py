@@ -1,5 +1,5 @@
-"""Dense matrix/vector primitives: cached norms, Gram and block inverses, orthonormalization,
-small-scale SVD."""
+"""Dense matrix/vector primitives: cached norms, Gram, block inverses and sweep triangles,
+orthonormalization, small-scale SVD."""
 
 from __future__ import annotations
 
@@ -16,6 +16,15 @@ ZERO_SIGMA_REL = 1e-10
 # What a rank-deficient block keeps in place of its Gram inverse: it is solved by least
 # squares at every step.
 NO_FACTOR = object()
+
+# Iterations that a cyclic method (kaczmarz, cd) advances per sweep block. Larger blocks
+# spread the fixed cost of their numpy calls over more iterations but cost O(s^2 n + s^3);
+# at n = 100 and 300 (one BLAS thread) solve times were flat from 32 to 64. 50 divides
+# col_methods.REFRESH_EVERY, so cd blocks stay full between refreshes.
+SWEEP_BLOCK = 50
+# The lower triangle of every sweep block, made once: np.tril makes its mask on every call.
+_SWEEP_LOWER = np.tri(SWEEP_BLOCK)
+_SWEEP_LOWER.setflags(write=False)
 
 
 def as_vector(v, length: int | None = None, name: str = "vector") -> np.ndarray:
@@ -53,11 +62,19 @@ class DenseMatrix:
     for is kept. With block size s the row inverses hold at most ``m * s``
     floats and the column ones ``n * s``, and a block larger than the other
     dimension is rank deficient and keeps only ``NO_FACTOR``, so they are
-    never larger than A or ``n * n``. Instances are safe to share across
-    concurrent solves: the Gram and each inverse are published only once
-    complete, and a race at worst builds one twice (solves at two block sizes
-    at once displace each other's partition, which costs rebuilds, never a
-    wrong factor).
+    never larger than A or ``n * n``. For ``kaczmarz`` and ``cd``,
+    ``_sweep_solve`` keeps a table of its own, which no block size displaces,
+    with a slot per block of the ``SWEEP_BLOCK`` partition of each axis: the
+    lower triangle of the block's Gram from the block's first use, and its
+    inverse once a solve comes back to the block on a later pass. Row slots
+    hold at most ``2 * SWEEP_BLOCK * m`` floats and column slots
+    ``2 * SWEEP_BLOCK * n``; an axis keeps none when the other dimension is
+    below ``SWEEP_BLOCK``, where a block's triangle outweighs its rows or
+    columns of A (at 1e6 x 10, row slots would hold ten times A). Instances
+    are safe to share across concurrent solves: the Gram, each inverse and
+    each sweep slot are published only once complete, and a race at worst
+    builds one twice (solves at two block sizes at once displace each other's
+    partition, which costs rebuilds, never a wrong factor).
     """
 
     def __init__(self, entries):
@@ -84,49 +101,82 @@ class DenseMatrix:
                   self.row_weights, self.col_weights):
             a.setflags(write=False)
         self._gram = None
-        # Per axis: (block size, a slot per partition block, None until built).
+        # Per axis: (block size, a slot per partition block, None until built), for
+        # partition_factor and for _sweep_solve.
         self._factors = [(0, []), (0, [])]
+        self._sweeps = [(0, []), (0, [])]
 
     @property
     def gram(self) -> np.ndarray | None:
         """Read-only ``A.T @ A``, built once on first use; None when n > m."""
         if self._gram is None and self.n <= self.m:
-            g = self.entries.T @ self.entries
-            g.setflags(write=False)
-            self._gram = g
+            self._gram = _read_only(self.entries.T @ self.entries)
         return self._gram
 
-    def block_factor(self, axis: int, block):
-        """Read-only inverse of the Gram of the rows (axis 0) or columns (axis 1) that
-        ``block`` (a slice or index array) picks: ``A_S @ A_S.T`` for rows, ``G[S, S]``
-        for columns (``A_S.T @ A_S`` when no Gram is kept); NO_FACTOR when it is rank
-        deficient (see ``_gram_inverse``). Built afresh on every call."""
+    def _block_gram(self, axis: int, block) -> np.ndarray:
+        """Gram of the rows (axis 0) or columns (axis 1) that ``block`` (a slice or index
+        array) picks: ``A_S @ A_S.T`` for rows, ``G[S, S]`` for columns (``A_S.T @ A_S``
+        when no Gram is kept)."""
         if axis == 0:
             sub = self.entries[block]
-            return _gram_inverse(sub @ sub.T)
+            return sub @ sub.T
         gram = self.gram
         if gram is not None:
-            return _gram_inverse(gram[block][:, block])
+            return gram[block][:, block]
         cols = self.entries[:, block]
-        return _gram_inverse(cols.T @ cols)
+        return cols.T @ cols
+
+    def block_factor(self, axis: int, block):
+        """Read-only inverse of ``_block_gram(axis, block)``; NO_FACTOR when that is rank
+        deficient (see ``_gram_inverse``). Built afresh on every call."""
+        return _gram_inverse(self._block_gram(axis, block))
+
+    def _slots(self, table: list, axis: int, block_size: int) -> list:
+        """The slots of ``table`` (``_factors`` or ``_sweeps``) for the blocks of
+        ``block_size`` along ``axis``, emptied when the table held another size."""
+        size, slots = table[axis]
+        if size != block_size:
+            slots = [None] * -(-self.entries.shape[axis] // block_size)
+            table[axis] = (block_size, slots)
+        return slots
 
     def partition_factor(self, axis: int, block_size: int, index: int):
         """``block_factor`` of block ``index`` of ``make_partition(count, block_size)``
         over the rows (axis 0) or columns (axis 1), built on first use and kept until
         a solve asks for another block size on that axis."""
         block_size = int(block_size)
-        count = self.entries.shape[axis]
-        table = self._factors[axis]
-        if table[0] != block_size:
-            table = (block_size, [None] * -(-count // block_size))
-            self._factors[axis] = table
-        slots = table[1]
+        slots = self._slots(self._factors, axis, block_size)
         factor = slots[index]
         if factor is None:
             lo = index * block_size
-            factor = self.block_factor(axis, slice(lo, min(lo + block_size, count)))
-            slots[index] = factor
+            factor = slots[index] = self.block_factor(axis, slice(lo, lo + block_size))
         return factor
+
+    def _sweep_solve(self, axis: int, block: slice, rhs: np.ndarray,
+                     revisit: bool) -> tuple[np.ndarray, np.ndarray]:
+        """z with ``tril(K) z = rhs`` for ``K = _block_gram(axis, block)`` (a Gauss-Seidel
+        sweep from zero on the block's equations), and that triangle. A whole block of the
+        ``SWEEP_BLOCK`` partition keeps its triangle. A solve's first pass (``revisit``
+        false), and every other block, solves with the triangle; a later pass applies its
+        kept inverse and refines z once against ``rhs - tril(K) z``, in O(s^2)."""
+        lo, hi = block.start, block.stop
+        if (lo % SWEEP_BLOCK or hi != min(lo + SWEEP_BLOCK, self.entries.shape[axis])
+                or self.entries.shape[1 - axis] < SWEEP_BLOCK):
+            lower = self._block_gram(axis, block) * _SWEEP_LOWER[:hi - lo, :hi - lo]
+            return np.linalg.solve(lower, rhs), lower
+        slots, index = self._slots(self._sweeps, axis, SWEEP_BLOCK), lo // SWEEP_BLOCK
+        if slots[index] is None:
+            lower = self._block_gram(axis, block) * _SWEEP_LOWER[:hi - lo, :hi - lo]
+            slots[index] = (_read_only(lower), None)
+        lower, inverse = slots[index]
+        if not revisit:
+            return np.linalg.solve(lower, rhs), lower
+        if inverse is None:
+            inverse = _read_only(np.linalg.inv(lower))
+            slots[index] = (lower, inverse)
+        z = inverse @ rhs
+        z += inverse @ (rhs - lower @ z)
+        return z, lower
 
     @property
     def m(self) -> int:
@@ -160,6 +210,11 @@ class DenseMatrix:
         return f"DenseMatrix({self.m}x{self.n})"
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
 def _full_rank(gram: np.ndarray) -> bool:
     """Whether the s x s Gram of a block has full rank in float64.
 
@@ -180,9 +235,7 @@ def _gram_inverse(gram: np.ndarray):
     deficient (see ``_full_rank``)."""
     if not _full_rank(gram):
         return NO_FACTOR
-    inverse = np.linalg.inv(gram)
-    inverse.setflags(write=False)
-    return inverse
+    return _read_only(np.linalg.inv(gram))
 
 
 def _block_index(indices: np.ndarray):

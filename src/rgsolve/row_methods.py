@@ -12,10 +12,12 @@ the Gram it forms, and RBK, whose blocks are those of one partition, applies
 the inverse that the matrix keeps for each block from its first use.
 Cyclic Kaczmarz advances in sweep blocks of up to ``SWEEP_BLOCK``
 consecutive rows (``kaczmarz_sweep``): their successive projections are one
-Gauss-Seidel solve on ``tril(A_S @ A_S.T)``, O(s^2 n + s^3) in a few numpy
-calls, where single steps would cost O(n) each plus the fixed cost of their
-calls. A block ends before the first zero row, which raises when a block
-starts on it.
+Gauss-Seidel solve on ``tril(A_S @ A_S.T)``, which the matrix keeps for each
+whole block, in a few numpy calls where single steps would cost O(n) each
+plus the fixed cost of their calls. From a run's second pass over the rows
+on, a block applies the triangle's kept inverse: O(s*n + s^2) for s rows,
+against O(s^2 n + s^3) for a block whose triangle is formed. A block ends
+before the first zero row, which raises when a block starts on it.
 
 Row methods converge to the least-norm solution of consistent systems when
 started in the row space; on inconsistent systems they stall, which the driver
@@ -30,7 +32,7 @@ import numpy as np
 
 from .cgls import CglsConfig, cgls
 from .errors import ConvergedSignal, StalledError, UsageError
-from .linalg import NO_FACTOR, DenseMatrix, _block_index, _full_rank
+from .linalg import NO_FACTOR, SWEEP_BLOCK, DenseMatrix, _block_index, _full_rank
 from .selection import (
     SelectionConfig,
     _draw_by_square,
@@ -40,9 +42,7 @@ from .selection import (
     row_losses,
 )
 from .state import (
-    SWEEP_BLOCK,
     _block_errors,
-    _forward_solve,
     MethodFamily,
     SolveReport,
     SolveState,
@@ -125,7 +125,7 @@ def block_project_step(state: SolveState, a: DenseMatrix, b: np.ndarray, indices
 
 
 def kaczmarz_sweep(state: SolveState, a: DenseMatrix, b: np.ndarray, rows: slice,
-                   dx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                   dx: np.ndarray, revisit: bool) -> tuple[np.ndarray, np.ndarray]:
     """``kaczmarz_step`` on each of ``rows`` (nonzero, in order) as one Gauss-Seidel solve.
 
     The successive projections move x by ``z @ A_S``, where z solves
@@ -135,14 +135,13 @@ def kaczmarz_sweep(state: SolveState, a: DenseMatrix, b: np.ndarray, rows: slice
     ``||x - x*||^2``, given ``dx = x - x*`` before the first:
     ``z_t (2 a_t.(x_t - x*) + K_tt z_t)``, where ``a_t.(x_t - x*)`` is
     ``(A_S dx)_t`` plus the earlier rows' moves, ``(r_S - K_tt z)_t``.
-    O(s^2 n + s^3) for s rows, in a few numpy calls.
+    ``tril(K)`` and, for a ``revisit`` on a later pass, its inverse come from
+    ``DenseMatrix._sweep_solve``.
     """
     sub = a.entries[rows]
-    gram = sub @ sub.T
     rhs = b[rows] - sub @ state.x
-    z = _forward_solve(gram, rhs)
-    diag = np.diagonal(gram)
-    return z, z * (2.0 * (sub @ dx + rhs) - diag * z)
+    z, lower = a._sweep_solve(0, rows, rhs, revisit)
+    return z, z * (2.0 * (sub @ dx + rhs) - np.diagonal(lower) * z)
 
 
 @dataclass
@@ -199,7 +198,7 @@ class _RowFamily(MethodFamily):
         if end == i:
             raise UsageError(f"zero row {i} cannot drive a projection step")
         rows = slice(i, end)
-        z, changes = kaczmarz_sweep(self.state, a, self.b, rows, dx)
+        z, changes = kaczmarz_sweep(self.state, a, self.b, rows, dx, self.state.k >= a.m)
         move = z @ a.entries[rows]
         dx_end = dx + move
 

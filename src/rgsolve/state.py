@@ -25,23 +25,6 @@ _STALL_IMPROVEMENT = 1e-3
 STEP_CERTIFIED = ("rgdr", "rgdc")
 STAT_CERTIFIED = ("rgrk", "rgrcd")
 
-# Iterations that a cyclic method (kaczmarz, cd) advances per sweep block. Larger blocks
-# spread the fixed cost of their numpy calls over more iterations but cost O(s^2 n + s^3);
-# at n = 100 and 300 (one BLAS thread) solve times were flat from 32 to 64. 50 divides
-# col_methods.REFRESH_EVERY, so cd blocks stay full between refreshes.
-SWEEP_BLOCK = 50
-# The lower triangle of every sweep block, made once: np.tril makes its mask on every call.
-_SWEEP_LOWER = np.tri(SWEEP_BLOCK)
-_SWEEP_LOWER.setflags(write=False)
-
-
-def _forward_solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """z with ``tril(gram) z = rhs``, for the Gram of a sweep block: one Gauss-Seidel sweep
-    from zero on the block's equations."""
-    size = len(rhs)
-    return np.linalg.solve(gram * _SWEEP_LOWER[:size, :size], rhs)
-
-
 @dataclass
 class SolveState:
     """Evolving iterate: x and, for the column methods, y = A.T (b - A x).

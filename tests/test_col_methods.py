@@ -431,11 +431,12 @@ def test_gram_is_cached_read_only_and_tall_only():
     assert wide.gram is None
 
 
-@pytest.mark.parametrize("method", ["rgdc", "rbk", "rbcd"])
+@pytest.mark.parametrize("method", ["rgdc", "rbk", "rbcd", "kaczmarz", "cd"])
 def test_concurrent_solves_share_one_matrix(method):
-    # Every thread may race to build the Gram and the block factors, and threads that
-    # alternate block sizes replace each other's partition; each must still see complete
-    # factors of its own blocks.
+    # Every thread may race to build the Gram, the block factors and the sweep blocks'
+    # triangles and inverses (kaczmarz and cd pass over this matrix 4 and 10 times), and
+    # threads that alternate block sizes replace each other's partition; each must still
+    # see complete factors of its own blocks.
     a = gen_randn(300, 60, 36)
     inst = make_consistent(a, 37)
     runner = run_row_method if method in ROW_METHODS else run_col_method

@@ -19,7 +19,7 @@ from rgsolve import (
     sigma_extremes,
     singular_values,
 )
-from rgsolve.linalg import NO_FACTOR, orthonormalize_columns
+from rgsolve.linalg import NO_FACTOR, SWEEP_BLOCK, orthonormalize_columns
 
 
 def test_matvec_diagonal():
@@ -282,3 +282,22 @@ def test_cached_factors_keep_one_partition_per_axis_within_its_bound():
         held = [f for f in slots if f is not NO_FACTOR]
         assert held and all(not f.flags.writeable for f in held)
         assert sum(f.size for f in held) <= bound
+
+
+@pytest.mark.parametrize("shape", [(130, 60), (60, 130), (130, 40), (40, 130)],
+                         ids=["tall", "wide", "tall-narrow", "wide-short"])
+def test_sweep_slots_stay_within_their_bound(shape):
+    a = gen_randn(*shape, 69)
+    rng = np.random.default_rng(69)
+    for axis in (0, 1):
+        count = shape[axis]
+        for lo in range(0, count, SWEEP_BLOCK):  # fill every slot, inverses included
+            block = slice(lo, min(lo + SWEEP_BLOCK, count))
+            a._sweep_solve(axis, block, rng.standard_normal(block.stop - lo), True)
+        held = [arr for slot in a._sweeps[axis][1] if slot for arr in slot]
+        if shape[1 - axis] < SWEEP_BLOCK:
+            assert not held  # each triangle would outweigh its block of A
+            continue
+        assert len(held) == 2 * -(-count // SWEEP_BLOCK)
+        assert all(not arr.flags.writeable for arr in held)
+        assert sum(arr.size for arr in held) <= 2 * SWEEP_BLOCK * count

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from rgsolve import (
     DenseMatrix,
     GenerationError,
+    SelectionConfig,
     StopRule,
     UsageError,
     gen_randn,
@@ -21,7 +22,7 @@ from rgsolve import (
     run_row_method,
     sigma_extremes,
 )
-from rgsolve.state import SWEEP_BLOCK
+from rgsolve.linalg import SWEEP_BLOCK
 from sweep_reference import sequential_run
 
 RUNS = {"kaczmarz": run_row_method, "cd": run_col_method}
@@ -178,3 +179,103 @@ def test_cd_stops_stationary_where_single_steps_do_when_y_hovers_at_the_floor(mo
     monkeypatch.setattr(col_methods, "SWEEP_FLOOR_MARGIN", 0.0)
     late = RUNS["cd"]("cd", a, inst.b, x_star=inst.x_star, stop=StopRule(1e-4, 5000))
     assert late.termination_reason == "max_iters"
+
+
+def _slots(a, axis):
+    """Index -> whether that sweep slot holds its triangle's inverse, for every filled slot."""
+    return {i: slot[1] is not None for i, slot in enumerate(a._sweeps[axis][1]) if slot}
+
+
+def _digest(report):
+    return (report.iterations, report.termination_reason, report.rse_trace,
+            report.set_size_trace, report.x_final.tobytes())
+
+
+@pytest.mark.parametrize("shape", [(200, 60), (60, 200)], ids=["tall", "wide"])
+@pytest.mark.parametrize("method", ["kaczmarz", "cd"])
+def test_warm_and_cold_solves_are_byte_identical_over_many_passes(method, shape, monkeypatch):
+    inst = make_consistent(gen_smatrix(*shape, 60, 2.0, 1.0, 86), 87)
+    axis = 0 if method == "kaczmarz" else 1
+    stop = StopRule(rse_tol=1e-8, max_iters=100_000)
+
+    def solve(a):
+        return RUNS[method](method, a, inst.b, x_star=inst.x_star, stop=stop)
+
+    cold = solve(inst.A)
+    assert cold.iterations >= 3 * shape[axis]
+    slots = _slots(inst.A, axis)
+    assert len(slots) == -(-shape[axis] // SWEEP_BLOCK) and all(slots.values())
+    inverted = []
+    monkeypatch.setattr(np.linalg, "inv", lambda *args: inverted.append(args))
+    assert _digest(solve(inst.A)) == _digest(cold)
+    assert not inverted  # a warm solve inverts no block again
+    monkeypatch.undo()
+    assert _digest(solve(DenseMatrix(inst.A.entries))) == _digest(cold)
+    reference = sequential_run(method, inst.A, inst.b, x_star=inst.x_star, rse_tol=1e-8,
+                               max_iters=100_000)
+    _assert_same_run(cold, reference, inst.A)
+
+
+def test_a_first_pass_kaczmarz_run_solves_each_block_as_before():
+    # Six whole blocks of a 400-row matrix: every one on the first pass, none inverted.
+    inst = make_consistent(gen_randn(400, 60, 88), 89)
+    a, b = inst.A, inst.b
+    report = run_row_method("kaczmarz", a, b, x_star=inst.x_star,
+                            stop=StopRule(rse_tol=1e-300, max_iters=6 * SWEEP_BLOCK))
+    x = np.zeros(a.n)
+    for lo in range(0, 6 * SWEEP_BLOCK, SWEEP_BLOCK):
+        sub = a.entries[lo:lo + SWEEP_BLOCK]
+        x += np.linalg.solve(np.tril(sub @ sub.T), b[lo:lo + SWEEP_BLOCK] - sub @ x) @ sub
+    assert report.x_final.tobytes() == x.tobytes()
+    assert _slots(a, 0) == dict.fromkeys(range(6), False)
+
+
+def _zeroed(shape, axis, index, seed):
+    """A randn matrix with row (axis 0) or column (axis 1) ``index`` zeroed."""
+    entries = gen_randn(*shape, seed).entries.copy()
+    np.moveaxis(entries, axis, 0)[index] = 0.0
+    return DenseMatrix(entries)
+
+
+# Blocks that are not whole blocks of the SWEEP_BLOCK partition keep no slot: the filled
+# slots, and whether each holds an inverse, are those of the whole blocks alone.
+@pytest.mark.parametrize("method, matrix, max_iters, filled", [
+    ("kaczmarz", lambda: gen_randn(200, 60, 90), 123, {0: False, 1: False}),
+    ("cd", lambda: gen_randn(200, 60, 90), 30, {}),
+    ("kaczmarz", lambda: _zeroed((120, 60), 0, 75, 91), 75, {0: False}),
+    ("cd", lambda: _zeroed((200, 120), 1, 75, 91), 75, {0: False}),
+    # n = 60: [0, 50), [50, 60), then [0, 40) up to the refresh and [40, 60) off the grid.
+    ("cd", lambda: gen_randn(200, 60, 92), 120, {0: False, 1: False}),
+    ("cd", lambda: gen_randn(200, 60, 92), 170, {0: True, 1: False}),
+], ids=["kaczmarz-budget", "cd-budget", "kaczmarz-zero-row", "cd-zero-column",
+        "cd-off-grid", "cd-off-grid-then-whole"])
+def test_blocks_that_are_not_whole_keep_no_slot_and_match_single_steps(method, matrix,
+                                                                       max_iters, filled):
+    a = matrix()
+    inst = make_consistent(a, 93)
+    report, reference = _both(method, inst, rse_tol=1e-300, max_iters=max_iters)
+    assert report.iterations == max_iters
+    _assert_same_run(report, reference, a)
+    assert _slots(a, 0 if method == "kaczmarz" else 1) == filled
+
+
+def test_rbk_and_kaczmarz_keep_their_own_slots_on_one_matrix():
+    inst = make_consistent(gen_smatrix(300, 60, 60, 2.0, 1.0, 94), 95)
+
+    def solve(method, a):
+        return run_row_method(method, a, inst.b, x_star=inst.x_star, seed=3,
+                              config=SelectionConfig(block_size=SWEEP_BLOCK),
+                              stop=StopRule(rse_tol=1e-8, max_iters=100_000))
+
+    fresh = {m: _digest(solve(m, DenseMatrix(inst.A.entries))) for m in ("kaczmarz", "rbk")}
+    a = inst.A
+    for method in ("kaczmarz", "rbk", "kaczmarz", "rbk"):
+        assert _digest(solve(method, a)) == fresh[method]
+    size, factors = a._factors[0]
+    sweeps = a._sweeps[0][1]
+    assert size == SWEEP_BLOCK and len(factors) == len(sweeps) == 6
+    assert all(isinstance(f, np.ndarray) for f in factors)
+    assert _slots(a, 0) == dict.fromkeys(range(6), True)
+    for factor, (lower, inverse) in zip(factors, sweeps):
+        assert not np.shares_memory(factor, inverse)
+        np.testing.assert_allclose(inverse @ lower, np.eye(SWEEP_BLOCK), atol=1e-10)
