@@ -33,10 +33,9 @@ from .problems import (
 )
 from .row_methods import ROW_METHODS, run_row_method
 from .selection import SelectionConfig
-from .state import STAT_CERTIFIED, STEP_CERTIFIED, SolveReport, StopRule
+from .state import RANDOMIZED_METHODS, STAT_CERTIFIED, STEP_CERTIFIED, SolveReport, StopRule
 from .theory import _check_certify_size, certificates_to_csv, certify_randomized, certify_run
 
-RANDOMIZED_METHODS = ("rgrk", "rbk", "rgrcd", "rbcd")
 ALL_METHODS = ROW_METHODS + COL_METHODS
 GENERATOR_KINDS = ("randn", "smatrix")
 

@@ -239,11 +239,12 @@ def _gram_inverse(gram: np.ndarray):
 
 
 def _block_index(indices: np.ndarray):
-    """Index that gathers ``indices`` (nonempty): ``slice(lo, hi)``, which gives a view, when
-    they are the run lo, ..., hi - 1 (a ``make_partition`` block), else the array itself."""
-    if (np.diff(indices) == 1).all():
-        return slice(int(indices[0]), int(indices[-1]) + 1)
-    return indices
+    """Index that gathers ``indices`` (nonempty, sorted and distinct, as ``nonzero()`` sets
+    and ``make_partition`` blocks are): ``slice(lo, hi)``, which gives a view, when they are
+    the run lo, ..., hi - 1, else the array itself. For sorted distinct integers that is
+    exactly when ``hi - lo`` equals their number, an O(1) test."""
+    lo, hi = int(indices[0]), int(indices[-1]) + 1
+    return slice(lo, hi) if hi - lo == len(indices) else indices
 
 
 def orthonormalize_columns(raw) -> np.ndarray:

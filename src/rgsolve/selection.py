@@ -155,9 +155,10 @@ def _draw_by_square(v: np.ndarray, indices: np.ndarray, rng: np.random.Generator
 
 
 def make_partition(count: int, block_size: int) -> list[np.ndarray]:
-    """Contiguous blocks of the given size over range(count); final block holds the remainder."""
+    """Contiguous blocks of the given size over range(count), non-overlapping views of one
+    ``np.arange(count)``; final block holds the remainder."""
     _check_positive_int("count", count)
     _check_positive_int("block_size", block_size)
-    count = int(count)
     block_size = int(block_size)
-    return [np.arange(lo, min(lo + block_size, count)) for lo in range(0, count, block_size)]
+    indices = np.arange(int(count))
+    return [indices[lo:lo + block_size] for lo in range(0, len(indices), block_size)]

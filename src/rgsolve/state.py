@@ -24,6 +24,8 @@ _STALL_IMPROVEMENT = 1e-3
 # (theory.certify_randomized); only these record steps.
 STEP_CERTIFIED = ("rgdr", "rgdc")
 STAT_CERTIFIED = ("rgrk", "rgrcd")
+# Methods that draw from a seeded generator; only their runs build one.
+RANDOMIZED_METHODS = ("rgrk", "rbk", "rgrcd", "rbcd")
 
 @dataclass
 class SolveState:
@@ -132,6 +134,7 @@ class MethodFamily:
     ``err_sq(dx, dd)`` is the squared error step records carry, given the
     loop's ``dx = x - x*`` and ``dd = dx @ dx``.
     ``stationary()`` is an extra stop rule checked before the iteration cap.
+    ``rng`` is the seeded generator of ``RANDOMIZED_METHODS``, None for the others.
 
     ``step(dx, dd, budget)`` advances iteration ``state.k`` and up to
     ``budget - 1`` more. It returns a termination reason when nothing is
@@ -155,18 +158,21 @@ class MethodFamily:
     b: np.ndarray
     state: SolveState
     config: SelectionConfig
-    rng: np.random.Generator
+    rng: np.random.Generator | None
 
     def stationary(self) -> bool:
         return False
 
 
-def _stall_count(rse: float, best: float, since: int) -> tuple[float, int]:
-    """The best RSE so far and the iterations since it last improved, after an iteration
-    that reached ``rse``."""
-    if rse < best * (1.0 - _STALL_IMPROVEMENT):
-        return rse, 0
-    return best, since + 1
+def _stall_fold(rses, best: float, since: int) -> tuple[float, int]:
+    """The best RSE so far and the iterations since it last improved, after iterations
+    that reached ``rses`` in turn."""
+    for rse in rses:
+        if rse < best * (1.0 - _STALL_IMPROVEMENT):
+            best, since = rse, 0
+        else:
+            since += 1
+    return best, since
 
 
 def _block_errors(dd_start: float, changes: np.ndarray, dd_end: float) -> np.ndarray:
@@ -196,6 +202,12 @@ def solve_loop(family: type[MethodFamily], method: str, a: DenseMatrix, b, *, co
     the ``cgls`` they import, looked up when they call, so a wrapper installed
     on that module attribute sees the solve. ``record_steps`` is accepted only
     for the certified methods.
+
+    The stall rule's ``best_rse``/``since_best`` fold ``rse_trace`` entries, each once
+    and in order, only when the rule could fire: when ``since_best`` plus the entries not
+    yet folded reaches the window (never without one). A sweep block's guesses are cut at
+    the first below ``rse_tol`` by one comparison, and walked one at a time only in a
+    block where the stall window can be reached.
     """
     if method not in family.methods:
         raise UsageError(
@@ -208,7 +220,7 @@ def solve_loop(family: type[MethodFamily], method: str, a: DenseMatrix, b, *, co
         )
     config = config if config is not None else SelectionConfig()
     stop = stop if stop is not None else StopRule()
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed) if method in RANDOMIZED_METHODS else None
     b = as_vector(b, a.m, "b")
     x = np.zeros(a.n) if x0 is None else as_vector(x0, a.n, "x0").copy()
     if x_star is None:
@@ -219,7 +231,8 @@ def solve_loop(family: type[MethodFamily], method: str, a: DenseMatrix, b, *, co
     params = {} if name is None else {name: getattr(config, name)}
 
     dx = x - x_star
-    denom = float(np.linalg.norm(dx))
+    dd = float(dx @ dx)
+    denom = math.sqrt(dd)
     if denom == 0.0:
         return SolveReport(method, params, seed, 0, 0.0, [0.0], [], [0.0], 0.0,
                            "converged", x_final=x, step_records=[] if record_steps else None)
@@ -233,7 +246,7 @@ def solve_loop(family: type[MethodFamily], method: str, a: DenseMatrix, b, *, co
     records: list[StepRecord] | None = [] if record_steps else None
     best_rse = rse
     since_best = 0
-    dd = float(dx @ dx)
+    folded = 1  # entries of rse_trace that best_rse and since_best count
     # A step's error before is the previous step's error after.
     err_sq = fam.err_sq(dx, dd) if record_steps else 0.0
 
@@ -249,9 +262,12 @@ def solve_loop(family: type[MethodFamily], method: str, a: DenseMatrix, b, *, co
         if state.k >= stop.max_iters:
             reason = "max_iters"
             break
-        if window is not None and since_best >= window:
-            reason = "stalled"
-            break
+        if window is not None and since_best + len(rse_trace) - folded >= window:
+            best_rse, since_best = _stall_fold(rse_trace[folded:], best_rse, since_best)
+            folded = len(rse_trace)
+            if since_best >= window:
+                reason = "stalled"
+                break
         outcome = fam.step(dx, dd, stop.max_iters - state.k)
         if isinstance(outcome, str):
             reason = outcome
@@ -261,13 +277,21 @@ def solve_loop(family: type[MethodFamily], method: str, a: DenseMatrix, b, *, co
         # rule fires are applied; the guessed RSEs of the others go on the trace, and x - x*
         # is re-formed exactly after the last of them.
         count = 1
-        for guess in (np.sqrt(dds) / denom).tolist() if len(dds) else ():
-            after = _stall_count(guess, best_rse, since_best)
-            if guess < stop.rse_tol or (window is not None and after[1] >= window):
-                break
-            best_rse, since_best = after
-            rse_trace.append(guess)
-            count += 1
+        if len(dds):
+            guesses = np.sqrt(dds) / denom
+            below = guesses < stop.rse_tol
+            end = int(below.argmax()) if below.any() else len(guesses)
+            if window is not None and since_best + len(rse_trace) - folded + end >= window:
+                best_rse, since_best = _stall_fold(rse_trace[folded:], best_rse, since_best)
+                for t, guess in enumerate(guesses[:end].tolist()):
+                    after = _stall_fold((guess,), best_rse, since_best)
+                    if after[1] >= window:
+                        end = t
+                        break
+                    best_rse, since_best = after
+                folded = len(rse_trace) + end
+            rse_trace += guesses[:end].tolist()
+            count += end
         if apply is not None:
             apply(count)
         state.k += count
@@ -286,7 +310,6 @@ def solve_loop(family: type[MethodFamily], method: str, a: DenseMatrix, b, *, co
                 err_sq_before=err_before,
                 err_sq_after=err_sq,
             ))
-        best_rse, since_best = _stall_count(rse, best_rse, since_best)
 
     wall = time.perf_counter() - start
     return SolveReport(

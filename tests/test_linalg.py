@@ -19,7 +19,7 @@ from rgsolve import (
     sigma_extremes,
     singular_values,
 )
-from rgsolve.linalg import NO_FACTOR, SWEEP_BLOCK, orthonormalize_columns
+from rgsolve.linalg import NO_FACTOR, SWEEP_BLOCK, _block_index, orthonormalize_columns
 
 
 def test_matvec_diagonal():
@@ -197,6 +197,23 @@ def test_energy_weights_and_zero_facts_are_cached_read_only():
             arr[0] = 1.0
     full = DenseMatrix(np.eye(2))
     assert (full.zero_row, full.zero_col) == (None, None)
+
+
+@pytest.mark.parametrize("indices, expected", [
+    ([3, 4, 5, 6], slice(3, 7)),
+    ([0], slice(0, 1)),
+    ([9], slice(9, 10)),
+    ([2, 3, 5], None),  # a gap: the array itself
+    ([0, 7], None),
+])
+def test_block_index_is_a_slice_exactly_for_a_contiguous_run(indices, expected):
+    indices = np.array(indices)
+    index = _block_index(indices)
+    if expected is None:
+        assert index is indices
+    else:
+        assert index == expected
+    np.testing.assert_array_equal(np.arange(20)[index], indices)
 
 
 BLOCK_SOLVES = {"rbk": (run_row_method, 0), "rbcd": (run_col_method, 1)}  # runner, axis

@@ -288,6 +288,27 @@ def test_row_methods_stall_on_inconsistent_system():
     assert report.final_rse >= 1e-4
 
 
+def _first_stall(rse_trace, window):
+    """The first iteration at which the 0.1% stall rule, replayed over the trace, has gone
+    ``window`` iterations without a gain; None when it never has."""
+    best, since = rse_trace[0], 0
+    for k, rse in enumerate(rse_trace[1:], 1):
+        best, since = (rse, 0) if rse < best * (1.0 - 1e-3) else (best, since + 1)
+        if since >= window:
+            return k
+    return None
+
+
+@pytest.mark.parametrize("method", ["rgdr", "gbk", "rbk", "kaczmarz"])
+def test_a_stall_stops_where_the_rule_replayed_over_the_trace_first_fires(method):
+    inst = make_inconsistent(gen_randn(80, 10, 3), 4)
+    report = run_row_method(method, inst.A, inst.b, x_star=inst.x_star, seed=1,
+                            config=SelectionConfig(block_size=20))
+    assert report.termination_reason == "stalled"
+    assert len(report.rse_trace) == report.iterations + 1
+    assert _first_stall(report.rse_trace, 10 * inst.A.m) == report.iterations
+
+
 def test_gbk_and_rbk_converge():
     a = gen_randn(80, 10, 12)
     inst = make_consistent(a, 13)

@@ -177,11 +177,18 @@ def test_make_partition_cases():
 
 
 def test_make_partition_covers_everything():
-    for count, size in ((10, 3), (12, 4), (7, 1)):
+    for count, size in ((10, 3), (12, 4), (7, 1), (2000, 100)):
         blocks = make_partition(count, size)
         joined = np.concatenate(blocks)
-        np.testing.assert_array_equal(np.sort(joined), np.arange(count))
-        assert len(np.unique(joined)) == count
+        np.testing.assert_array_equal(joined, np.arange(count))
+        for lo, block in zip(range(0, count, size), blocks):
+            np.testing.assert_array_equal(block, np.arange(lo, min(lo + size, count)))
+
+
+def test_make_partition_blocks_are_writable_and_do_not_overlap():
+    blocks = make_partition(10, 3)
+    blocks[1][:] = -1
+    assert [list(b) for b in blocks] == [[0, 1, 2], [-1, -1, -1], [6, 7, 8], [9]]
 
 
 def test_selection_config_validation():

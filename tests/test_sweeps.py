@@ -125,13 +125,26 @@ def test_a_whole_float_cap_runs_as_an_int_and_other_caps_are_refused(method):
             StopRule(rse_tol=1e-4, max_iters=cap)
 
 
-def test_inconsistent_kaczmarz_stalls_inside_a_block_where_single_steps_do():
-    # 40 rows: each sweep is one block, so blocks end at multiples of 40.
-    inst = make_inconsistent(gen_randn(40, 8, 82), 83)
+def _assert_stalls_inside_a_block_where_single_steps_do(m, n, seed):
+    inst = make_inconsistent(gen_randn(m, n, seed), seed + 1)
     report, reference = _both("kaczmarz", inst, rse_tol=1e-4, max_iters=100_000)
     assert report.termination_reason == "stalled"
-    assert report.iterations % 40
+    assert report.iterations % m % SWEEP_BLOCK  # not at a block's end
     _assert_same_run(report, reference, inst.A)
+
+
+def test_inconsistent_kaczmarz_stalls_inside_a_block_where_single_steps_do():
+    # 40 rows: each sweep is one block, so blocks end at multiples of 40.
+    _assert_stalls_inside_a_block_where_single_steps_do(40, 8, 82)
+
+
+# 120 rows: blocks [0, 50), [50, 100) and [100, 120), so the stall window is reached inside
+# a block that is not a whole sweep. At 40x15 a block is walked guess by guess, since the
+# trace entries not yet folded could reach the window, but they hold a 0.1% gain and the
+# run goes on past that block.
+@pytest.mark.parametrize("m, n, seed", [(120, 8, 82), (40, 15, 86)])
+def test_kaczmarz_stalls_where_single_steps_do_when_the_window_nears_inside_a_block(m, n, seed):
+    _assert_stalls_inside_a_block_where_single_steps_do(m, n, seed)
 
 
 @pytest.mark.parametrize("method", ["kaczmarz", "cd"])
