@@ -12,11 +12,11 @@ move is ``A.T @ (A[:, S] @ w)`` instead. RBCD applies the inverse of
 keeps each partition block's inverse from its first use. Cyclic CD
 advances in sweep blocks of up to ``SWEEP_BLOCK`` consecutive columns
 (``cd_sweep``): their successive coordinate steps are one Gauss-Seidel
-solve on ``tril(G[S, S])``, which the matrix keeps for each whole block
-(and, from a run's second pass over the columns on, its inverse, applied
-in O(s^2)), and one move of y. A block ends at the next refresh of y and
-before the first zero column, which raises when a block starts on it, and
-near the stationarity floor a block is one iteration.
+solve on ``tril(G[S, S])``, read from the triangle that the matrix keeps for
+each ``SWEEP_BLOCK`` partition block (and, from a run's second pass over the
+columns on, its inverse, applied in O(s^2)), and one move of y. A block ends at
+the next partition block or refresh of y, before the first zero column, which
+raises when a block starts on it, and at its first iteration on the floor.
 No column method carries the residual r itself; y is recomputed from x every
 100 iterations, on tall matrices as ``A.T b - G x`` (O(n^2), with ``A.T b``
 kept from the start) and on wide ones as ``A.T (b - A x)``. RGDC's step
@@ -63,10 +63,10 @@ COL_METHODS = ("cd", "rgrcd", "rgdc", "amdcd", "rbcd")
 # A run is stationary once ||y|| = ||A.T r|| falls to this fraction of ||A.T b||.
 STATIONARITY_REL = 1e-14
 
-# A cd sweep block that would end with ||y|| within this multiple of the stationarity floor
-# is cut to its first iteration. Near the floor, y's rounding noise can dip below it inside
-# a block and rise above it by the block's end, so blocks of one check it after every
-# iteration.
+# Only a cd sweep block that would end with ||y|| within this multiple of the stationarity
+# floor forms y after each of its iterations, to end at the first on the floor: near it, y's
+# rounding noise can dip below it inside a block and rise above it by the block's end. Formed
+# in every block, they made a 5000x300 cd solve about twice as slow.
 SWEEP_FLOOR_MARGIN = 1e3
 
 # y is recomputed from x this often, and the run fails if its recursion drifted by
@@ -276,31 +276,35 @@ class _ColFamily(MethodFamily):
         return selected, profile, (), None
 
     def _sweep(self, dx: np.ndarray, dd: float, budget: int):
-        """A cd sweep block from column ``k mod n``, ending at the next refresh and before the
-        first zero column; one iteration near the stationarity floor."""
+        """A cd sweep block from column ``k mod n``, ending at the next ``SWEEP_BLOCK`` boundary
+        or refresh, before the first zero column and at its first iteration on the floor."""
         state, a, zero = self.state, self.a, self.a.zero_col
         k = state.k
         j = k % a.n
         # Blocks end at refreshes, so each refresh comes where single steps would make it.
-        end = min(j + SWEEP_BLOCK, j + REFRESH_EVERY - k % REFRESH_EVERY, j + budget,
-                  a.n if zero is None else zero)
+        end = min(j - j % SWEEP_BLOCK + SWEEP_BLOCK, j + REFRESH_EVERY - k % REFRESH_EVERY,
+                  j + budget, a.n if zero is None else zero)
         if end == j:
             raise UsageError(f"zero column {j} cannot drive a coordinate step")
         cols = slice(j, end)
         delta, changes = cd_sweep(state, a, cols, dx, k >= a.n)
-        move = _normal_product(a, cols, delta)
-        y = state.y - move
-        size = len(delta)
-        if math.sqrt(y @ y) <= SWEEP_FLOOR_MARGIN * STATIONARITY_REL * self.atb_norm:
-            size = 1
+        y = state.y - _normal_product(a, cols, delta)
+        size, ys, floor = len(delta), None, STATIONARITY_REL * self.atb_norm
+        if math.sqrt(y @ y) <= SWEEP_FLOOR_MARGIN * floor:
+            # y after each iteration: y_0 minus the moves delta_u A.T a_u so far, summed in order.
+            ys = (-delta[:, None] * a.gram[cols] if a.gram is not None
+                  else (a.entries[:, cols] * -delta).T @ a.entries)
+            ys[0] += state.y
+            np.add.accumulate(ys, out=ys)
+            at_floor = np.flatnonzero(np.sqrt(np.einsum("ij,ij->i", ys, ys)) <= floor)
+            size = int(at_floor[0]) + 1 if len(at_floor) else size
         dx_end = dx.copy()
         dx_end[j:j + size] += delta[:size]
 
         def apply(count: int) -> None:
-            part = delta[:count]
-            state.x[j:j + count] += part
-            state.y -= (move if count == len(delta)
-                        else _normal_product(a, slice(j, j + count), part))
+            state.x[j:j + count] += delta[:count]
+            state.y = (ys[count - 1] if ys is not None else y if count == len(delta)
+                       else state.y - _normal_product(a, slice(j, j + count), delta[:count]))
 
         return (j,), None, _block_errors(dd, changes[:size], float(dx_end @ dx_end)), apply
 

@@ -34,7 +34,7 @@ def as_vector(v, length: int | None = None, name: str = "vector") -> np.ndarray:
         raise UsageError(f"{name} must be one-dimensional, got shape {arr.shape}")
     if length is not None and arr.shape[0] != length:
         raise UsageError(f"{name} has length {arr.shape[0]}, expected {length}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise UsageError(f"{name} contains non-finite entries")
     return arr
 
@@ -65,8 +65,8 @@ class DenseMatrix:
     never larger than A or ``n * n``. For ``kaczmarz`` and ``cd``,
     ``_sweep_solve`` keeps a table of its own, which no block size displaces,
     with a slot per block of the ``SWEEP_BLOCK`` partition of each axis: the
-    lower triangle of the block's Gram from the block's first use, and its
-    inverse once a solve comes back to the block on a later pass. Row slots
+    lower triangle of the block's Gram from the first solve on any part of
+    it, and its inverse once a solve comes back to it on a later pass. Row slots
     hold at most ``2 * SWEEP_BLOCK * m`` floats and column slots
     ``2 * SWEEP_BLOCK * n``; an axis keeps none when the other dimension is
     below ``SWEEP_BLOCK``, where a block's triangle outweighs its rows or
@@ -155,25 +155,27 @@ class DenseMatrix:
     def _sweep_solve(self, axis: int, block: slice, rhs: np.ndarray,
                      revisit: bool) -> tuple[np.ndarray, np.ndarray]:
         """z with ``tril(K) z = rhs`` for ``K = _block_gram(axis, block)`` (a Gauss-Seidel
-        sweep from zero on the block's equations), and that triangle. A whole block of the
-        ``SWEEP_BLOCK`` partition keeps its triangle. A solve's first pass (``revisit``
-        false), and every other block, solves with the triangle; a later pass applies its
-        kept inverse and refines z once against ``rhs - tril(K) z``, in O(s^2)."""
+        sweep from zero on the block's equations), and that triangle, ``L[p, p]`` for the
+        kept triangle L of the ``SWEEP_BLOCK`` partition block that holds ``block`` at p. A
+        first pass (``revisit`` false) solves with it; a later pass applies ``inv(L)[p, p]``,
+        its inverse as L is triangular, and refines z once against ``rhs - L[p, p] z``."""
         lo, hi = block.start, block.stop
-        if (lo % SWEEP_BLOCK or hi != min(lo + SWEEP_BLOCK, self.entries.shape[axis])
-                or self.entries.shape[1 - axis] < SWEEP_BLOCK):
+        if self.entries.shape[1 - axis] < SWEEP_BLOCK:
             lower = self._block_gram(axis, block) * _SWEEP_LOWER[:hi - lo, :hi - lo]
             return np.linalg.solve(lower, rhs), lower
-        slots, index = self._slots(self._sweeps, axis, SWEEP_BLOCK), lo // SWEEP_BLOCK
+        slots, (index, at) = self._slots(self._sweeps, axis, SWEEP_BLOCK), divmod(lo, SWEEP_BLOCK)
         if slots[index] is None:
-            lower = self._block_gram(axis, block) * _SWEEP_LOWER[:hi - lo, :hi - lo]
-            slots[index] = (_read_only(lower), None)
+            gram = self._block_gram(axis, slice(lo - at, lo - at + SWEEP_BLOCK))
+            slots[index] = (_read_only(gram * _SWEEP_LOWER[:len(gram), :len(gram)]), None)
         lower, inverse = slots[index]
-        if not revisit:
-            return np.linalg.solve(lower, rhs), lower
-        if inverse is None:
+        if revisit and inverse is None:
             inverse = _read_only(np.linalg.inv(lower))
             slots[index] = (lower, inverse)
+        if hi - lo < len(lower):  # L[p, p] is L itself for a whole block, which takes no view
+            p = slice(at, at + hi - lo)
+            lower, inverse = lower[p, p], inverse[p, p] if revisit else None
+        if not revisit:
+            return np.linalg.solve(lower, rhs), lower
         z = inverse @ rhs
         z += inverse @ (rhs - lower @ z)
         return z, lower

@@ -13,10 +13,10 @@ the inverse that the matrix keeps for each block from its first use.
 Cyclic Kaczmarz advances in sweep blocks of up to ``SWEEP_BLOCK``
 consecutive rows (``kaczmarz_sweep``): their successive projections are one
 Gauss-Seidel solve on ``tril(A_S @ A_S.T)``, which the matrix keeps for each
-whole block, in a few numpy calls where single steps would cost O(n) each
+partition block, in a few numpy calls where single steps would cost O(n) each
 plus the fixed cost of their calls. From a run's second pass over the rows
 on, a block applies the triangle's kept inverse: O(s*n + s^2) for s rows,
-against O(s^2 n + s^3) for a block whose triangle is formed. A block ends
+against O(s^2 n + s^3) to form the triangle on a block's first use. A block ends
 before the first zero row, which raises when a block starts on it.
 
 Row methods converge to the least-norm solution of consistent systems when

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 from collections import Counter
 
@@ -304,17 +305,26 @@ def test_cached_factors_keep_one_partition_per_axis_within_its_bound():
 @pytest.mark.parametrize("shape", [(130, 60), (60, 130), (130, 40), (40, 130)],
                          ids=["tall", "wide", "tall-narrow", "wide-short"])
 def test_sweep_slots_stay_within_their_bound(shape):
-    a = gen_randn(*shape, 69)
     rng = np.random.default_rng(69)
-    for axis in (0, 1):
-        count = shape[axis]
-        for lo in range(0, count, SWEEP_BLOCK):  # fill every slot, inverses included
-            block = slice(lo, min(lo + SWEEP_BLOCK, count))
-            a._sweep_solve(axis, block, rng.standard_normal(block.stop - lo), True)
-        held = [arr for slot in a._sweeps[axis][1] if slot for arr in slot]
-        if shape[1 - axis] < SWEEP_BLOCK:
-            assert not held  # each triangle would outweigh its block of A
-            continue
-        assert len(held) == 2 * -(-count // SWEEP_BLOCK)
-        assert all(not arr.flags.writeable for arr in held)
-        assert sum(arr.size for arr in held) <= 2 * SWEEP_BLOCK * count
+    # Every slot, inverses included, filled by whole blocks and, on a fresh matrix, by pieces
+    # of them, off the grid too: a piece fills its grid block's slot with the whole block's.
+    pieces = [(7, 30, False), (0, 7, True), (30, SWEEP_BLOCK, True)]
+    for spans in ([(0, SWEEP_BLOCK, True)], pieces):
+        a = gen_randn(*shape, 69)
+        for axis in (0, 1):
+            count = shape[axis]
+            grid = range(0, count, SWEEP_BLOCK)
+            for lo, (start, stop, revisit) in itertools.product(grid, spans):
+                block = slice(lo + start, min(lo + stop, count))
+                if block.start < block.stop:
+                    rhs = rng.standard_normal(block.stop - block.start)
+                    z = a._sweep_solve(axis, block, rhs, revisit)[0]
+                    np.testing.assert_allclose(np.tril(a._block_gram(axis, block)) @ z, rhs,
+                                               rtol=1e-9, atol=1e-9)
+            held = [arr for slot in a._sweeps[axis][1] if slot for arr in slot]
+            if shape[1 - axis] < SWEEP_BLOCK:
+                assert not held  # each triangle would outweigh its block of A
+                continue
+            assert len(held) == 2 * -(-count // SWEEP_BLOCK)
+            assert all(not arr.flags.writeable for arr in held)
+            assert sum(arr.size for arr in held) <= 2 * SWEEP_BLOCK * count

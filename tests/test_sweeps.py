@@ -194,6 +194,16 @@ def test_cd_stops_stationary_where_single_steps_do_when_y_hovers_at_the_floor(mo
     assert late.termination_reason == "max_iters"
 
 
+# Wide, so without a Gram: y after each iteration of a block near the floor is read from
+# (A_S diag(delta)).T A.
+@pytest.mark.parametrize("m, n, seed", [(20, 120, 3), (30, 200, 5)])
+def test_wide_cd_stops_stationary_where_single_steps_do(m, n, seed):
+    inst = make_consistent(gen_randn(m, n, seed), seed + 1)
+    report, reference = _both("cd", inst, rse_tol=1e-300, max_iters=100_000)
+    assert inst.A.gram is None and reference.termination_reason == "stationary"
+    _assert_same_run(report, reference, inst.A)
+
+
 def _slots(a, axis):
     """Index -> whether that sweep slot holds its triangle's inverse, for every filled slot."""
     return {i: slot[1] is not None for i, slot in enumerate(a._sweeps[axis][1]) if slot}
@@ -250,18 +260,22 @@ def _zeroed(shape, axis, index, seed):
     return DenseMatrix(entries)
 
 
-# Blocks that are not whole blocks of the SWEEP_BLOCK partition keep no slot: the filled
-# slots, and whether each holds an inverse, are those of the whole blocks alone.
+# Blocks that are not whole blocks of the SWEEP_BLOCK partition keep no slot of their own: each
+# fills its grid block's slot with that block's whole triangle, and with its inverse once a
+# later pass comes back to it.
 @pytest.mark.parametrize("method, matrix, max_iters, filled", [
-    ("kaczmarz", lambda: gen_randn(200, 60, 90), 123, {0: False, 1: False}),
-    ("cd", lambda: gen_randn(200, 60, 90), 30, {}),
-    ("kaczmarz", lambda: _zeroed((120, 60), 0, 75, 91), 75, {0: False}),
-    ("cd", lambda: _zeroed((200, 120), 1, 75, 91), 75, {0: False}),
-    # n = 60: [0, 50), [50, 60), then [0, 40) up to the refresh and [40, 60) off the grid.
-    ("cd", lambda: gen_randn(200, 60, 92), 120, {0: False, 1: False}),
-    ("cd", lambda: gen_randn(200, 60, 92), 170, {0: True, 1: False}),
+    ("kaczmarz", lambda: gen_randn(200, 60, 90), 123, dict.fromkeys(range(3), False)),
+    ("cd", lambda: gen_randn(200, 60, 90), 30, {0: False}),
+    ("kaczmarz", lambda: _zeroed((120, 60), 0, 75, 91), 75, {0: False, 1: False}),
+    ("cd", lambda: _zeroed((200, 120), 1, 75, 91), 75, {0: False, 1: False}),
+    # n = 60: [0, 50), [50, 60), then [0, 40) up to the refresh, [40, 50) and [50, 60).
+    ("cd", lambda: gen_randn(200, 60, 92), 120, {0: True, 1: True}),
+    ("cd", lambda: gen_randn(200, 60, 92), 170, {0: True, 1: True}),
+    # Cut by the cap on a later pass: [100, 123), and [20, 30) after the refresh at 200.
+    ("kaczmarz", lambda: gen_randn(200, 60, 90), 2 * 200 + 123, dict.fromkeys(range(4), True)),
+    ("cd", lambda: gen_randn(200, 60, 90), 3 * 60 + 30, {0: True, 1: True}),
 ], ids=["kaczmarz-budget", "cd-budget", "kaczmarz-zero-row", "cd-zero-column",
-        "cd-off-grid", "cd-off-grid-then-whole"])
+        "cd-off-grid", "cd-off-grid-then-whole", "kaczmarz-budget-revisit", "cd-budget-revisit"])
 def test_blocks_that_are_not_whole_keep_no_slot_and_match_single_steps(method, matrix,
                                                                        max_iters, filled):
     a = matrix()
@@ -269,7 +283,32 @@ def test_blocks_that_are_not_whole_keep_no_slot_and_match_single_steps(method, m
     report, reference = _both(method, inst, rse_tol=1e-300, max_iters=max_iters)
     assert report.iterations == max_iters
     _assert_same_run(report, reference, a)
-    assert _slots(a, 0 if method == "kaczmarz" else 1) == filled
+    axis = 0 if method == "kaczmarz" else 1
+    assert _slots(a, axis) == filled
+    for index in filled:
+        grid = slice(index * SWEEP_BLOCK, (index + 1) * SWEEP_BLOCK)
+        assert np.array_equal(a._sweeps[axis][1][index][0], np.tril(a._block_gram(axis, grid)))
+
+
+@pytest.mark.parametrize("method, matrix, message", [
+    ("kaczmarz", lambda: _zeroed((120, 60), 0, 75, 91),
+     "zero row 75 cannot drive a projection step"),
+    ("cd", lambda: _zeroed((200, 120), 1, 75, 91),
+     "zero column 75 cannot drive a coordinate step"),
+], ids=["kaczmarz-zero-row", "cd-zero-column"])
+def test_a_zero_inside_a_grid_block_raises_where_it_did_and_its_slot_is_never_inverted(
+        method, matrix, message, monkeypatch):
+    # Cut at 75 the run goes on, at 76 it raises (the cases above run the first 75). The slot
+    # of [50, 100) holds a triangle with a zero pivot at the zero, past the cut at 75.
+    a = matrix()
+    inst = make_consistent(a, 93)
+    inverted = []
+    monkeypatch.setattr(np.linalg, "inv", lambda *args: inverted.append(args))
+    with pytest.raises(UsageError, match=f"^{message}$"):
+        RUNS[method](method, a, inst.b, x_star=inst.x_star, stop=StopRule(1e-300, 76))
+    axis = 0 if method == "kaczmarz" else 1
+    assert not inverted and _slots(a, axis) == {0: False, 1: False}
+    assert np.diagonal(a._sweeps[axis][1][1][0])[75 - SWEEP_BLOCK] == 0.0
 
 
 def test_rbk_and_kaczmarz_keep_their_own_slots_on_one_matrix():
