@@ -9,9 +9,16 @@ which is strictly below 1; ``relax`` mixes the relaxation parameter with the
 energy not yet annihilated (indices of exactly-zero loss are excluded). The
 randomized single-index methods satisfy the analogous bound only in
 expectation with a global, step-independent factor, so those are certified
-statistically over repeated seeded runs. All spectral quantities are computed
-directly from the matrix (or submatrix), which restricts certification to
-desk-scale instances.
+statistically over repeated seeded runs.
+
+``sigma_min(A)`` comes from the singular values of the whole matrix, once per
+run: a Gram eigenvalue would carry an error of about cond(A)^2 * eps there and
+move the rank cutoff of rank-deficient matrices. ``sigma_max(subset)`` is the
+square root of the largest eigenvalue of the set's Gram, the smaller of
+``A_S A_S^T`` and ``A_S^T A_S`` (``G[S, S]`` from the cached Gram for column
+sets). The Grams of all the run's sets of one size are stacked and eigensolved
+in one call, in chunks of at most ``_STACK_FLOATS`` floats. Certification
+refuses instances with a dimension above ``CERTIFY_DIM_LIMIT``.
 """
 
 from __future__ import annotations
@@ -21,7 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SizeGuardError, UsageError
-from .linalg import DenseMatrix, sigma_extremes, singular_values
+# perfbench/tracer.py patches singular_values and sigma_extremes here by name, so both stay
+# module attributes though only sigma_extremes is called.
+from .linalg import DenseMatrix, sigma_extremes, singular_values  # noqa: F401
 from .mmio import write_csv
 from .state import STAT_CERTIFIED, STEP_CERTIFIED, SolveReport
 
@@ -29,8 +38,12 @@ from .state import STAT_CERTIFIED, STEP_CERTIFIED, SolveReport
 # instances where either dimension exceeds this.
 CERTIFY_DIM_LIMIT = 512
 
-# Absorbs floating-point zero-set detection and SVD error in bound checks.
+# Absorbs floating-point zero-set detection and spectral error in bound checks.
 BOUND_SLACK = 1e-8
+
+# Floats that one chunk of stacked set Grams, with the rows or columns it gathers, may
+# hold (8 MB): at 512x512, four times A's bytes, however long the run.
+_STACK_FLOATS = 1 << 20
 
 
 @dataclass
@@ -78,14 +91,11 @@ def _relaxation(theta: float, frob_sq: float, active_energy: float) -> float:
     return theta * frob_sq / active_energy + (1.0 - theta)
 
 
-def _aggregate_factor(a, row_kind, indices, zero_mass, theta, sigma_min) -> tuple[float, dict]:
+def _aggregate_factor(a, energy_fraction, zero_mass, theta, sigma_min,
+                      sigma_max_sub) -> tuple[float, dict]:
     """Per-step bound 1 - relax * (set energy / ||A||_F^2) * sigma_min^2 / sigma_max(subset)^2."""
     active_energy = a.frob_sq - zero_mass
     relax = _relaxation(theta, a.frob_sq, active_energy)
-    sqnorms = a.row_sqnorms if row_kind else a.col_sqnorms
-    energy_fraction = float(sqnorms[indices].sum()) / a.frob_sq
-    sub = a.entries[indices] if row_kind else a.entries[:, indices]
-    sigma_max_sub = float(singular_values(sub)[0])
     factor = _clamp_factor(1.0 - relax * energy_fraction * sigma_min**2 / sigma_max_sub**2)
     return factor, {
         "relaxation_factor": relax,
@@ -95,6 +105,53 @@ def _aggregate_factor(a, row_kind, indices, zero_mass, theta, sigma_min) -> tupl
         "sigma_max_subset": sigma_max_sub,
         "set_energy_fraction": energy_fraction,
     }
+
+
+def _set_stacks(index_sets, set_floats):
+    """Yield ``(positions, stack)``: the sets of one size, stacked as a c x s index array,
+    with their positions in ``index_sets``, in chunks of c sets that need at most
+    ``_STACK_FLOATS`` floats at ``set_floats(s)`` each (one set when one needs more)."""
+    groups = {}
+    for i, indices in enumerate(index_sets):
+        groups.setdefault(len(indices), []).append(i)
+    for s, members in groups.items():
+        chunk = max(1, _STACK_FLOATS // set_floats(s))
+        for lo in range(0, len(members), chunk):
+            positions = members[lo:lo + chunk]
+            yield positions, np.array([index_sets[i] for i in positions])
+
+
+def _set_energy_fractions(a, row_kind, index_sets) -> np.ndarray:
+    """``||A_S||_F^2 / ||A||_F^2`` of each row (``row_kind``) or column set S."""
+    sqnorms = a.row_sqnorms if row_kind else a.col_sqnorms
+    energy = np.empty(len(index_sets))
+    for positions, stack in _set_stacks(index_sets, lambda s: 2 * s):
+        energy[positions] = sqnorms[stack].sum(axis=1)
+    return energy / a.frob_sq
+
+
+def _subset_sigma_max(a, row_kind, index_sets) -> np.ndarray:
+    """``sigma_max(A_S)`` of each row (``row_kind``) or column set S: the square root of
+    the largest eigenvalue of its Gram, which is at most min(s, other dimension) square."""
+    entries = a.entries if row_kind else a.entries.T
+    other = entries.shape[1]
+    gram = None if row_kind else a.gram
+
+    def set_floats(s):
+        return s * s if gram is not None else s * other + min(s, other) ** 2
+
+    def set_grams(stack):
+        # A chunk's gathered sets are freed on return, before the next chunk is gathered.
+        if gram is not None:
+            return gram[stack[:, :, None], stack[:, None, :]]
+        sub = entries[stack]  # c x s x other
+        sub_t = sub.transpose(0, 2, 1)
+        return sub @ sub_t if stack.shape[1] <= other else sub_t @ sub
+
+    sigma = np.empty(len(index_sets))
+    for positions, stack in _set_stacks(index_sets, set_floats):
+        sigma[positions] = np.linalg.eigvalsh(set_grams(stack))[:, -1]
+    return np.sqrt(sigma)
 
 
 def _randomized_factor(a, theta, sqnorms, kind) -> float:
@@ -152,10 +209,14 @@ def certify_run(report: SolveReport, a: DenseMatrix) -> list[BoundCertificate]:
     sigma_min = sigma_extremes(a)[1]
 
     row_kind = report.method == "rgdr"
+    index_sets = [rec.indices for rec in report.step_records]
+    energy = _set_energy_fractions(a, row_kind, index_sets)
+    sigma_max_sub = _subset_sigma_max(a, row_kind, index_sets)
     certificates = []
-    for rec in report.step_records:
+    for rec, fraction, sigma_max in zip(report.step_records, energy.tolist(),
+                                        sigma_max_sub.tolist()):
         factor, components = _aggregate_factor(
-            a, row_kind, rec.indices, rec.zero_mass, theta, sigma_min
+            a, fraction, rec.zero_mass, theta, sigma_min, sigma_max
         )
         ratio = rec.err_sq_after / rec.err_sq_before if rec.err_sq_before > 0.0 else 0.0
         certificates.append(BoundCertificate(

@@ -1,3 +1,6 @@
+import functools
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,7 @@ from rgsolve import (
     flops_rgdc,
     flops_rgdr,
     gen_randn,
+    gen_smatrix,
     make_consistent,
     relaxed_greedy_set,
     rgrcd_factor,
@@ -22,8 +26,15 @@ from rgsolve import (
     run_col_method,
     run_row_method,
     sigma_extremes,
+    singular_values,
 )
-from rgsolve.theory import _aggregate_factor
+from rgsolve import theory
+from rgsolve.theory import (
+    BOUND_SLACK,
+    _aggregate_factor,
+    _set_energy_fractions,
+    _subset_sigma_max,
+)
 
 DIAG = DenseMatrix([[1.0, 0.0], [0.0, 2.0]])
 
@@ -36,7 +47,10 @@ def _zero_mass(sqnorms, profile):
 def _factor(a, row_kind, indices, profile, theta):
     """The per-step bound that certify_run checks, for a set chosen from ``profile``."""
     zero_mass = _zero_mass(a.row_sqnorms if row_kind else a.col_sqnorms, profile)
-    return _aggregate_factor(a, row_kind, indices, zero_mass, theta, sigma_extremes(a)[1])[0]
+    energy_fraction = _set_energy_fractions(a, row_kind, [indices])[0]
+    sigma_max_sub = _subset_sigma_max(a, row_kind, [indices])[0]
+    return _aggregate_factor(a, energy_fraction, zero_mass, theta, sigma_extremes(a)[1],
+                             sigma_max_sub)[0]
 
 
 def _first_certificate(method, theta):
@@ -255,6 +269,105 @@ def test_active_energy_bounds():
         assert active <= a.frob_sq + 1e-12
         if profile.max_loss > 0:
             assert active >= a.row_sqnorms.max() - 1e-12
+
+
+# Instances on which certify_run is checked against a per-step SVD of each selected set:
+# name -> (matrix, theta). At theta = 0 the sets outgrow the other dimension: rgdr's row
+# sets on 60x10 exceed n, and rgdc's column sets on the wide 40x120 (no Gram) exceed m.
+ORACLE_CASES = {
+    "randn": (lambda: gen_randn(80, 20, 5), 0.5),
+    "smatrix_kappa_1e5": (lambda: gen_smatrix(100, 20, 20, 1e5, 1.0, 4), 0.5),
+    "rank_deficient": (lambda: gen_smatrix(120, 30, 20, 10.0, 1.0, 4), 0.5),
+    "wide": (lambda: gen_randn(40, 120, 3), 0.5),
+    "wide_theta_0": (lambda: gen_randn(40, 120, 3), 0.0),
+    "sets_exceed_n": (lambda: gen_randn(60, 10, 5), 0.0),
+}
+
+
+@functools.cache
+def _oracle_run(case, method):
+    make, theta = ORACLE_CASES[case]
+    a = make()
+    inst = make_consistent(a, 11)
+    run = run_row_method if method == "rgdr" else run_col_method
+    report = run(method, a, inst.b, config=SelectionConfig(theta=theta), x_star=inst.x_star,
+                 record_steps=True, stop=StopRule(rse_tol=1e-8, max_iters=2000))
+    return report, a
+
+
+def _svd_certificates(report, a):
+    """(factor, satisfied, components) per step, with sigma_max(A_S) from the SVD of A_S."""
+    row_kind = report.method == "rgdr"
+    sqnorms = a.row_sqnorms if row_kind else a.col_sqnorms
+    sigma_min = sigma_extremes(a)[1]
+    out = []
+    for rec in report.step_records:
+        sub = a.entries[rec.indices] if row_kind else a.entries[:, rec.indices]
+        fraction = float(sqnorms[rec.indices].sum()) / a.frob_sq
+        factor, components = _aggregate_factor(
+            a, fraction, rec.zero_mass, report.params["theta"], sigma_min,
+            float(singular_values(sub)[0]),
+        )
+        ratio = rec.err_sq_after / rec.err_sq_before if rec.err_sq_before > 0.0 else 0.0
+        out.append((factor, ratio <= factor + BOUND_SLACK, components))
+    return out
+
+
+@pytest.mark.parametrize("method", ["rgdr", "rgdc"])
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_certify_run_matches_per_step_svd(case, method):
+    report, a = _oracle_run(case, method)
+    certs = certify_run(report, a)
+    oracle = _svd_certificates(report, a)
+    assert len(certs) == len(oracle) > 0
+    for cert, (factor, satisfied, components) in zip(certs, oracle):
+        assert abs(cert.factor_theoretical - factor) <= 1e-12
+        assert cert.satisfied == satisfied
+        got, want = cert.components["sigma_max_subset"], components["sigma_max_subset"]
+        assert abs(got - want) <= 1e-13 * want
+        for name in ("set_energy_fraction", "zero_set_mass", "relaxation_factor", "sigma_min"):
+            assert cert.components[name] == components[name], name
+
+
+@pytest.mark.parametrize("case, method, axis", [("sets_exceed_n", "rgdr", 1),
+                                                ("wide_theta_0", "rgdc", 0)])
+def test_oracle_cases_reach_sets_larger_than_the_other_dimension(case, method, axis):
+    report, a = _oracle_run(case, method)
+    assert max(len(rec.indices) for rec in report.step_records) > a.shape[axis]
+
+
+@pytest.mark.parametrize("budget", [1, 700])
+@pytest.mark.parametrize("case, method", [("smatrix_kappa_1e5", "rgdr"),
+                                          ("rank_deficient", "rgdc"),
+                                          ("wide_theta_0", "rgdc"),
+                                          ("sets_exceed_n", "rgdr")])
+def test_chunked_certificates_equal_unchunked(monkeypatch, case, method, budget):
+    # A budget of one float stacks one set per eigensolve; 700 splits the groups unevenly.
+    report, a = _oracle_run(case, method)
+    whole = certify_run(report, a)
+    monkeypatch.setattr(theory, "_STACK_FLOATS", budget)
+    assert certify_run(report, a) == whole
+
+
+def test_certify_memory_stays_within_a_few_matrices():
+    # 8000 rgdr steps at theta = 1 on 512x512 each select one row, so all their sets
+    # share one size: stacked at once, their rows would take over 15 times A's bytes.
+    # The 2^20-float chunk budget is 4 times A here.
+    a = gen_randn(512, 512, 8)
+    inst = make_consistent(a, 9)
+    report = run_row_method("rgdr", a, inst.b, config=SelectionConfig(theta=1.0),
+                            x_star=inst.x_star, record_steps=True,
+                            stop=StopRule(rse_tol=1e-12, max_iters=8000))
+    limit = 5 * a.entries.nbytes
+    assert sum(len(rec.indices) * (a.n + 1) for rec in report.step_records) * 8 > 3 * limit
+    tracemalloc.start()
+    try:
+        certs = certify_run(report, a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(certs) == 8000 and all(c.satisfied for c in certs)
+    assert peak < limit
 
 
 def test_randomized_certification_rgrk():
