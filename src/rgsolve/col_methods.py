@@ -25,9 +25,10 @@ form ``y_S.T G[S, S] y_S``, O(s) once y's move ``y_S.T G[S]`` is formed;
 when that form falls below ``GRAM_WEIGHT_REL`` of ``sum_j y_j^2 ||A_j||^2``
 over S, the columns nearly cancel and the weight is formed from ``A_S y_S``
 (O(m*s)) instead. So between start and stop a tall run touches length-m
-data only for step records, which read the energy error ``||A (x - x*)||^2``
-from the solve loop's ``x - x*`` (one GEMV per recorded step), and in RBCD's
-least-squares fallback.
+data only for RGDC's step records, which read the energy error
+``||A (x - x*)||^2`` from the solve loop's ``x - x*`` (one GEMV per recorded
+step; a recorded RGRCD run reads it only at its start and end), and in
+RBCD's least-squares fallback.
 """
 
 from __future__ import annotations

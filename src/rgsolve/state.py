@@ -20,8 +20,8 @@ TERMINATION_REASONS = ("converged", "max_iters", "stalled", "stationary")
 # its family's stall window.
 _STALL_IMPROVEMENT = 1e-3
 
-# Methods with per-step certificates (theory.certify_run) and with statistical ones
-# (theory.certify_randomized); only these record steps.
+# Methods with per-step certificates (theory.certify_run), which record every step, and
+# with statistical ones (theory.certify_randomized), which record a run's errors at its ends.
 STEP_CERTIFIED = ("rgdr", "rgdc")
 STAT_CERTIFIED = ("rgrk", "rgrcd")
 # Methods that draw from a seeded generator; only their runs build one.
@@ -59,7 +59,7 @@ class StopRule:
 @dataclass(slots=True)
 class StepRecord:
     """Per-iteration data needed to certify contraction bounds after the run, kept
-    for the certified methods ``rgrk``, ``rgdr``, ``rgrcd`` and ``rgdc`` only.
+    for the per-step certified methods ``rgdr`` and ``rgdc`` only.
 
     ``err_sq_before``/``err_sq_after`` are ``||x - x*||^2`` for row methods and the
     energy error ``||A (x - x*)||^2`` for column methods, both read from the
@@ -81,9 +81,12 @@ class SolveReport:
     ``rse_trace[k]`` is ||x_k - x*|| / ||x_0 - x*||; ``iter_seconds[k]`` is the
     cumulative wall time of the solver loop when iterate k was produced, and
     the iterates of one sweep block (``kaczmarz``, ``cd``) share one stamp.
-    ``final_rse`` always equals the trace tail. ``step_records`` holds one
-    record per iteration when a certified method ran with ``record_steps``,
-    and is None otherwise.
+    ``final_rse`` always equals the trace tail. With ``record_steps``,
+    ``err_sq_ends`` is the squared error (as ``StepRecord`` defines it) at the
+    start and at the end of the run, (0.0, 0.0) for a run started at x*, and
+    ``step_records`` holds one record per iteration of ``rgdr``/``rgdc``. Both
+    are None otherwise, and ``step_records`` always for ``rgrk``/``rgrcd``,
+    whose statistical certificates read only ``err_sq_ends`` and ``iterations``.
     """
 
     method: str
@@ -98,9 +101,10 @@ class SolveReport:
     termination_reason: str
     x_final: np.ndarray | None = field(default=None, repr=False)
     step_records: list[StepRecord] | None = field(default=None, repr=False)
+    err_sq_ends: tuple[float, float] | None = field(default=None, repr=False)
 
     def to_dict(self) -> dict:
-        """JSON-ready form; certification step records are not serialized."""
+        """JSON-ready form; certification step records and errors are not serialized."""
         return {
             "method": self.method,
             "params": dict(self.params),
@@ -131,7 +135,7 @@ class MethodFamily:
     methods) and sets ``sqnorms`` (summed over the zero set by step records)
     and ``stall_window`` (iterations without a 0.1% RSE gain before the run
     stalls, checked after the iteration cap; None for no stall rule).
-    ``err_sq(dx, dd)`` is the squared error step records carry, given the
+    ``err_sq(dx, dd)`` is the squared error a recorded run reads, given the
     loop's ``dx = x - x*`` and ``dd = dx @ dx``.
     ``stationary()`` is an extra stop rule checked before the iteration cap.
     ``rng`` is the seeded generator of ``RANDOMIZED_METHODS``, None for the others.
@@ -230,12 +234,14 @@ def solve_loop(family: type[MethodFamily], method: str, a: DenseMatrix, b, *, co
     name = family.params.get(method)
     params = {} if name is None else {name: getattr(config, name)}
 
+    per_step = record_steps and method in STEP_CERTIFIED
     dx = x - x_star
     dd = float(dx @ dx)
     denom = math.sqrt(dd)
     if denom == 0.0:
         return SolveReport(method, params, seed, 0, 0.0, [0.0], [], [0.0], 0.0,
-                           "converged", x_final=x, step_records=[] if record_steps else None)
+                           "converged", x_final=x, step_records=[] if per_step else None,
+                           err_sq_ends=(0.0, 0.0) if record_steps else None)
 
     state = SolveState(x=x)
     fam = family(method=method, a=a, b=b, state=state, config=config, rng=rng)
@@ -243,12 +249,12 @@ def solve_loop(family: type[MethodFamily], method: str, a: DenseMatrix, b, *, co
     rse_trace = [1.0]
     set_sizes: list[int] = []
     iter_seconds = [0.0]
-    records: list[StepRecord] | None = [] if record_steps else None
+    records: list[StepRecord] | None = [] if per_step else None
     best_rse = rse
     since_best = 0
     folded = 1  # entries of rse_trace that best_rse and since_best count
     # A step's error before is the previous step's error after.
-    err_sq = fam.err_sq(dx, dd) if record_steps else 0.0
+    err_sq_start = err_sq = fam.err_sq(dx, dd) if record_steps else 0.0
 
     window = fam.stall_window
     start = time.perf_counter()
@@ -301,7 +307,7 @@ def solve_loop(family: type[MethodFamily], method: str, a: DenseMatrix, b, *, co
         rse_trace.append(rse)
         set_sizes += [len(selected)] * count
         iter_seconds += [time.perf_counter() - start] * count
-        if record_steps:
+        if per_step:
             err_before, err_sq = err_sq, fam.err_sq(dx, dd)
             records.append(StepRecord(
                 k=state.k - 1,
@@ -312,6 +318,8 @@ def solve_loop(family: type[MethodFamily], method: str, a: DenseMatrix, b, *, co
             ))
 
     wall = time.perf_counter() - start
+    if record_steps and not per_step:  # rgrk and rgrcd read their error again only here
+        err_sq = fam.err_sq(dx, dd)
     return SolveReport(
         method=method,
         params=params,
@@ -325,4 +333,5 @@ def solve_loop(family: type[MethodFamily], method: str, a: DenseMatrix, b, *, co
         termination_reason=reason,
         x_final=state.x.copy(),
         step_records=records,
+        err_sq_ends=(err_sq_start, err_sq) if record_steps else None,
     )

@@ -121,24 +121,18 @@ def _set_stacks(index_sets, set_floats):
             yield positions, np.array([index_sets[i] for i in positions])
 
 
-def _set_energy_fractions(a, row_kind, index_sets) -> np.ndarray:
-    """``||A_S||_F^2 / ||A||_F^2`` of each row (``row_kind``) or column set S."""
+def _set_spectra(a, row_kind, index_sets) -> tuple[np.ndarray, np.ndarray]:
+    """``||A_S||_F^2 / ||A||_F^2`` and ``sigma_max(A_S)`` of each row (``row_kind``) or
+    column set S, from one stacking of the sets. ``sigma_max`` is the square root of the
+    largest eigenvalue of the set's Gram, which is at most min(s, other dimension) square."""
     sqnorms = a.row_sqnorms if row_kind else a.col_sqnorms
-    energy = np.empty(len(index_sets))
-    for positions, stack in _set_stacks(index_sets, lambda s: 2 * s):
-        energy[positions] = sqnorms[stack].sum(axis=1)
-    return energy / a.frob_sq
-
-
-def _subset_sigma_max(a, row_kind, index_sets) -> np.ndarray:
-    """``sigma_max(A_S)`` of each row (``row_kind``) or column set S: the square root of
-    the largest eigenvalue of its Gram, which is at most min(s, other dimension) square."""
     entries = a.entries if row_kind else a.entries.T
     other = entries.shape[1]
     gram = None if row_kind else a.gram
 
     def set_floats(s):
-        return s * s if gram is not None else s * other + min(s, other) ** 2
+        # The indices and their gathered norms, then the gathered rows or columns and Gram.
+        return 2 * s + (s * s if gram is not None else s * other + min(s, other) ** 2)
 
     def set_grams(stack):
         # A chunk's gathered sets are freed on return, before the next chunk is gathered.
@@ -148,10 +142,12 @@ def _subset_sigma_max(a, row_kind, index_sets) -> np.ndarray:
         sub_t = sub.transpose(0, 2, 1)
         return sub @ sub_t if stack.shape[1] <= other else sub_t @ sub
 
+    energy = np.empty(len(index_sets))
     sigma = np.empty(len(index_sets))
     for positions, stack in _set_stacks(index_sets, set_floats):
+        energy[positions] = sqnorms[stack].sum(axis=1)
         sigma[positions] = np.linalg.eigvalsh(set_grams(stack))[:, -1]
-    return np.sqrt(sigma)
+    return energy / a.frob_sq, np.sqrt(sigma)
 
 
 def _randomized_factor(a, theta, sqnorms, kind) -> float:
@@ -210,8 +206,7 @@ def certify_run(report: SolveReport, a: DenseMatrix) -> list[BoundCertificate]:
 
     row_kind = report.method == "rgdr"
     index_sets = [rec.indices for rec in report.step_records]
-    energy = _set_energy_fractions(a, row_kind, index_sets)
-    sigma_max_sub = _subset_sigma_max(a, row_kind, index_sets)
+    energy, sigma_max_sub = _set_spectra(a, row_kind, index_sets)
     certificates = []
     for rec, fraction, sigma_max in zip(report.step_records, energy.tolist(),
                                         sigma_max_sub.tolist()):
@@ -230,12 +225,13 @@ def certify_run(report: SolveReport, a: DenseMatrix) -> list[BoundCertificate]:
 
 
 def certify_randomized(reports: list[SolveReport], a: DenseMatrix) -> AggregateCertificate:
-    """Check repeated randomized runs against the expected contraction factor.
+    """Check repeated randomized runs on ``a`` against the expected contraction factor.
 
-    Each run contributes its geometric-mean per-step squared-error ratio; the
-    sample mean must not exceed the expected factor, at the ``theta`` in the
-    first report's ``params``, by more than three standard errors. The bounds
-    hold in expectation only, so at least two runs (ideally 30) are required.
+    Each run contributes its geometric-mean per-step squared-error ratio, read from
+    its ``err_sq_ends`` and ``iterations``; the sample mean must not exceed the
+    expected factor, at the runs' common ``params["theta"]``, by more than three
+    standard errors. The bounds hold in expectation only, so at least two runs
+    (ideally 30) are required. Runs that took no step or started at x* are skipped.
     """
     if not reports:
         raise UsageError("no reports to certify")
@@ -246,24 +242,25 @@ def certify_randomized(reports: list[SolveReport], a: DenseMatrix) -> AggregateC
         )
     if any(rep.method != method for rep in reports):
         raise UsageError("all reports must come from the same method")
+    params = reports[0].params
+    if any(rep.params != params for rep in reports):
+        raise UsageError("all reports must come from runs with the same parameters")
+    if any(rep.x_final is None or len(rep.x_final) != a.n for rep in reports):
+        raise UsageError(f"all reports must come from runs on an instance with n = {a.n}")
     if len(reports) < 2:
         raise UsageError("statistical certification needs at least two runs")
     _check_certify_size(a)
-    theta = reports[0].params["theta"]
+    theta = params["theta"]
     factor = rgrk_factor(a, theta) if method == "rgrk" else rgrcd_factor(a, theta)
 
     contractions = []
     for rep in reports:
-        if rep.step_records is None:
+        if rep.err_sq_ends is None:
             raise UsageError("missing trace: rerun the solves with record_steps=True")
-        if not rep.step_records:
+        start, end = rep.err_sq_ends
+        if rep.iterations == 0 or start <= 0.0:
             continue
-        first = rep.step_records[0]
-        last = rep.step_records[-1]
-        if first.err_sq_before <= 0.0:
-            continue
-        overall = last.err_sq_after / first.err_sq_before
-        contractions.append(overall ** (1.0 / len(rep.step_records)))
+        contractions.append((end / start) ** (1.0 / rep.iterations))
     if len(contractions) < 2:
         raise UsageError("not enough non-trivial runs for statistical certification")
     sample = np.array(contractions)

@@ -26,6 +26,7 @@ from rgsolve import (
 from rgsolve.col_methods import amdcd_step, cd_step, rbcd_block_step, rgdc_step, rgrcd_step
 from rgsolve.col_methods import REFRESH_EVERY
 from rgsolve.linalg import NO_FACTOR
+from rgsolve import state as state_module
 from rgsolve.state import STAT_CERTIFIED, STEP_CERTIFIED, SolveState
 
 DIAG = DenseMatrix([[1.0, 0.0], [0.0, 2.0]])
@@ -613,8 +614,10 @@ def _assert_column_solve_carries_no_residual(monkeypatch, shape, method, record_
     # A.T b at the start. On tall matrices nothing else touches A: steps move y through the
     # Gram and refreshes read A.T b - G x. On wide ones each step, and cd's each sweep block,
     # moves y by A.T (A_S w), and each refresh forms b - A x and A.T r. Records add
-    # A (x - x*) at the start and after each iteration.
+    # A (x - x*) at the start, then after each iteration of rgdc, whose every step is
+    # recorded, and once at the end of rgrcd, whose run keeps only its two end errors.
     tall = a.gram is not None
+    per_step = record_steps and method in STEP_CERTIFIED
     want = ["matvec_transpose"] + ["matvec"] * record_steps
     for k in range(report.iterations):
         if not tall:
@@ -622,7 +625,8 @@ def _assert_column_solve_carries_no_residual(monkeypatch, shape, method, record_
                 want += ["matvec", "matvec_transpose"]
             if method != "cd" or k in sweeps:
                 want += ["matvec_transpose"]
-        want += ["matvec"] * record_steps
+        want += ["matvec"] * per_step
+    want += ["matvec"] * (record_steps and not per_step)
     assert gemvs == want
 
 
@@ -651,7 +655,11 @@ def test_column_step_records_are_never_negative_on_rank_deficient_matrices(monke
         report = run_col_method(method, a, inst.b, x0=x0, x_star=inst.x_star, seed=seed,
                                 config=SelectionConfig(block_size=5), record_steps=True,
                                 stop=StopRule(rse_tol=1e-12, max_iters=3000))
-        assert report.step_records
+        assert report.iterations > 0 and min(report.err_sq_ends) >= 0.0
+        if method in STAT_CERTIFIED:
+            assert report.step_records is None
+            continue
+        assert len(report.step_records) == report.iterations
         assert min(min(rec.err_sq_before, rec.err_sq_after) for rec in report.step_records) >= 0.0
 
 
@@ -674,7 +682,35 @@ def test_step_records_never_change_the_iterates(monkeypatch, shape, method):
     assert on.rse_trace == off.rse_trace
     assert on.set_size_trace == off.set_size_trace
     assert on.x_final.tobytes() == off.x_final.tobytes()
-    assert off.step_records is None and len(on.step_records) == on.iterations
+    assert off.step_records is None and off.err_sq_ends is None and len(on.err_sq_ends) == 2
+    if method in STAT_CERTIFIED:
+        assert on.step_records is None
+    else:
+        assert len(on.step_records) == on.iterations
+
+
+@pytest.mark.parametrize("method", CERTIFIED)
+def test_recorded_randomized_runs_read_their_error_only_at_the_ends(monkeypatch, method):
+    # rgrk and rgrcd build no step record (so no zero-loss mass) and read the error at the
+    # start and the end only; rgdr and rgdc read it after every step and record each one.
+    a = gen_randn(60, 20, 63)
+    inst = make_consistent(a, 64)
+    is_row = method in ROW_METHODS
+    family = row_methods._RowFamily if is_row else col_methods._ColFamily
+    reads, built = [], []
+    err_sq, record = family.err_sq, state_module.StepRecord
+    monkeypatch.setattr(family, "err_sq",
+                        lambda self, dx, dd: reads.append(self.state.k) or err_sq(self, dx, dd))
+    monkeypatch.setattr(state_module, "StepRecord",
+                        lambda **kw: built.append(kw["k"]) or record(**kw))
+    run = run_row_method if is_row else run_col_method
+    report = run(method, a, inst.b, x_star=inst.x_star, seed=65, record_steps=True)
+    assert report.iterations > 0
+    if method in STAT_CERTIFIED:
+        assert reads == [0, report.iterations] and built == []
+    else:
+        assert reads == list(range(report.iterations + 1))
+        assert built == list(range(report.iterations))
 
 
 @pytest.mark.parametrize("shape", [(200, 50), (50, 200)], ids=["tall", "wide"])
@@ -710,10 +746,19 @@ def test_step_records_equal_a_fresh_recomputation(monkeypatch, shape, method):
     stop = StopRule(rse_tol=1e-10, max_iters=2 * REFRESH_EVERY + 50)
     report = run(method, a, inst.b, x_star=inst.x_star, seed=3, record_steps=True,
                  config=SelectionConfig(theta=0.3, block_size=7), stop=stop)
-    assert len(report.step_records) == len(fresh) == report.iterations > 0
-    if method == "rgrcd":  # records straddle the refreshes of y at steps 100 and 200
+    assert len(fresh) == report.iterations > 0
+    if method == "rgrcd":  # the run straddles the refreshes of y at steps 100 and 200
         assert report.iterations > 2 * REFRESH_EVERY
-    for k, (rec, (indices, zero_mass, before, after)) in enumerate(zip(report.step_records, fresh)):
+    start, end = report.err_sq_ends
+    assert [start.hex(), end.hex()] == [err_sq(np.zeros(a.n)).hex(),
+                                        err_sq(report.x_final).hex()]
+    if method in STAT_CERTIFIED:
+        assert report.step_records is None
+        return
+    records = report.step_records
+    assert len(records) == report.iterations
+    assert (start, end) == (records[0].err_sq_before, records[-1].err_sq_after)
+    for k, (rec, (indices, zero_mass, before, after)) in enumerate(zip(records, fresh)):
         assert rec.k == k
         assert rec.indices.dtype == indices.dtype and rec.indices.tobytes() == indices.tobytes()
         assert [v.hex() for v in (rec.zero_mass, rec.err_sq_before, rec.err_sq_after)] == \

@@ -29,12 +29,7 @@ from rgsolve import (
     singular_values,
 )
 from rgsolve import theory
-from rgsolve.theory import (
-    BOUND_SLACK,
-    _aggregate_factor,
-    _set_energy_fractions,
-    _subset_sigma_max,
-)
+from rgsolve.theory import BOUND_SLACK, _aggregate_factor, _set_spectra
 
 DIAG = DenseMatrix([[1.0, 0.0], [0.0, 2.0]])
 
@@ -47,8 +42,7 @@ def _zero_mass(sqnorms, profile):
 def _factor(a, row_kind, indices, profile, theta):
     """The per-step bound that certify_run checks, for a set chosen from ``profile``."""
     zero_mass = _zero_mass(a.row_sqnorms if row_kind else a.col_sqnorms, profile)
-    energy_fraction = _set_energy_fractions(a, row_kind, [indices])[0]
-    sigma_max_sub = _subset_sigma_max(a, row_kind, [indices])[0]
+    (energy_fraction,), (sigma_max_sub,) = _set_spectra(a, row_kind, [indices])
     return _aggregate_factor(a, energy_fraction, zero_mass, theta, sigma_extremes(a)[1],
                              sigma_max_sub)[0]
 
@@ -394,6 +388,56 @@ def test_randomized_certification_rgrcd():
     ]
     aggregate = certify_randomized(reports, a)
     assert aggregate.satisfied
+
+
+@pytest.mark.parametrize("method", ["rgrk", "rgrcd"])
+def test_randomized_certification_skips_a_run_started_at_x_star(method):
+    a = gen_randn(60, 20, 11)
+    inst = make_consistent(a, 12)
+    run = run_row_method if method == "rgrk" else run_col_method
+    reports = [
+        run(method, a, inst.b, config=SelectionConfig(theta=0.5), x_star=inst.x_star,
+            x0=inst.x_star if seed == 0 else None, seed=seed, record_steps=True)
+        for seed in range(4)
+    ]
+    assert reports[0].iterations == 0 and reports[0].err_sq_ends == (0.0, 0.0)
+    aggregate = certify_randomized(reports, a)
+    assert aggregate.runs == 3
+    assert aggregate == certify_randomized(reports[1:], a)
+
+
+def _rgrk_runs(a, inst, theta, seeds, record_steps=True):
+    return [run_row_method("rgrk", a, inst.b, config=SelectionConfig(theta=theta),
+                           x_star=inst.x_star, seed=seed, record_steps=record_steps)
+            for seed in seeds]
+
+
+def test_randomized_certification_refuses_runs_at_other_parameters():
+    a = gen_randn(100, 20, 1)
+    inst = make_consistent(a, 2)
+    reports = _rgrk_runs(a, inst, 1.0, range(3)) + _rgrk_runs(a, inst, 0.1, range(3, 6))
+    with pytest.raises(UsageError, match="^all reports must come from runs with the same "
+                                         "parameters$"):
+        certify_randomized(reports, a)
+    assert certify_randomized(reports[:3], a).theta == 1.0
+
+
+def test_randomized_certification_refuses_runs_on_another_instance():
+    a = gen_randn(100, 20, 1)
+    reports = _rgrk_runs(a, make_consistent(a, 2), 0.5, range(3))
+    for other in (gen_randn(100, 21, 1), gen_randn(100, 19, 1)):
+        with pytest.raises(UsageError, match=f"^all reports must come from runs on an "
+                                             f"instance with n = {other.n}$"):
+            certify_randomized(reports, other)
+
+
+def test_randomized_certification_requires_recorded_runs():
+    a = gen_randn(60, 20, 11)
+    inst = make_consistent(a, 12)
+    reports = _rgrk_runs(a, inst, 0.5, range(3))
+    reports[1] = _rgrk_runs(a, inst, 0.5, [1], record_steps=False)[0]
+    with pytest.raises(UsageError, match="record_steps"):
+        certify_randomized(reports, a)
 
 
 def test_certificates_csv_format(tmp_path):
