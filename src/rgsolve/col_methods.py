@@ -138,14 +138,14 @@ def rgdc_step(state: SolveState, a: DenseMatrix, indices: np.ndarray) -> None:
     columns to cancel exactly.
     """
     y_sel = state.y[indices]
-    h1 = float(y_sel @ y_sel)
+    h1 = float(y_sel.dot(y_sel))
     if h1 <= 0.0:
         return
     move = None if a.gram is None else _normal_product(a, indices, y_sel)  # A.T A_S y_S
-    h2 = None if move is None else float(move[indices] @ y_sel)  # y_S.T G[S, S] y_S
-    if h2 is None or h2 <= GRAM_WEIGHT_REL * float((y_sel * y_sel) @ a.col_sqnorms[indices]):
-        combined = a.entries[:, indices] @ y_sel
-        h2 = float(combined @ combined)
+    h2 = None if move is None else float(move[indices].dot(y_sel))  # y_S.T G[S, S] y_S
+    if h2 is None or h2 <= GRAM_WEIGHT_REL * float((y_sel * y_sel).dot(a.col_sqnorms[indices])):
+        combined = a.entries[:, indices].dot(y_sel)
+        h2 = float(combined.dot(combined))
         if h2 <= 0.0:
             raise DegenerateStepError(
                 "selected columns cancel exactly; aggregate step is degenerate")
@@ -156,10 +156,12 @@ def rgdc_step(state: SolveState, a: DenseMatrix, indices: np.ndarray) -> None:
     state.y -= weight * move
 
 
-def rgrcd_step(state: SolveState, a: DenseMatrix, indices: np.ndarray, rng: np.random.Generator) -> None:
+def rgrcd_step(state: SolveState, a: DenseMatrix, indices: np.ndarray, rng: np.random.Generator,
+               squares: np.ndarray) -> None:
     """Sample one coordinate from the selected set with probability proportional
-    to its squared y value, then apply the coordinate step."""
-    cd_step(state, a, _draw_by_square(state.y, indices, rng))
+    to its squared y value, then apply the coordinate step. ``squares`` is ``y * y``,
+    as ``LossProfile.squares`` keeps it."""
+    cd_step(state, a, _draw_by_square(squares, indices, rng))
 
 
 def amdcd_step(state: SolveState, a: DenseMatrix, indices: np.ndarray) -> None:
@@ -242,11 +244,11 @@ class _ColFamily(MethodFamily):
     def err_sq(self, dx: np.ndarray, dd: float) -> float:
         # As ||A dx||^2, never as dx.T G dx, whose rounding can turn negative.
         ae = self.a.matvec(dx)
-        return float(ae @ ae)
+        return float(ae.dot(ae))
 
     def stationary(self) -> bool:
         y = self.state.y
-        return math.sqrt(y @ y) <= STATIONARITY_REL * self.atb_norm
+        return math.sqrt(y.dot(y)) <= STATIONARITY_REL * self.atb_norm
 
     def step(self, dx: np.ndarray, dd: float, budget: int):
         k = self.state.k
@@ -263,7 +265,7 @@ class _ColFamily(MethodFamily):
                 if method == "rgdc":
                     rgdc_step(state, a, selected)
                 else:
-                    rgrcd_step(state, a, selected, self.rng)
+                    rgrcd_step(state, a, selected, self.rng, profile.squares)
             elif method == "amdcd":
                 selected = max_distance_set(a, state.y, config.eta2)
                 amdcd_step(state, a, selected)

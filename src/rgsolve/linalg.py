@@ -84,6 +84,7 @@ class DenseMatrix:
         if arr.shape[0] < 1 or arr.shape[1] < 1:
             raise UsageError("matrix must have at least one row and one column")
         self.entries = arr
+        self.m, self.n = arr.shape
         self.row_sqnorms = np.einsum("ij,ij->i", arr, arr)
         self.col_sqnorms = np.einsum("ij,ij->j", arr, arr)
         self.frob_sq = float(self.row_sqnorms.sum())
@@ -109,9 +110,10 @@ class DenseMatrix:
     @property
     def gram(self) -> np.ndarray | None:
         """Read-only ``A.T @ A``, built once on first use; None when n > m."""
-        if self._gram is None and self.n <= self.m:
-            self._gram = _read_only(self.entries.T @ self.entries)
-        return self._gram
+        gram = self._gram
+        if gram is None and self.n <= self.m:
+            gram = self._gram = _read_only(self.entries.T @ self.entries)
+        return gram
 
     def _block_gram(self, axis: int, block) -> np.ndarray:
         """Gram of the rows (axis 0) or columns (axis 1) that ``block`` (a slice or index
@@ -181,23 +183,16 @@ class DenseMatrix:
         return z, lower
 
     @property
-    def m(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[1]
-
-    @property
     def shape(self) -> tuple[int, int]:
         return self.entries.shape
 
     def matvec(self, x) -> np.ndarray:
-        """Return ``A @ x`` for a length-n vector ``x``."""
+        """Return ``A @ x`` for a length-n vector ``x``. Like the single steps' vector
+        products, it calls ``ndarray.dot``: the BLAS call of ``@`` without its dispatch cost."""
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n,):
             raise UsageError(f"matvec expects a length-{self.n} vector, got shape {x.shape}")
-        return self.entries @ x
+        return self.entries.dot(x)
 
     def matvec_transpose(self, r) -> np.ndarray:
         """Return ``A.T @ r`` for a length-m vector ``r``."""
@@ -206,7 +201,7 @@ class DenseMatrix:
             raise UsageError(
                 f"matvec_transpose expects a length-{self.m} vector, got shape {r.shape}"
             )
-        return self.entries.T @ r
+        return self.entries.T.dot(r)
 
     def __repr__(self) -> str:
         return f"DenseMatrix({self.m}x{self.n})"

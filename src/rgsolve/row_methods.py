@@ -73,26 +73,22 @@ def rgdr_step(state: SolveState, a: DenseMatrix, r: np.ndarray, indices: np.ndar
     range of A.
     """
     r_sel = r[indices]
-    g1 = float(r_sel @ r_sel)
+    g1 = float(r_sel.dot(r_sel))
     if g1 <= 0.0:
         return
-    direction = a.entries[indices].T @ r_sel
-    g2 = float(direction @ direction)
+    direction = a.entries[indices].T.dot(r_sel)
+    g2 = float(direction.dot(direction))
     if g2 <= 0.0:
         raise StalledError("row method stalled on inconsistent system")
     state.x += g1 / g2 * direction
 
 
-def rgrk_step(
-    state: SolveState,
-    a: DenseMatrix,
-    r: np.ndarray,
-    indices: np.ndarray,
-    rng: np.random.Generator,
-) -> None:
+def rgrk_step(state: SolveState, a: DenseMatrix, r: np.ndarray, indices: np.ndarray,
+              rng: np.random.Generator, squares: np.ndarray) -> None:
     """Sample one row from the selected set with probability proportional to its
-    squared residual in ``r = b - A x``, then apply the single-row projection."""
-    i = _draw_by_square(r, indices, rng)
+    squared residual in ``r = b - A x``, then apply the single-row projection.
+    ``squares`` is ``r * r``, as ``LossProfile.squares`` keeps it."""
+    i = _draw_by_square(squares, indices, rng)
     kaczmarz_step(state, a, float(r[i]), i)
 
 
@@ -169,7 +165,8 @@ class _RowFamily(MethodFamily):
         profile = None
         try:
             if method in ("gbk", "rgrk", "rgdr"):
-                r = residual(a, b, state.x)
+                # x is zero, in practice, only at the start, so only there is it looked for.
+                r = b - a.matvec(state.x) if state.k else residual(a, b, state.x)
                 profile = row_losses(a, r)
                 if method == "gbk":
                     selected = gbk_set(profile, config.eta1)
@@ -179,7 +176,7 @@ class _RowFamily(MethodFamily):
                     if method == "rgdr":
                         rgdr_step(state, a, r, selected)
                     else:
-                        rgrk_step(state, a, r, selected, self.rng)
+                        rgrk_step(state, a, r, selected, self.rng, profile.squares)
             else:  # rbk
                 block = int(self.rng.integers(len(self.partition)))
                 selected = self.partition[block]

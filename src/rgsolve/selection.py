@@ -26,12 +26,14 @@ _ZERO_TOL_FLOOR = 1e-300
 @dataclass
 class LossProfile:
     """Per-index losses with their energy-weighted mean; a loss below ``zero_tol`` counts
-    as zero."""
+    as zero. ``squares`` are the squared residual or ``y`` entries that the losses divide
+    by the squared norms, kept so that a randomized draw does not square them again."""
 
     losses: np.ndarray
     max_loss: float
     weighted_mean: float
     zero_tol: float
+    squares: np.ndarray
 
 
 @dataclass
@@ -65,10 +67,12 @@ def _check_positive_int(name: str, value) -> None:
         raise UsageError(f"{name} must be a positive integer, got {value}")
 
 
-def _make_profile(losses, weights) -> LossProfile:
-    max_loss = float(losses.max())
+def _make_profile(squares, sqnorms, weights) -> LossProfile:
+    # Here and in the draw, ufunc reductions: ndarray.max/sum/cumsum without their dispatch cost.
+    losses = squares / sqnorms
+    max_loss = float(np.maximum.reduce(losses))
     zero_tol = max(1e-14 * max_loss, _ZERO_TOL_FLOOR)
-    return LossProfile(losses, max_loss, float(weights @ losses), zero_tol)
+    return LossProfile(losses, max_loss, float(weights.dot(losses)), zero_tol, squares)
 
 
 def row_losses(a: DenseMatrix, r) -> LossProfile:
@@ -78,7 +82,7 @@ def row_losses(a: DenseMatrix, r) -> LossProfile:
         raise UsageError(f"residual must have length {a.m}, got shape {r.shape}")
     if a.zero_row is not None:
         raise UsageError(f"zero row {a.zero_row} unsupported by greedy selection")
-    return _make_profile(r * r / a.row_sqnorms, a.row_weights)
+    return _make_profile(r * r, a.row_sqnorms, a.row_weights)
 
 
 def column_losses_from_y(a: DenseMatrix, y) -> LossProfile:
@@ -88,7 +92,7 @@ def column_losses_from_y(a: DenseMatrix, y) -> LossProfile:
         raise UsageError(f"y must have length {a.n}, got shape {y.shape}")
     if a.zero_col is not None:
         raise UsageError(f"zero column {a.zero_col} unsupported by greedy selection")
-    return _make_profile(y * y / a.col_sqnorms, a.col_weights)
+    return _make_profile(y * y, a.col_sqnorms, a.col_weights)
 
 
 def relaxed_greedy_set(profile: LossProfile, theta: float) -> np.ndarray:
@@ -140,15 +144,16 @@ def _inverse_cdf_draw(p: np.ndarray, rng: np.random.Generator) -> int:
     argument checks: the same single ``rng.random()`` and the same inverse
     CDF, so it returns the same index and leaves the stream in the same state.
     """
-    cdf = p.cumsum()
+    cdf = np.add.accumulate(p)
     cdf /= cdf[-1]
     return int(cdf.searchsorted(rng.random(), side="right"))
 
 
-def _draw_by_square(v: np.ndarray, indices: np.ndarray, rng: np.random.Generator) -> int:
-    """One of ``indices``, drawn with probability proportional to ``v[indices] ** 2``."""
-    weights = v[indices] ** 2
-    total = float(weights.sum())
+def _draw_by_square(squares: np.ndarray, indices: np.ndarray, rng: np.random.Generator) -> int:
+    """One of ``indices``, drawn with probability proportional to ``squares[indices]``: for
+    ``squares = v * v`` (``LossProfile.squares``) the draw over ``v[indices] ** 2``, bit for bit."""
+    weights = squares[indices]
+    total = float(np.add.reduce(weights))
     if total <= 0.0:
         raise UsageError("the vector restricted to the selected set is zero")
     return int(indices[_inverse_cdf_draw(weights / total, rng)])

@@ -137,7 +137,8 @@ class MethodFamily:
     stalls, checked after the iteration cap; None for no stall rule).
     ``err_sq(dx, dd)`` is the squared error a recorded run reads, given the
     loop's ``dx = x - x*`` and ``dd = dx @ dx``.
-    ``stationary()`` is an extra stop rule checked before the iteration cap.
+    ``stationary()``, a method of the families that have one (None for the
+    others), is an extra stop rule checked before the iteration cap.
     ``rng`` is the seeded generator of ``RANDOMIZED_METHODS``, None for the others.
 
     ``step(dx, dd, budget)`` advances iteration ``state.k`` and up to
@@ -163,9 +164,7 @@ class MethodFamily:
     state: SolveState
     config: SelectionConfig
     rng: np.random.Generator | None
-
-    def stationary(self) -> bool:
-        return False
+    stationary: ClassVar = None
 
 
 def _stall_fold(rses, best: float, since: int) -> tuple[float, int]:
@@ -211,7 +210,9 @@ def solve_loop(family: type[MethodFamily], method: str, a: DenseMatrix, b, *, co
     and in order, only when the rule could fire: when ``since_best`` plus the entries not
     yet folded reaches the window (never without one). A sweep block's guesses are cut at
     the first below ``rse_tol`` by one comparison, and walked one at a time only in a
-    block where the stall window can be reached.
+    block where the stall window can be reached. Beyond its step, a single step costs the
+    loop ``x - x*``, its norm, an append to each trace and, for the column family only,
+    the stationarity rule.
     """
     if method not in family.methods:
         raise UsageError(
@@ -236,7 +237,7 @@ def solve_loop(family: type[MethodFamily], method: str, a: DenseMatrix, b, *, co
 
     per_step = record_steps and method in STEP_CERTIFIED
     dx = x - x_star
-    dd = float(dx @ dx)
+    dd = float(dx.dot(dx))
     denom = math.sqrt(dd)
     if denom == 0.0:
         return SolveReport(method, params, seed, 0, 0.0, [0.0], [], [0.0], 0.0,
@@ -256,13 +257,13 @@ def solve_loop(family: type[MethodFamily], method: str, a: DenseMatrix, b, *, co
     # A step's error before is the previous step's error after.
     err_sq_start = err_sq = fam.err_sq(dx, dd) if record_steps else 0.0
 
-    window = fam.stall_window
+    window, stationary = fam.stall_window, fam.stationary
     start = time.perf_counter()
     while True:
         if rse < stop.rse_tol:
             reason = "converged"
             break
-        if fam.stationary():
+        if stationary is not None and stationary():
             reason = "stationary"
             break
         if state.k >= stop.max_iters:
@@ -302,11 +303,15 @@ def solve_loop(family: type[MethodFamily], method: str, a: DenseMatrix, b, *, co
             apply(count)
         state.k += count
         dx = state.x - x_star
-        dd = float(dx @ dx)
+        dd = float(dx.dot(dx))
         rse = math.sqrt(dd) / denom
         rse_trace.append(rse)
-        set_sizes += [len(selected)] * count
-        iter_seconds += [time.perf_counter() - start] * count
+        if count == 1:  # appending is cheaper than extending by a one-entry list
+            set_sizes.append(len(selected))
+            iter_seconds.append(time.perf_counter() - start)
+        else:
+            set_sizes += [len(selected)] * count
+            iter_seconds += [time.perf_counter() - start] * count
         if per_step:
             err_before, err_sq = err_sq, fam.err_sq(dx, dd)
             records.append(StepRecord(

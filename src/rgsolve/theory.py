@@ -191,7 +191,9 @@ def flops_rgdc(n: int, set_size: int) -> int:
 
 def certify_run(report: SolveReport, a: DenseMatrix) -> list[BoundCertificate]:
     """Check every recorded iteration of a deterministic aggregate run against its bound,
-    at the run's ``params["theta"]``, with a ``BOUND_SLACK`` allowance."""
+    at the run's ``params["theta"]``, with a ``BOUND_SLACK`` allowance. Raises UsageError
+    when ``x_final`` does not have ``a.n`` entries or a recorded index is out of range for
+    its axis: one vectorized check per run, blind to another matrix of ``a``'s shape."""
     if report.method not in STEP_CERTIFIED:
         raise UsageError(
             f"per-step certificates exist only for rgdr and rgdc, not {report.method!r}"
@@ -202,10 +204,13 @@ def certify_run(report: SolveReport, a: DenseMatrix) -> list[BoundCertificate]:
     theta = report.params.get("theta")
     if theta is None:
         raise UsageError("no relaxation parameter available for certification")
-    sigma_min = sigma_extremes(a)[1]
-
     row_kind = report.method == "rgdr"
     index_sets = [rec.indices for rec in report.step_records]
+    flat = np.concatenate(index_sets) if index_sets else np.zeros(1, dtype=np.intp)
+    if (report.x_final is None or len(report.x_final) != a.n
+            or not 0 <= flat.min() <= flat.max() < (a.m if row_kind else a.n)):
+        raise UsageError(f"the report does not come from a run on this {a.m}x{a.n} instance")
+    sigma_min = sigma_extremes(a)[1]
     energy, sigma_max_sub = _set_spectra(a, row_kind, index_sets)
     certificates = []
     for rec, fraction, sigma_max in zip(report.step_records, energy.tolist(),

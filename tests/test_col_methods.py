@@ -163,7 +163,7 @@ def test_rgdc_nearly_cancelling_columns_take_the_gathered_weight():
 
 def test_rgrcd_singleton_deterministic():
     state = fresh_state(DIAG, B_DIAG)
-    rgrcd_step(state, DIAG, np.array([1]), np.random.default_rng(0))
+    rgrcd_step(state, DIAG, np.array([1]), np.random.default_rng(0), state.y * state.y)
     np.testing.assert_allclose(state.x, [0.0, 2.0])
 
 
@@ -176,7 +176,7 @@ def test_rgrcd_sampling_distribution():
     trials = 100_000
     for _ in range(trials):
         state = fresh_state(a, b)
-        rgrcd_step(state, a, np.array([0, 1]), rng)
+        rgrcd_step(state, a, np.array([0, 1]), rng, state.y * state.y)
         if state.x[1] != 0.0:
             picks += 1
     assert abs(picks / trials - 64.0 / 65.0) < 0.01

@@ -130,7 +130,7 @@ def test_rgdr_stalls_when_direction_vanishes():
 
 def test_rgrk_singleton_support_deterministic():
     state = fresh_state(DIAG)
-    rgrk_step(state, DIAG, B_DIAG, np.array([1]), np.random.default_rng(0))
+    rgrk_step(state, DIAG, B_DIAG, np.array([1]), np.random.default_rng(0), B_DIAG * B_DIAG)
     np.testing.assert_allclose(state.x, [0.0, 2.0])
 
 
@@ -143,7 +143,7 @@ def test_rgrk_sampling_distribution():
     trials = 100_000
     for _ in range(trials):
         state = fresh_state(a)
-        rgrk_step(state, a, b, np.array([0, 1]), rng)
+        rgrk_step(state, a, b, np.array([0, 1]), rng, b * b)
         if state.x[1] != 0.0:
             picks += 1
     assert abs(picks / trials - 16.0 / 17.0) < 0.01
@@ -341,18 +341,27 @@ def test_residual_recursion_stays_consistent_over_long_runs():
     assert report.termination_reason == "converged"
 
 
-@pytest.mark.parametrize("method", ["rgrk", "rgdr"])
-def test_relaxed_greedy_row_methods_form_the_residual_once_per_step(monkeypatch, method):
+@pytest.mark.parametrize("method", ["rgrk", "rgdr", "gbk"])
+@pytest.mark.parametrize("x0", [None, np.full(40, 0.01)], ids=["zero-start", "nonzero-start"])
+def test_greedy_row_steps_make_one_gemv_each_after_the_first(monkeypatch, method, x0):
     a = gen_randn(200, 40, 11)
     inst = make_consistent(a, 12)
-    gemvs = []
-    matvec = DenseMatrix.matvec
-    monkeypatch.setattr(DenseMatrix, "matvec", lambda self, x: gemvs.append(1) or matvec(self, x))
-    report = run_row_method(method, a, inst.b, x_star=inst.x_star, seed=0,
+    events = []
+    matvec, matvec_t = DenseMatrix.matvec, DenseMatrix.matvec_transpose
+    losses = row_methods.row_losses
+    monkeypatch.setattr(DenseMatrix, "matvec",
+                        lambda self, x: events.append("gemv") or matvec(self, x))
+    monkeypatch.setattr(DenseMatrix, "matvec_transpose",
+                        lambda self, r: events.append("gemv_t") or matvec_t(self, r))
+    monkeypatch.setattr(row_methods, "row_losses",
+                        lambda a, r: events.append("select") or losses(a, r))
+    report = run_row_method(method, a, inst.b, x0=x0, x_star=inst.x_star, seed=0,
                             stop=StopRule(rse_tol=1e-300, max_iters=350))
     assert report.iterations == 350 and report.termination_reason == "max_iters"
-    # b - A x before every step but the first, where x = 0; none at start, refresh or the end
-    assert len(gemvs) == report.iterations - 1
+    # Every step selects on b - A x, formed by exactly one GEMV, except at x0 = 0, where
+    # it is b itself; there is none at the end and no transposed one.
+    start = ["select"] if x0 is None else ["gemv", "select"]
+    assert events == start + ["gemv", "select"] * (report.iterations - 1)
 
 
 def test_cyclic_kaczmarz_carries_no_residual_across_refreshes(monkeypatch):

@@ -265,7 +265,9 @@ def test_draw_by_square_is_the_inverse_cdf_draw_over_the_set():
     w = v[indices] ** 2
     for seed in range(20):
         ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        assert _draw_by_square(v, indices, ours) == indices[_inverse_cdf_draw(w / w.sum(), ref)]
+        # The draw reads the squares as the loss profile keeps them: v * v, which is v ** 2.
+        assert (_draw_by_square(v * v, indices, ours)
+                == indices[_inverse_cdf_draw(w / w.sum(), ref)])
         assert ours.bit_generator.state == ref.bit_generator.state
     with pytest.raises(UsageError, match="restricted to the selected set is zero"):
-        _draw_by_square(v, np.array([2]), np.random.default_rng(0))
+        _draw_by_square(v * v, np.array([2]), np.random.default_rng(0))

@@ -207,6 +207,28 @@ def test_certify_rejects_unsupported_method():
         certify_run(report, a)
 
 
+def test_certify_run_refuses_a_report_from_another_shape():
+    # Certified against another matrix, a report would get certificates computed from that
+    # matrix's spectra and norms; the shape check refuses it unless the shapes agree.
+    a = gen_randn(100, 20, 1)
+    inst = make_consistent(a, 2)
+    for method, run in (("rgdr", run_row_method), ("rgdc", run_col_method)):
+        report = run(method, a, inst.b, x_star=inst.x_star, record_steps=True)
+        assert all(c.satisfied for c in certify_run(report, a))
+        for other in (gen_randn(100, 30, 5), gen_randn(100, 10, 5)):
+            with pytest.raises(UsageError, match=f"^the report does not come from a run on "
+                                                 f"this 100x{other.n} instance$"):
+                certify_run(report, other)
+    # rgdr's x_final has the right length for 60x20, but it records rows past 59.
+    report = run_row_method("rgdr", a, inst.b, x_star=inst.x_star, record_steps=True)
+    assert max(int(rec.indices.max()) for rec in report.step_records) >= 60
+    with pytest.raises(UsageError, match="^the report does not come from a run on this 60x20"):
+        certify_run(report, gen_randn(60, 20, 5))
+    report.step_records[0].indices = np.array([-1])
+    with pytest.raises(UsageError, match="^the report does not come from a run on this 100x20"):
+        certify_run(report, a)
+
+
 def test_certify_size_guard():
     a = gen_randn(600, 5, 1)
     inst = make_consistent(a, 2)
