@@ -41,7 +41,7 @@ from .selection import (
     relaxed_greedy_set,
     row_losses,
 )
-from .state import SolveReport, StepRecord, StopRule
+from .state import SolveReport, StopRule
 from .theory import (
     AggregateCertificate,
     BoundCertificate,
@@ -72,7 +72,6 @@ __all__ = [
     "SelectionConfig",
     "SizeGuardError",
     "SolveReport",
-    "StepRecord",
     "StopRule",
     "SubsolverError",
     "UsageError",

@@ -198,10 +198,11 @@ def rbcd_block_step(state: SolveState, a: DenseMatrix, b: np.ndarray, indices: n
         w = np.linalg.lstsq(cols, b - a.matvec(state.x), rcond=None)[0]
     else:
         y_sel = state.y[block]
-        w = inverse @ y_sel
+        w = inverse.dot(y_sel)
         gram = a.gram
-        w += inverse @ (y_sel - (cols.T @ (cols @ w) if gram is None
-                                 else gram[block][:, block] @ w))
+        # cols and G[S, S] of a slice block are strided views, which .dot would copy first.
+        w += inverse.dot(y_sel - (cols.T @ (cols @ w) if gram is None
+                                  else gram[block][:, block] @ w))
     state.x[block] += w
     state.y -= _normal_product(a, block, w)
 

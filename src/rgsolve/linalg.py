@@ -71,10 +71,11 @@ class DenseMatrix:
     ``2 * SWEEP_BLOCK * n``; an axis keeps none when the other dimension is
     below ``SWEEP_BLOCK``, where a block's triangle outweighs its rows or
     columns of A (at 1e6 x 10, row slots would hold ten times A). Instances
-    are safe to share across concurrent solves: the Gram, each inverse and
-    each sweep slot are published only once complete, and a race at worst
-    builds one twice (solves at two block sizes at once displace each other's
-    partition, which costs rebuilds, never a wrong factor).
+    are safe to share across concurrent solves and certifications: the Gram,
+    each inverse, each sweep slot and the read-only ``singular_values`` that
+    ``sigma_extremes`` keeps from its first call are published only once
+    complete, and a race at worst builds one twice (solves at two block sizes at
+    once displace each other's partition, which costs rebuilds, never a wrong factor).
     """
 
     def __init__(self, entries):
@@ -101,7 +102,7 @@ class DenseMatrix:
         for a in (self.entries, self.row_sqnorms, self.col_sqnorms,
                   self.row_weights, self.col_weights):
             a.setflags(write=False)
-        self._gram = None
+        self._gram = self._sigma = None
         # Per axis: (block size, a slot per partition block, None until built), for
         # partition_factor and for _sweep_solve.
         self._factors = [(0, []), (0, [])]
@@ -178,8 +179,8 @@ class DenseMatrix:
             lower, inverse = lower[p, p], inverse[p, p] if revisit else None
         if not revisit:
             return np.linalg.solve(lower, rhs), lower
-        z = inverse @ rhs
-        z += inverse @ (rhs - lower @ z)
+        z = inverse.dot(rhs)
+        z += inverse.dot(rhs - lower.dot(z))
         return z, lower
 
     @property
@@ -293,8 +294,12 @@ def singular_values(a) -> np.ndarray:
 
 
 def sigma_extremes(a) -> tuple[float, float]:
-    """Largest and smallest nonzero singular values of ``a``."""
-    sig = singular_values(a)
+    """Largest and smallest nonzero singular values of ``a``, kept by a DenseMatrix."""
+    sig = getattr(a, "_sigma", None)
+    if sig is None:
+        sig = singular_values(a)
+        if isinstance(a, DenseMatrix):
+            a._sigma = _read_only(sig)
     if sig.size == 0:
         raise UsageError("zero matrix has no nonzero singular values")
     return float(sig[0]), float(sig[-1])

@@ -107,17 +107,17 @@ def block_project_step(state: SolveState, a: DenseMatrix, b: np.ndarray, indices
     """
     rows = _block_index(indices)
     sub = a.entries[rows]
-    rhs = b[rows] - sub @ state.x
+    rhs = b[rows] - sub.dot(state.x)
     if inverse is None:
         gram = sub @ sub.T
         solve = (lambda v: np.linalg.solve(gram, v)) if _full_rank(gram) else None
     else:
-        solve = None if inverse is NO_FACTOR else inverse.__matmul__
+        solve = None if inverse is NO_FACTOR else inverse.dot
     if solve is None:
         state.x += np.linalg.lstsq(sub, rhs, rcond=None)[0]
         return
-    dx = solve(rhs) @ sub
-    state.x += dx + solve(rhs - sub @ dx) @ sub
+    dx = solve(rhs).dot(sub)
+    state.x += dx + solve(rhs - sub.dot(dx)).dot(sub)
 
 
 def kaczmarz_sweep(state: SolveState, a: DenseMatrix, b: np.ndarray, rows: slice,
@@ -135,9 +135,9 @@ def kaczmarz_sweep(state: SolveState, a: DenseMatrix, b: np.ndarray, rows: slice
     ``DenseMatrix._sweep_solve``.
     """
     sub = a.entries[rows]
-    rhs = b[rows] - sub @ state.x
+    rhs = b[rows] - sub.dot(state.x)
     z, lower = a._sweep_solve(0, rows, rhs, revisit)
-    return z, z * (2.0 * (sub @ dx + rhs) - np.diagonal(lower) * z)
+    return z, z * (2.0 * (sub.dot(dx) + rhs) - np.diagonal(lower) * z)
 
 
 @dataclass

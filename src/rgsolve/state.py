@@ -56,24 +56,6 @@ class StopRule:
         self.max_iters = int(self.max_iters)
 
 
-@dataclass(slots=True)
-class StepRecord:
-    """Per-iteration data needed to certify contraction bounds after the run, kept
-    for the per-step certified methods ``rgdr`` and ``rgdc`` only.
-
-    ``err_sq_before``/``err_sq_after`` are ``||x - x*||^2`` for row methods and the
-    energy error ``||A (x - x*)||^2`` for column methods, both read from the
-    ``x - x*`` the solve loop forms for the RSE. ``indices`` is the selected
-    set as the step returned it; the certifier reads the set's energy from it.
-    """
-
-    k: int
-    indices: np.ndarray
-    zero_mass: float  # sum of squared norms over the zero-loss set
-    err_sq_before: float
-    err_sq_after: float
-
-
 @dataclass
 class SolveReport:
     """Trace of a solve run: per-iteration relative solution error and set sizes.
@@ -82,11 +64,13 @@ class SolveReport:
     cumulative wall time of the solver loop when iterate k was produced, and
     the iterates of one sweep block (``kaczmarz``, ``cd``) share one stamp.
     ``final_rse`` always equals the trace tail. With ``record_steps``,
-    ``err_sq_ends`` is the squared error (as ``StepRecord`` defines it) at the
-    start and at the end of the run, (0.0, 0.0) for a run started at x*, and
-    ``step_records`` holds one record per iteration of ``rgdr``/``rgdc``. Both
-    are None otherwise, and ``step_records`` always for ``rgrk``/``rgrcd``,
-    whose statistical certificates read only ``err_sq_ends`` and ``iterations``.
+    ``err_sq_ends`` is the squared error (``||x - x*||^2`` for rows, the energy
+    ``||A (x - x*)||^2`` for columns) at the start and at the end of the run,
+    (0.0, 0.0) for a run started at x*, and ``rgdr``/``rgdc`` record per step k
+    its set ``step_indices[k]``, its zero-loss set's squared norms summed in
+    ``step_zero_mass[k]``, and its errors before and after, ``step_err_sq[k]`` and
+    ``step_err_sq[k + 1]``. These are None otherwise (step columns always for
+    ``rgrk``/``rgrcd``, whose certificates read ``err_sq_ends`` and ``iterations``).
     """
 
     method: str
@@ -100,11 +84,13 @@ class SolveReport:
     wall_seconds: float
     termination_reason: str
     x_final: np.ndarray | None = field(default=None, repr=False)
-    step_records: list[StepRecord] | None = field(default=None, repr=False)
+    step_indices: list[np.ndarray] | None = field(default=None, repr=False)
+    step_zero_mass: np.ndarray | None = field(default=None, repr=False)
+    step_err_sq: np.ndarray | None = field(default=None, repr=False)
     err_sq_ends: tuple[float, float] | None = field(default=None, repr=False)
 
     def to_dict(self) -> dict:
-        """JSON-ready form; certification step records and errors are not serialized."""
+        """JSON-ready form; certification step columns and errors are not serialized."""
         return {
             "method": self.method,
             "params": dict(self.params),
@@ -240,9 +226,11 @@ def solve_loop(family: type[MethodFamily], method: str, a: DenseMatrix, b, *, co
     dd = float(dx.dot(dx))
     denom = math.sqrt(dd)
     if denom == 0.0:
-        return SolveReport(method, params, seed, 0, 0.0, [0.0], [], [0.0], 0.0,
-                           "converged", x_final=x, step_records=[] if per_step else None,
-                           err_sq_ends=(0.0, 0.0) if record_steps else None)
+        return SolveReport(method, params, seed, 0, 0.0, [0.0], [], [0.0], 0.0, "converged",
+                           x_final=x, err_sq_ends=(0.0, 0.0) if record_steps else None,
+                           step_indices=[] if per_step else None,
+                           step_zero_mass=np.zeros(0) if per_step else None,
+                           step_err_sq=np.zeros(1) if per_step else None)
 
     state = SolveState(x=x)
     fam = family(method=method, a=a, b=b, state=state, config=config, rng=rng)
@@ -250,12 +238,12 @@ def solve_loop(family: type[MethodFamily], method: str, a: DenseMatrix, b, *, co
     rse_trace = [1.0]
     set_sizes: list[int] = []
     iter_seconds = [0.0]
-    records: list[StepRecord] | None = [] if per_step else None
     best_rse = rse
     since_best = 0
     folded = 1  # entries of rse_trace that best_rse and since_best count
     # A step's error before is the previous step's error after.
     err_sq_start = err_sq = fam.err_sq(dx, dd) if record_steps else 0.0
+    indices, zero_masses, errs = [], [], [err_sq]
 
     window, stationary = fam.stall_window, fam.stationary
     start = time.perf_counter()
@@ -313,14 +301,13 @@ def solve_loop(family: type[MethodFamily], method: str, a: DenseMatrix, b, *, co
             set_sizes += [len(selected)] * count
             iter_seconds += [time.perf_counter() - start] * count
         if per_step:
-            err_before, err_sq = err_sq, fam.err_sq(dx, dd)
-            records.append(StepRecord(
-                k=state.k - 1,
-                indices=selected,
-                zero_mass=float(fam.sqnorms[profile.losses < profile.zero_tol].sum()),
-                err_sq_before=err_before,
-                err_sq_after=err_sq,
-            ))
+            err_sq = fam.err_sq(dx, dd)
+            errs.append(err_sq)
+            indices.append(selected)
+            # Most steps have no zero-loss index, and one reduction finds that without a mask.
+            losses, tol = profile.losses, profile.zero_tol
+            zero_masses.append(float(fam.sqnorms[losses < tol].sum())
+                               if np.minimum.reduce(losses) < tol else 0.0)
 
     wall = time.perf_counter() - start
     if record_steps and not per_step:  # rgrk and rgrcd read their error again only here
@@ -337,6 +324,8 @@ def solve_loop(family: type[MethodFamily], method: str, a: DenseMatrix, b, *, co
         wall_seconds=wall,
         termination_reason=reason,
         x_final=state.x.copy(),
-        step_records=records,
         err_sq_ends=(err_sq_start, err_sq) if record_steps else None,
+        step_indices=indices if per_step else None,
+        step_zero_mass=np.array(zero_masses) if per_step else None,
+        step_err_sq=np.array(errs) if per_step else None,
     )

@@ -11,19 +11,22 @@ randomized single-index methods satisfy the analogous bound only in
 expectation with a global, step-independent factor, so those are certified
 statistically over repeated seeded runs.
 
-``sigma_min(A)`` comes from the singular values of the whole matrix, once per
-run: a Gram eigenvalue would carry an error of about cond(A)^2 * eps there and
-move the rank cutoff of rank-deficient matrices. ``sigma_max(subset)`` is the
+``sigma_min(A)`` comes from the singular values that the matrix keeps from its
+first certification: a Gram eigenvalue would carry an error of about cond(A)^2 * eps
+there and move the rank cutoff of rank-deficient matrices. ``sigma_max(subset)`` is the
 square root of the largest eigenvalue of the set's Gram, the smaller of
 ``A_S A_S^T`` and ``A_S^T A_S`` (``G[S, S]`` from the cached Gram for column
 sets). The Grams of all the run's sets of one size are stacked and eigensolved
-in one call, in chunks of at most ``_STACK_FLOATS`` floats. Certification
-refuses instances with a dimension above ``CERTIFY_DIM_LIMIT``.
+in one call, in chunks of at most ``_STACK_FLOATS`` floats, and every step's bound,
+ratio and verdict comes from one pass over the run's step columns, as the columns of a
+``StepCertificates``. Certification refuses instances with a dimension above
+``CERTIFY_DIM_LIMIT``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,15 +49,47 @@ BOUND_SLACK = 1e-8
 _STACK_FLOATS = 1 << 20
 
 
-@dataclass
-class BoundCertificate:
-    """One iteration's theoretical contraction factor versus the measured ratio."""
+class BoundCertificate(NamedTuple):
+    """A row of ``StepCertificates``: one step's bound versus its measured ratio, with the
+    bound's components as fields and as the ``components`` dict."""
 
     k: int
     factor_theoretical: float
     ratio_measured: float
     satisfied: bool
+    relaxation_factor: float
+    active_energy: float
+    zero_set_mass: float
+    sigma_min: float
+    sigma_max_subset: float
+    set_energy_fraction: float
+
+    @property
+    def components(self) -> dict:
+        return dict(zip(_COMPONENTS, self[4:]))
+
+
+_COMPONENTS = BoundCertificate._fields[4:]
+
+
+@dataclass(eq=False)
+class StepCertificates:
+    """A run's certificates as columns of one entry per step: ``k``, ``factor``, ``ratio``,
+    ``satisfied``, ``components`` (name to column); iterating yields ``BoundCertificate``s."""
+
+    k: np.ndarray
+    factor: np.ndarray
+    ratio: np.ndarray
+    satisfied: np.ndarray
     components: dict
+
+    def __len__(self) -> int:
+        return len(self.k)
+
+    def __iter__(self):
+        columns = (self.k, self.factor, self.ratio, self.satisfied,
+                   *(self.components[name] for name in _COMPONENTS))
+        return map(BoundCertificate._make, zip(*(column.tolist() for column in columns)))
 
 
 @dataclass
@@ -78,30 +113,31 @@ def _check_certify_size(a: DenseMatrix) -> None:
         )
 
 
-def _clamp_factor(factor: float) -> float:
+def _clamp_factor(factor) -> np.ndarray:
     # The bound is provably in [0, 1); tiny negatives are rounding artifacts.
-    if -1e-9 < factor < 0.0:
-        return 0.0
-    return factor
+    return np.where((-1e-9 < factor) & (factor < 0.0), 0.0, factor)
 
 
-def _relaxation(theta: float, frob_sq: float, active_energy: float) -> float:
-    if active_energy <= 0.0:
+def _relaxation(theta: float, frob_sq: float, active_energy):
+    if np.any(active_energy <= 0.0):
         raise UsageError("all energy sits in the zero-loss set; nothing to bound")
     return theta * frob_sq / active_energy + (1.0 - theta)
 
 
 def _aggregate_factor(a, energy_fraction, zero_mass, theta, sigma_min,
-                      sigma_max_sub) -> tuple[float, dict]:
-    """Per-step bound 1 - relax * (set energy / ||A||_F^2) * sigma_min^2 / sigma_max(subset)^2."""
+                      sigma_max_sub) -> tuple[np.ndarray, dict]:
+    """Bound 1 - relax * (set energy / ||A||_F^2) * sigma_min^2 / sigma_max(subset)^2 of one
+    step (floats) or of each step of a run (arrays), with its components."""
     active_energy = a.frob_sq - zero_mass
     relax = _relaxation(theta, a.frob_sq, active_energy)
-    factor = _clamp_factor(1.0 - relax * energy_fraction * sigma_min**2 / sigma_max_sub**2)
+    # Python's ** (libm pow), one value at a time: numpy's ** multiplies, an ulp apart at times.
+    sub_sq = np.asarray(np.frompyfunc(pow, 2, 1)(sigma_max_sub, 2), dtype=float)
+    factor = _clamp_factor(1.0 - relax * energy_fraction * sigma_min**2 / sub_sq)
     return factor, {
         "relaxation_factor": relax,
         "active_energy": active_energy,
         "zero_set_mass": zero_mass,
-        "sigma_min": sigma_min,
+        "sigma_min": np.full(factor.shape, sigma_min),
         "sigma_max_subset": sigma_max_sub,
         "set_energy_fraction": energy_fraction,
     }
@@ -158,7 +194,7 @@ def _randomized_factor(a, theta, sqnorms, kind) -> float:
     if active <= 0.0:
         raise UsageError(f"single-{kind} matrix admits no relaxed expected factor")
     relax = _relaxation(theta, a.frob_sq, active)
-    return _clamp_factor(1.0 - relax * sigma_extremes(a)[1] ** 2 / a.frob_sq)
+    return float(_clamp_factor(1.0 - relax * sigma_extremes(a)[1] ** 2 / a.frob_sq))
 
 
 def rgrk_factor(a: DenseMatrix, theta: float) -> float:
@@ -189,7 +225,7 @@ def flops_rgdc(n: int, set_size: int) -> int:
     return update + selection
 
 
-def certify_run(report: SolveReport, a: DenseMatrix) -> list[BoundCertificate]:
+def certify_run(report: SolveReport, a: DenseMatrix) -> StepCertificates:
     """Check every recorded iteration of a deterministic aggregate run against its bound,
     at the run's ``params["theta"]``, with a ``BOUND_SLACK`` allowance. Raises UsageError
     when ``x_final`` does not have ``a.n`` entries or a recorded index is out of range for
@@ -198,35 +234,25 @@ def certify_run(report: SolveReport, a: DenseMatrix) -> list[BoundCertificate]:
         raise UsageError(
             f"per-step certificates exist only for rgdr and rgdc, not {report.method!r}"
         )
-    if report.step_records is None:
+    if report.step_indices is None:
         raise UsageError("missing trace: rerun the solve with record_steps=True")
     _check_certify_size(a)
     theta = report.params.get("theta")
     if theta is None:
         raise UsageError("no relaxation parameter available for certification")
     row_kind = report.method == "rgdr"
-    index_sets = [rec.indices for rec in report.step_records]
+    index_sets = report.step_indices
     flat = np.concatenate(index_sets) if index_sets else np.zeros(1, dtype=np.intp)
     if (report.x_final is None or len(report.x_final) != a.n
             or not 0 <= flat.min() <= flat.max() < (a.m if row_kind else a.n)):
         raise UsageError(f"the report does not come from a run on this {a.m}x{a.n} instance")
-    sigma_min = sigma_extremes(a)[1]
     energy, sigma_max_sub = _set_spectra(a, row_kind, index_sets)
-    certificates = []
-    for rec, fraction, sigma_max in zip(report.step_records, energy.tolist(),
-                                        sigma_max_sub.tolist()):
-        factor, components = _aggregate_factor(
-            a, fraction, rec.zero_mass, theta, sigma_min, sigma_max
-        )
-        ratio = rec.err_sq_after / rec.err_sq_before if rec.err_sq_before > 0.0 else 0.0
-        certificates.append(BoundCertificate(
-            k=rec.k,
-            factor_theoretical=factor,
-            ratio_measured=ratio,
-            satisfied=bool(ratio <= factor + BOUND_SLACK),
-            components=components,
-        ))
-    return certificates
+    factor, components = _aggregate_factor(a, energy, report.step_zero_mass, theta,
+                                           sigma_extremes(a)[1], sigma_max_sub)
+    before, after = report.step_err_sq[:-1], report.step_err_sq[1:]
+    ratio = np.divide(after, before, out=np.zeros(len(before)), where=before > 0.0)
+    return StepCertificates(np.arange(len(ratio)), factor, ratio,
+                            ratio <= factor + BOUND_SLACK, components)
 
 
 def certify_randomized(reports: list[SolveReport], a: DenseMatrix) -> AggregateCertificate:
@@ -282,20 +308,10 @@ def certify_randomized(reports: list[SolveReport], a: DenseMatrix) -> AggregateC
     )
 
 
-_CSV_COMPONENTS = (
-    "relaxation_factor",
-    "active_energy",
-    "zero_set_mass",
-    "sigma_min",
-    "sigma_max_subset",
-    "set_energy_fraction",
-)
-
-
-def certificates_to_csv(certificates: list[BoundCertificate], path) -> None:
-    """Write per-iteration certificates as CSV: k, factor, ratio, satisfied, components."""
-    write_csv(path, ["k", "factor", "ratio", "satisfied", *_CSV_COMPONENTS], (
-        [cert.k, repr(cert.factor_theoretical), repr(cert.ratio_measured), int(cert.satisfied),
-         *(repr(float(cert.components[name])) for name in _CSV_COMPONENTS)]
-        for cert in certificates
-    ))
+def certificates_to_csv(certificates: StepCertificates, path) -> None:
+    """Write a run's certificates as CSV: k, factor, ratio, satisfied, components."""
+    c = certificates
+    floats = [map(repr, column.tolist()) for column in
+              (c.factor, c.ratio, *(c.components[name] for name in _COMPONENTS))]
+    write_csv(path, ["k", "factor", "ratio", "satisfied", *_COMPONENTS],
+              zip(c.k.tolist(), *floats[:2], c.satisfied.astype(int).tolist(), *floats[2:]))

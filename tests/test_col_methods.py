@@ -26,7 +26,6 @@ from rgsolve import (
 from rgsolve.col_methods import amdcd_step, cd_step, rbcd_block_step, rgdc_step, rgrcd_step
 from rgsolve.col_methods import REFRESH_EVERY
 from rgsolve.linalg import NO_FACTOR
-from rgsolve import state as state_module
 from rgsolve.state import STAT_CERTIFIED, STEP_CERTIFIED, SolveState
 
 DIAG = DenseMatrix([[1.0, 0.0], [0.0, 2.0]])
@@ -657,10 +656,10 @@ def test_column_step_records_are_never_negative_on_rank_deficient_matrices(monke
                                 stop=StopRule(rse_tol=1e-12, max_iters=3000))
         assert report.iterations > 0 and min(report.err_sq_ends) >= 0.0
         if method in STAT_CERTIFIED:
-            assert report.step_records is None
+            assert report.step_indices is None and report.step_err_sq is None
             continue
-        assert len(report.step_records) == report.iterations
-        assert min(min(rec.err_sq_before, rec.err_sq_after) for rec in report.step_records) >= 0.0
+        assert len(report.step_indices) == len(report.step_err_sq) - 1 == report.iterations
+        assert report.step_err_sq.min() >= 0.0
 
 
 @pytest.mark.parametrize("shape", [(60, 20), (20, 60)], ids=["tall", "wide"])
@@ -673,7 +672,7 @@ def test_step_records_never_change_the_iterates(monkeypatch, shape, method):
                   stop=StopRule(rse_tol=1e-10, max_iters=350))
     off = run(method, a, inst.b, x_star=inst.x_star, **kwargs)
     if method not in CERTIFIED:
-        assert off.iterations > 0 and off.step_records is None
+        assert off.iterations > 0 and off.step_indices is None
         _assert_records_refused(monkeypatch, method, a, inst.b, **kwargs)
         return
     on = run(method, a, inst.b, x_star=inst.x_star, record_steps=True, **kwargs)
@@ -682,45 +681,45 @@ def test_step_records_never_change_the_iterates(monkeypatch, shape, method):
     assert on.rse_trace == off.rse_trace
     assert on.set_size_trace == off.set_size_trace
     assert on.x_final.tobytes() == off.x_final.tobytes()
-    assert off.step_records is None and off.err_sq_ends is None and len(on.err_sq_ends) == 2
+    assert off.step_indices is None and off.err_sq_ends is None and len(on.err_sq_ends) == 2
     if method in STAT_CERTIFIED:
-        assert on.step_records is None
+        assert on.step_indices is None
     else:
-        assert len(on.step_records) == on.iterations
+        assert len(on.step_indices) == len(on.step_zero_mass) == on.iterations
 
 
 @pytest.mark.parametrize("method", CERTIFIED)
 def test_recorded_randomized_runs_read_their_error_only_at_the_ends(monkeypatch, method):
-    # rgrk and rgrcd build no step record (so no zero-loss mass) and read the error at the
+    # rgrk and rgrcd record no step columns (so no zero-loss mass) and read the error at the
     # start and the end only; rgdr and rgdc read it after every step and record each one.
     a = gen_randn(60, 20, 63)
     inst = make_consistent(a, 64)
     is_row = method in ROW_METHODS
     family = row_methods._RowFamily if is_row else col_methods._ColFamily
-    reads, built = [], []
-    err_sq, record = family.err_sq, state_module.StepRecord
+    reads = []
+    err_sq = family.err_sq
     monkeypatch.setattr(family, "err_sq",
                         lambda self, dx, dd: reads.append(self.state.k) or err_sq(self, dx, dd))
-    monkeypatch.setattr(state_module, "StepRecord",
-                        lambda **kw: built.append(kw["k"]) or record(**kw))
     run = run_row_method if is_row else run_col_method
     report = run(method, a, inst.b, x_star=inst.x_star, seed=65, record_steps=True)
     assert report.iterations > 0
+    columns = (report.step_indices, report.step_zero_mass, report.step_err_sq)
     if method in STAT_CERTIFIED:
-        assert reads == [0, report.iterations] and built == []
+        assert reads == [0, report.iterations] and columns == (None, None, None)
     else:
         assert reads == list(range(report.iterations + 1))
-        assert built == list(range(report.iterations))
+        assert [len(column) for column in columns] == [report.iterations] * 2 + [len(reads)]
 
 
-@pytest.mark.parametrize("shape", [(200, 50), (50, 200)], ids=["tall", "wide"])
-@pytest.mark.parametrize("method", ROW_METHODS + COL_METHODS)
-def test_step_records_equal_a_fresh_recomputation(monkeypatch, shape, method):
+def _steps_against_a_fresh_recomputation(monkeypatch, shape, method, theta):
+    """Run ``method`` recorded and check its step columns, hex for hex, against a fresh
+    recomputation around each step; returns whether each step's zero-loss set was nonempty
+    (None for the methods without step columns)."""
     a = gen_randn(*shape, 5)
     inst = make_consistent(a, 6)
     if method not in CERTIFIED:
         _assert_records_refused(monkeypatch, method, a, inst.b, seed=3)
-        return
+        return None
     is_row = method in ROW_METHODS
     family = row_methods._RowFamily if is_row else col_methods._ColFamily
     sqnorms = a.row_sqnorms if is_row else a.col_sqnorms
@@ -736,8 +735,9 @@ def test_step_records_equal_a_fresh_recomputation(monkeypatch, shape, method):
         if not isinstance(outcome, str):
             selected, profile, dds, apply = outcome
             assert len(dds) == 0 and apply is None  # a single step, already applied
-            zero_mass = float(sqnorms[np.flatnonzero(profile.losses < profile.zero_tol)].sum())
-            fresh.append((selected.copy(), zero_mass, before, err_sq(self.state.x)))
+            zero_set = np.flatnonzero(profile.losses < profile.zero_tol)
+            fresh.append((selected.copy(), float(sqnorms[zero_set].sum()), before,
+                          err_sq(self.state.x), len(zero_set) > 0))
         return outcome
 
     family_step = family.step
@@ -745,7 +745,7 @@ def test_step_records_equal_a_fresh_recomputation(monkeypatch, shape, method):
     run = run_row_method if is_row else run_col_method
     stop = StopRule(rse_tol=1e-10, max_iters=2 * REFRESH_EVERY + 50)
     report = run(method, a, inst.b, x_star=inst.x_star, seed=3, record_steps=True,
-                 config=SelectionConfig(theta=0.3, block_size=7), stop=stop)
+                 config=SelectionConfig(theta=theta, block_size=7), stop=stop)
     assert len(fresh) == report.iterations > 0
     if method == "rgrcd":  # the run straddles the refreshes of y at steps 100 and 200
         assert report.iterations > 2 * REFRESH_EVERY
@@ -753,16 +753,32 @@ def test_step_records_equal_a_fresh_recomputation(monkeypatch, shape, method):
     assert [start.hex(), end.hex()] == [err_sq(np.zeros(a.n)).hex(),
                                         err_sq(report.x_final).hex()]
     if method in STAT_CERTIFIED:
-        assert report.step_records is None
-        return
-    records = report.step_records
-    assert len(records) == report.iterations
-    assert (start, end) == (records[0].err_sq_before, records[-1].err_sq_after)
-    for k, (rec, (indices, zero_mass, before, after)) in enumerate(zip(records, fresh)):
-        assert rec.k == k
-        assert rec.indices.dtype == indices.dtype and rec.indices.tobytes() == indices.tobytes()
-        assert [v.hex() for v in (rec.zero_mass, rec.err_sq_before, rec.err_sq_after)] == \
-            [v.hex() for v in (zero_mass, before, after)]
+        assert report.step_indices is None
+        return None
+    zero_mass, errs = report.step_zero_mass.tolist(), report.step_err_sq.tolist()
+    assert len(report.step_indices) == len(zero_mass) == len(errs) - 1 == report.iterations
+    assert (start, end) == (errs[0], errs[-1])
+    for k, (indices, mass, before, after, _) in enumerate(fresh):
+        got = report.step_indices[k]
+        assert got.dtype == indices.dtype and got.tobytes() == indices.tobytes()
+        assert [v.hex() for v in (zero_mass[k], errs[k], errs[k + 1])] == \
+            [v.hex() for v in (mass, before, after)]
+    return [nonempty for *_, nonempty in fresh]
+
+
+@pytest.mark.parametrize("shape", [(200, 50), (50, 200)], ids=["tall", "wide"])
+@pytest.mark.parametrize("method", ROW_METHODS + COL_METHODS)
+def test_step_records_equal_a_fresh_recomputation(monkeypatch, shape, method):
+    _steps_against_a_fresh_recomputation(monkeypatch, shape, method, 0.3)
+
+
+@pytest.mark.parametrize("shape", [(200, 50), (50, 200)], ids=["tall", "wide"])
+@pytest.mark.parametrize("method", STEP_CERTIFIED)
+def test_step_zero_mass_is_exact_with_and_without_a_zero_set(monkeypatch, shape, method):
+    # At theta = 1 the first step has no zero-loss index and later ones do, so the recorded
+    # zero mass comes from both sides of the solve loop's test for an empty zero set.
+    nonempty = _steps_against_a_fresh_recomputation(monkeypatch, shape, method, 1.0)
+    assert not nonempty[0] and any(nonempty)
 
 
 def _duplicated_tall_instance():

@@ -12,7 +12,7 @@ PUBLIC_NAMES = [
     "AggregateCertificate", "BoundCertificate", "COL_METHODS", "CglsConfig", "ConvergedSignal",
     "DegenerateStepError", "DenseMatrix", "GenerationError", "LossProfile", "ProblemInstance",
     "ROW_METHODS", "RgsolveError", "SelectionConfig", "SizeGuardError", "SolveReport",
-    "StepRecord", "StopRule", "SubsolverError", "UsageError", "certificates_to_csv",
+    "StopRule", "SubsolverError", "UsageError", "certificates_to_csv",
     "certify_randomized", "certify_run", "cgls", "column_losses_from_y", "flops_rgdc",
     "flops_rgdr", "gbk_set", "gen_randn", "gen_smatrix", "load_instance", "make_consistent",
     "make_inconsistent", "make_partition", "max_distance_set", "read_matrix", "read_vector",
@@ -25,7 +25,7 @@ PUBLIC_NAMES = [
 def test_public_names_are_pinned_and_resolve():
     # Step functions and SolveState are internals of rgsolve.row_methods, col_methods and state.
     assert sorted(rgsolve.__all__) == sorted(PUBLIC_NAMES)
-    assert len(set(rgsolve.__all__)) == len(rgsolve.__all__) == 47
+    assert len(set(rgsolve.__all__)) == len(rgsolve.__all__) == 46
     for name in rgsolve.__all__:
         assert getattr(rgsolve, name) is not None, name
 

@@ -1,4 +1,6 @@
 import functools
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -29,6 +31,7 @@ from rgsolve import (
     singular_values,
 )
 from rgsolve import theory
+from rgsolve.mmio import write_csv
 from rgsolve.theory import BOUND_SLACK, _aggregate_factor, _set_spectra
 
 DIAG = DenseMatrix([[1.0, 0.0], [0.0, 2.0]])
@@ -53,8 +56,8 @@ def _first_certificate(method, theta):
     run = run_row_method if method == "rgdr" else run_col_method
     report = run(method, DIAG, np.array([1.0, 4.0]), config=SelectionConfig(theta=theta),
                  x_star=np.array([1.0, 2.0]), record_steps=True)
-    np.testing.assert_array_equal(report.step_records[0].indices, [1])
-    return certify_run(report, DIAG)[0]
+    np.testing.assert_array_equal(report.step_indices[0], [1])
+    return next(iter(certify_run(report, DIAG)))
 
 
 def test_rgdr_factor_hand():
@@ -166,7 +169,7 @@ def test_certify_hand_instance():
     report = run_row_method("rgdr", DIAG, np.array([1.0, 4.0]),
                             config=SelectionConfig(theta=0.5),
                             x_star=np.array([1.0, 2.0]), record_steps=True)
-    certs = certify_run(report, DIAG)
+    certs = list(certify_run(report, DIAG))
     assert len(certs) == 2
     assert all(c.satisfied for c in certs)
     assert abs(certs[0].factor_theoretical - 0.8) < 1e-12
@@ -221,10 +224,10 @@ def test_certify_run_refuses_a_report_from_another_shape():
                 certify_run(report, other)
     # rgdr's x_final has the right length for 60x20, but it records rows past 59.
     report = run_row_method("rgdr", a, inst.b, x_star=inst.x_star, record_steps=True)
-    assert max(int(rec.indices.max()) for rec in report.step_records) >= 60
+    assert max(int(indices.max()) for indices in report.step_indices) >= 60
     with pytest.raises(UsageError, match="^the report does not come from a run on this 60x20"):
         certify_run(report, gen_randn(60, 20, 5))
-    report.step_records[0].indices = np.array([-1])
+    report.step_indices[0] = np.array([-1])
     with pytest.raises(UsageError, match="^the report does not come from a run on this 100x20"):
         certify_run(report, a)
 
@@ -269,8 +272,7 @@ def test_superiority_holds_once_zero_loss_set_is_populated():
     theta = 0.5
     report = run_row_method("rgdr", a, b, config=SelectionConfig(theta=theta),
                             x_star=np.array([1.0, 2.0]), record_steps=True)
-    certs = certify_run(report, a)
-    second = certs[1]
+    second = list(certify_run(report, a))[1]
     assert second.components["zero_set_mass"] >= a.row_sqnorms.min()
     assert second.factor_theoretical <= rgrk_factor(a, theta) + 1e-12
 
@@ -317,14 +319,16 @@ def _svd_certificates(report, a):
     sqnorms = a.row_sqnorms if row_kind else a.col_sqnorms
     sigma_min = sigma_extremes(a)[1]
     out = []
-    for rec in report.step_records:
-        sub = a.entries[rec.indices] if row_kind else a.entries[:, rec.indices]
-        fraction = float(sqnorms[rec.indices].sum()) / a.frob_sq
+    errs = report.step_err_sq.tolist()
+    for indices, zero_mass, before, after in zip(report.step_indices,
+                                                 report.step_zero_mass.tolist(), errs, errs[1:]):
+        sub = a.entries[indices] if row_kind else a.entries[:, indices]
+        fraction = float(sqnorms[indices].sum()) / a.frob_sq
         factor, components = _aggregate_factor(
-            a, fraction, rec.zero_mass, report.params["theta"], sigma_min,
+            a, fraction, zero_mass, report.params["theta"], sigma_min,
             float(singular_values(sub)[0]),
         )
-        ratio = rec.err_sq_after / rec.err_sq_before if rec.err_sq_before > 0.0 else 0.0
+        ratio = after / before if before > 0.0 else 0.0
         out.append((factor, ratio <= factor + BOUND_SLACK, components))
     return out
 
@@ -349,7 +353,7 @@ def test_certify_run_matches_per_step_svd(case, method):
                                                 ("wide_theta_0", "rgdc", 0)])
 def test_oracle_cases_reach_sets_larger_than_the_other_dimension(case, method, axis):
     report, a = _oracle_run(case, method)
-    assert max(len(rec.indices) for rec in report.step_records) > a.shape[axis]
+    assert max(len(indices) for indices in report.step_indices) > a.shape[axis]
 
 
 @pytest.mark.parametrize("budget", [1, 700])
@@ -360,9 +364,9 @@ def test_oracle_cases_reach_sets_larger_than_the_other_dimension(case, method, a
 def test_chunked_certificates_equal_unchunked(monkeypatch, case, method, budget):
     # A budget of one float stacks one set per eigensolve; 700 splits the groups unevenly.
     report, a = _oracle_run(case, method)
-    whole = certify_run(report, a)
+    whole = list(certify_run(report, a))
     monkeypatch.setattr(theory, "_STACK_FLOATS", budget)
-    assert certify_run(report, a) == whole
+    assert list(certify_run(report, a)) == whole
 
 
 def test_certify_memory_stays_within_a_few_matrices():
@@ -375,7 +379,7 @@ def test_certify_memory_stays_within_a_few_matrices():
                             x_star=inst.x_star, record_steps=True,
                             stop=StopRule(rse_tol=1e-12, max_iters=8000))
     limit = 5 * a.entries.nbytes
-    assert sum(len(rec.indices) * (a.n + 1) for rec in report.step_records) * 8 > 3 * limit
+    assert sum(len(indices) * (a.n + 1) for indices in report.step_indices) * 8 > 3 * limit
     tracemalloc.start()
     try:
         certs = certify_run(report, a)
@@ -474,3 +478,146 @@ def test_certificates_csv_format(tmp_path):
     first = lines[1].split(",")
     assert int(first[0]) == 0
     assert abs(float(first[1]) - 0.8) < 1e-12
+
+
+# The per-step certify instances of CI (consistent right-hand sides from the next seed, as
+# ``rgsolve gen`` draws them) at CLI defaults, and a theta = 1 run whose later steps all have
+# a nonempty zero-loss set: name -> (matrix, theta).
+CSV_CASES = {
+    "randn_200x50": (lambda: gen_randn(200, 50, 1), 0.5),
+    "smatrix_120x30_r20": (lambda: gen_smatrix(120, 30, 20, 10.0, 1.0, 4), 0.5),
+    "randn_40x120": (lambda: gen_randn(40, 120, 3), 0.5),
+    "zero_sets_theta_1": (lambda: gen_randn(200, 50, 5), 1.0),
+}
+CSV_SEEDS = {"randn_200x50": 1, "smatrix_120x30_r20": 4, "randn_40x120": 3,
+             "zero_sets_theta_1": 5}
+
+
+def _scalar_csv(report, a, path):
+    """certificates.csv written one step at a time: ``_aggregate_factor`` on Python floats
+    and the ratio and verdict in Python, each float as its repr."""
+    sigma_min = sigma_extremes(a)[1]
+    energy, sigma_max_sub = _set_spectra(a, report.method == "rgdr", report.step_indices)
+    errs = report.step_err_sq.tolist()
+    rows = []
+    for k, (fraction, zero_mass, sigma_max, before, after) in enumerate(zip(
+            energy.tolist(), report.step_zero_mass.tolist(), sigma_max_sub.tolist(),
+            errs, errs[1:])):
+        factor, components = _aggregate_factor(a, fraction, zero_mass, report.params["theta"],
+                                               sigma_min, sigma_max)
+        factor = float(factor)
+        # The bound as Python spells it, with ** (libm pow) for both squares.
+        relax = float(components["relaxation_factor"])
+        plain = 1.0 - relax * fraction * sigma_min**2 / sigma_max**2
+        assert factor == (0.0 if -1e-9 < plain < 0.0 else plain)
+        ratio = after / before if before > 0.0 else 0.0
+        rows.append([k, repr(factor), repr(ratio), int(ratio <= factor + BOUND_SLACK),
+                     *(repr(float(components[name])) for name in theory._COMPONENTS)])
+    write_csv(path, ["k", "factor", "ratio", "satisfied", *theory._COMPONENTS], rows)
+
+
+@pytest.mark.parametrize("method", ["rgdr", "rgdc"])
+@pytest.mark.parametrize("case", sorted(CSV_CASES))
+def test_certificates_csv_equals_the_scalar_bound_byte_for_byte(tmp_path, case, method):
+    make, theta = CSV_CASES[case]
+    a = make()
+    inst = make_consistent(a, CSV_SEEDS[case] + 1)
+    run = run_row_method if method == "rgdr" else run_col_method
+    report = run(method, a, inst.b, config=SelectionConfig(theta=theta), x_star=inst.x_star,
+                 record_steps=True)
+    if case == "zero_sets_theta_1":
+        assert report.step_zero_mass[0] == 0.0 and report.step_zero_mass[1:].all()
+    certificates_to_csv(certify_run(report, a), tmp_path / "columns.csv")
+    _scalar_csv(report, a, tmp_path / "scalar.csv")
+    assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "scalar.csv").read_bytes()
+
+
+def test_vectorized_bound_squares_sigma_max_as_python_does():
+    # numpy's ** multiplies, Python's calls libm pow; they can round an ulp apart, so the
+    # vectorized bound must square each sigma_max(subset) as the per-step bound did.
+    a = gen_randn(30, 10, 1)
+    sigma_min = sigma_extremes(a)[1]
+    rng = np.random.default_rng(4)
+    sigma_max = sigma_min * (1.0 + 10.0 * rng.random(50_000))
+    fraction = rng.random(sigma_max.size)
+    factor = _aggregate_factor(a, fraction, np.zeros(sigma_max.size), 0.5, sigma_min,
+                               sigma_max)[0]
+    want = [1.0 - (0.5 * a.frob_sq / a.frob_sq + 0.5) * f * sigma_min**2 / s**2
+            for f, s in zip(fraction.tolist(), sigma_max.tolist())]
+    assert factor.tolist() == want
+
+
+def test_certificates_are_columns_with_row_views():
+    # What `rgsolve certify` and the benchmark's certification job read: len(), and per row
+    # k, factor_theoretical, ratio_measured, satisfied and the components.
+    a = gen_randn(200, 50, 1)
+    inst = make_consistent(a, 2)
+    report = run_col_method("rgdc", a, inst.b, x_star=inst.x_star, record_steps=True)
+    certs = certify_run(report, a)
+    assert len(certs) == report.iterations > 0
+    rows = list(certs)
+    assert len(rows) == len(certs) and sum(not c.satisfied for c in certs) == 0
+    for k, row in enumerate(rows):
+        assert row.k == k and type(row.k) is int and type(row.satisfied) is bool
+        assert row.factor_theoretical == certs.factor[k] and row.ratio_measured == certs.ratio[k]
+        assert row.satisfied == certs.satisfied[k]
+        assert list(row.components) == list(theory._COMPONENTS)
+        for name, value in row.components.items():
+            assert type(value) is float and value == certs.components[name][k] == \
+                getattr(row, name)
+
+
+def test_one_matrix_makes_one_svd_for_all_its_certifications(monkeypatch):
+    a = gen_randn(200, 50, 1)
+    inst = make_consistent(a, 2)
+    step_reports = [run(method, a, inst.b, x_star=inst.x_star, record_steps=True)
+                    for method, run in (("rgdr", run_row_method), ("rgdc", run_col_method))]
+    stat_reports = [run(method, a, inst.b, x_star=inst.x_star, seed=seed, record_steps=True)
+                    for method, run in (("rgrk", run_row_method), ("rgrcd", run_col_method))
+                    for seed in range(3)]
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *args, **kw: calls.append(1) or svd(*args, **kw))
+    for report in step_reports:
+        assert all(c.satisfied for c in certify_run(report, a))
+    certify_randomized(stat_reports[:3], a)
+    certify_randomized(stat_reports[3:], a)
+    assert len(calls) == 1
+    kept = a._sigma
+    assert not kept.flags.writeable
+    fresh = singular_values(a)
+    assert len(calls) == 2 and kept.tobytes() == fresh.tobytes()
+    assert sigma_extremes(a) == (float(fresh[0]), float(fresh[-1])) and len(calls) == 2
+
+
+def test_concurrent_certifications_share_one_matrix():
+    # Every thread may race to compute the matrix's singular values; each must see them whole.
+    def reports(a):
+        inst = make_consistent(a, 2)
+        return [run(method, a, inst.b, x_star=inst.x_star, record_steps=True)
+                for method, run in (("rgdr", run_row_method), ("rgdc", run_col_method))]
+
+    def certify(a, report):
+        return list(certify_run(report, a))
+
+    fresh = gen_randn(120, 30, 7)
+    serial = [certify(fresh, report) for report in reports(fresh)]
+    a = gen_randn(120, 30, 7)
+    shared = reports(a)
+    results = [None] * 6
+
+    def worker(i):
+        results[i] = certify(a, shared[i % 2])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(results))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [serial[i % 2] for i in range(len(results))]
