@@ -11,7 +11,6 @@ residual-weighted combination of the selected rows or columns.
 from .cgls import CglsConfig, cgls
 from .col_methods import COL_METHODS, run_col_method
 from .errors import (
-    ConvergedSignal,
     DegenerateStepError,
     GenerationError,
     RgsolveError,
@@ -31,16 +30,7 @@ from .problems import (
     save_instance,
 )
 from .row_methods import ROW_METHODS, run_row_method
-from .selection import (
-    LossProfile,
-    SelectionConfig,
-    column_losses_from_y,
-    gbk_set,
-    make_partition,
-    max_distance_set,
-    relaxed_greedy_set,
-    row_losses,
-)
+from .selection import SelectionConfig
 from .state import SolveReport, StopRule
 from .theory import (
     AggregateCertificate,
@@ -61,11 +51,9 @@ __all__ = [
     "BoundCertificate",
     "CglsConfig",
     "COL_METHODS",
-    "ConvergedSignal",
     "DegenerateStepError",
     "DenseMatrix",
     "GenerationError",
-    "LossProfile",
     "ProblemInstance",
     "ROW_METHODS",
     "RgsolveError",
@@ -79,23 +67,17 @@ __all__ = [
     "certify_randomized",
     "certify_run",
     "cgls",
-    "column_losses_from_y",
     "flops_rgdc",
     "flops_rgdr",
-    "gbk_set",
     "gen_randn",
     "gen_smatrix",
     "load_instance",
     "make_consistent",
     "make_inconsistent",
-    "make_partition",
-    "max_distance_set",
     "read_matrix",
     "read_vector",
-    "relaxed_greedy_set",
     "rgrcd_factor",
     "rgrk_factor",
-    "row_losses",
     "run_col_method",
     "run_row_method",
     "save_instance",

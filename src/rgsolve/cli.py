@@ -449,7 +449,7 @@ def main(argv=None) -> int:
     except (UsageError, GenerationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RgsolveError as exc:  # stalled, subsolver failure, degenerate step, y drift
+    except RgsolveError as exc:  # subsolver failure, degenerate step, y drift
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

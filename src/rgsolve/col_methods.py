@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cgls import CglsConfig, cgls
-from .errors import ConvergedSignal, DegenerateStepError, RgsolveError, UsageError
+from .errors import DegenerateStepError, RgsolveError, UsageError
 from .linalg import NO_FACTOR, SWEEP_BLOCK, DenseMatrix, _block_index
 from .selection import (
     SelectionConfig,
@@ -258,25 +258,28 @@ class _ColFamily(MethodFamily):
         if self.method == "cd":
             return self._sweep(dx, dd, budget)
         state, a, config, method = self.state, self.a, self.config, self.method
+        if method == "rbcd":
+            block = int(self.rng.integers(len(self.partition)))
+            selected = self.partition[block]
+            rbcd_block_step(state, a, self.b, selected,
+                            a.partition_factor(1, config.block_size, block))
+            return selected, None, (), None
         profile = None
-        try:
-            if method in ("rgrcd", "rgdc"):
-                profile = column_losses_from_y(a, state.y)
-                selected = relaxed_greedy_set(profile, config.theta)
-                if method == "rgdc":
-                    rgdc_step(state, a, selected)
-                else:
-                    rgrcd_step(state, a, selected, self.rng, profile.squares)
-            elif method == "amdcd":
-                selected = max_distance_set(a, state.y, config.eta2)
-                amdcd_step(state, a, selected)
-            else:  # rbcd
-                block = int(self.rng.integers(len(self.partition)))
-                selected = self.partition[block]
-                rbcd_block_step(state, a, self.b, selected,
-                                a.partition_factor(1, config.block_size, block))
-        except ConvergedSignal:
+        if method == "amdcd":
+            selected = max_distance_set(a, state.y, config.eta2)
+        else:
+            profile = column_losses_from_y(a, state.y)
+            selected = relaxed_greedy_set(profile, config.theta)
+        if not selected.size:
+            # Nothing to select: y is zero, which after the loop's stationarity check only the
+            # refresh above can make it, or it is not finite.
             return "stationary"
+        if method == "rgdc":
+            rgdc_step(state, a, selected)
+        elif method == "rgrcd":
+            rgrcd_step(state, a, selected, self.rng, profile.squares)
+        else:
+            amdcd_step(state, a, selected)
         return selected, profile, (), None
 
     def _sweep(self, dx: np.ndarray, dd: float, budget: int):

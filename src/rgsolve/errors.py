@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, each of which reaches the caller: a selection rule
+with nothing to select returns an empty set instead, and ``rgdr_step`` False if it cannot move."""
 
 
 class RgsolveError(Exception):
@@ -11,18 +12,6 @@ class UsageError(RgsolveError):
 
 class GenerationError(RgsolveError):
     """A problem generator could not produce a valid draw."""
-
-
-class ConvergedSignal(RgsolveError):
-    """Index selection was asked to act on an already-converged state.
-
-    Raised when the maximum loss (or distance) is zero, i.e. there is nothing
-    left to select.  Callers must stop iterating instead of selecting.
-    """
-
-
-class StalledError(RgsolveError):
-    """A row method cannot make progress; the system is inconsistent."""
 
 
 class DegenerateStepError(RgsolveError):

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cgls import CglsConfig, cgls
-from .errors import ConvergedSignal, StalledError, UsageError
+from .errors import UsageError
 from .linalg import NO_FACTOR, SWEEP_BLOCK, DenseMatrix, _block_index, _full_rank
 from .selection import (
     SelectionConfig,
@@ -64,23 +64,24 @@ def kaczmarz_step(state: SolveState, a: DenseMatrix, residual_i: float, i: int) 
         state.x += residual_i / sq * a.entries[i]
 
 
-def rgdr_step(state: SolveState, a: DenseMatrix, r: np.ndarray, indices: np.ndarray) -> None:
+def rgdr_step(state: SolveState, a: DenseMatrix, r: np.ndarray, indices: np.ndarray) -> bool:
     """Aggregate the selected rows, weighted by their residuals, into one projection.
 
     With eta the residual ``r = b - A x`` masked to ``indices``, the update is
-    ``x += (eta.T r / ||A.T eta||^2) A.T eta``. Raises StalledError when
-    ``A.T eta`` vanishes, which means the selected residual lies outside the
-    range of A.
+    ``x += (eta.T r / ||A.T eta||^2) A.T eta``. Returns False, with x
+    untouched, when ``A.T eta`` vanishes, which means the selected residual
+    lies outside the range of A and the method cannot move; True otherwise.
     """
     r_sel = r[indices]
     g1 = float(r_sel.dot(r_sel))
     if g1 <= 0.0:
-        return
+        return True
     direction = a.entries[indices].T.dot(r_sel)
     g2 = float(direction.dot(direction))
     if g2 <= 0.0:
-        raise StalledError("row method stalled on inconsistent system")
+        return False
     state.x += g1 / g2 * direction
+    return True
 
 
 def rgrk_step(state: SolveState, a: DenseMatrix, r: np.ndarray, indices: np.ndarray,
@@ -162,28 +163,28 @@ class _RowFamily(MethodFamily):
         if self.method == "kaczmarz":
             return self._sweep(dx, dd, budget)
         state, a, b, config, method = self.state, self.a, self.b, self.config, self.method
-        profile = None
-        try:
-            if method in ("gbk", "rgrk", "rgdr"):
-                # x is zero, in practice, only at the start, so only there is it looked for.
-                r = b - a.matvec(state.x) if state.k else residual(a, b, state.x)
-                profile = row_losses(a, r)
-                if method == "gbk":
-                    selected = gbk_set(profile, config.eta1)
-                    block_project_step(state, a, b, selected)
-                else:
-                    selected = relaxed_greedy_set(profile, config.theta)
-                    if method == "rgdr":
-                        rgdr_step(state, a, r, selected)
-                    else:
-                        rgrk_step(state, a, r, selected, self.rng, profile.squares)
-            else:  # rbk
-                block = int(self.rng.integers(len(self.partition)))
-                selected = self.partition[block]
-                block_project_step(state, a, b, selected,
-                                   a.partition_factor(0, config.block_size, block))
-        except (ConvergedSignal, StalledError):
-            # A zero residual away from x* (the loop found RSE >= rse_tol) is a stall too.
+        if method == "rbk":
+            block = int(self.rng.integers(len(self.partition)))
+            selected = self.partition[block]
+            block_project_step(state, a, b, selected,
+                               a.partition_factor(0, config.block_size, block))
+            return selected, None, (), None
+        # x is zero, in practice, only at the start, so only there is it looked for.
+        r = b - a.matvec(state.x) if state.k else residual(a, b, state.x)
+        profile = row_losses(a, r)
+        if method == "gbk":
+            selected = gbk_set(profile, config.eta1)
+        else:
+            selected = relaxed_greedy_set(profile, config.theta)
+        if not selected.size:
+            # Nothing to select: a zero residual away from x* (the loop found RSE >= rse_tol)
+            # is a stall too, and so are losses that are not finite.
+            return "stalled"
+        if method == "gbk":
+            block_project_step(state, a, b, selected)
+        elif method == "rgrk":
+            rgrk_step(state, a, r, selected, self.rng, profile.squares)
+        elif not rgdr_step(state, a, r, selected):
             return "stalled"
         return selected, profile, (), None
 

@@ -5,7 +5,9 @@ the same for the correlations ``A.T @ r`` against column norms. The greedy
 rules threshold those losses: the relaxed rule mixes the maximum loss with the
 energy-weighted mean, the block-Kaczmarz rule scales the maximum alone, and
 the max-distance rule admits columns within an absolute slack of the best
-scaled correlation. All functions here are pure and safe to call concurrently.
+scaled correlation. A rule whose largest loss or distance is zero has
+nothing left to select and returns an empty index array. All functions here
+are pure and safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergedSignal, UsageError
+from .errors import UsageError
 from .linalg import DenseMatrix
 
 # A loss counts as zero below 1e-14 times the largest one, or below this floor when
@@ -105,7 +107,7 @@ def relaxed_greedy_set(profile: LossProfile, theta: float) -> np.ndarray:
     if not 0.0 <= theta <= 1.0:
         raise UsageError(f"theta must lie in [0, 1], got {theta}")
     if profile.max_loss <= 0.0:
-        raise ConvergedSignal("all losses are zero; stop iterating instead of selecting")
+        return np.empty(0, dtype=np.intp)
     threshold = theta * profile.max_loss + (1.0 - theta) * profile.weighted_mean
     threshold = min(threshold, profile.max_loss)
     return (profile.losses >= threshold).nonzero()[0]
@@ -116,7 +118,7 @@ def gbk_set(profile: LossProfile, eta1: float) -> np.ndarray:
     if not 0.0 < eta1 <= 1.0:
         raise UsageError(f"eta1 must lie in (0, 1], got {eta1}")
     if profile.max_loss <= 0.0:
-        raise ConvergedSignal("all losses are zero; stop iterating instead of selecting")
+        return np.empty(0, dtype=np.intp)
     threshold = min(eta1 * profile.max_loss, profile.max_loss)
     return (profile.losses >= threshold).nonzero()[0]
 
@@ -133,7 +135,7 @@ def max_distance_set(a: DenseMatrix, y, eta2: float) -> np.ndarray:
     dist = np.abs(y) / np.sqrt(a.col_sqnorms)
     d_max = float(dist.max())
     if d_max <= 0.0:
-        raise ConvergedSignal("all distances are zero; stop iterating instead of selecting")
+        return np.empty(0, dtype=np.intp)
     return (d_max - dist <= eta2).nonzero()[0]
 
 

@@ -129,7 +129,8 @@ class MethodFamily:
 
     ``step(dx, dd, budget)`` advances iteration ``state.k`` and up to
     ``budget - 1`` more. It returns a termination reason when nothing is
-    left to select, or ``(selected, profile, dds, apply)``. A single step
+    left to select or ``rgdr`` cannot move (x and y are then untouched), or
+    ``(selected, profile, dds, apply)``. A single step
     has moved x (and y) when it returns: ``selected`` is its set,
     ``profile`` the loss profile whose zero set the step records sum (every
     certified method has one) or None, ``dds`` is empty and ``apply`` None.

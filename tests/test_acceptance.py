@@ -29,20 +29,18 @@ from rgsolve import (
     cgls,
     CglsConfig,
     certify_run,
-    column_losses_from_y,
     flops_rgdc,
     flops_rgdr,
     gen_randn,
     gen_smatrix,
     make_consistent,
     make_inconsistent,
-    relaxed_greedy_set,
-    row_losses,
     run_col_method,
     run_row_method,
 )
 from rgsolve.col_methods import rgdc_step
 from rgsolve.row_methods import block_project_step, kaczmarz_step, rgdr_step
+from rgsolve.selection import column_losses_from_y, relaxed_greedy_set, row_losses
 from rgsolve.state import SolveState
 from fdbk_reference import fdbk_iterates
 

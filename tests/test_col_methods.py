@@ -14,18 +14,17 @@ from rgsolve import (
     SelectionConfig,
     StopRule,
     UsageError,
-    column_losses_from_y,
     gen_randn,
     gen_smatrix,
     make_consistent,
     make_inconsistent,
-    relaxed_greedy_set,
     run_col_method,
     run_row_method,
 )
 from rgsolve.col_methods import amdcd_step, cd_step, rbcd_block_step, rgdc_step, rgrcd_step
 from rgsolve.col_methods import REFRESH_EVERY
 from rgsolve.linalg import NO_FACTOR
+from rgsolve.selection import column_losses_from_y, relaxed_greedy_set
 from rgsolve.state import STAT_CERTIFIED, STEP_CERTIFIED, SolveState
 
 DIAG = DenseMatrix([[1.0, 0.0], [0.0, 2.0]])
@@ -498,9 +497,21 @@ def _long_double_normal_residual(a, b, x):
     return big.T @ (b.astype(np.longdouble) - big @ x.astype(np.longdouble))
 
 
-def _family(a, b):
-    return col_methods._ColFamily(method="cd", a=a, b=b, state=SolveState(x=np.zeros(a.n)),
+def _family(a, b, method="cd"):
+    return col_methods._ColFamily(method=method, a=a, b=b, state=SolveState(x=np.zeros(a.n)),
                                   config=SelectionConfig(), rng=np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("method", ["rgrcd", "rgdc", "amdcd"])
+def test_a_greedy_step_on_a_zero_y_is_stationary(method):
+    inst = make_inconsistent(gen_randn(30, 6, 4), 5)
+    family = _family(inst.A, inst.b, method)
+    family.state.k = 1  # not a refresh, which would recompute y from x
+    family.state.y[:] = 0.0
+    x = family.state.x.copy()
+    dx = x - inst.x_star
+    assert family.step(dx, float(dx @ dx), 10) == "stationary"
+    np.testing.assert_array_equal(family.state.x, x)
 
 
 @pytest.mark.parametrize("instance", [

@@ -15,14 +15,12 @@ from rgsolve import (
     gen_smatrix,
     make_consistent,
     make_inconsistent,
-    relaxed_greedy_set,
-    row_losses,
     run_col_method,
     run_row_method,
 )
-from rgsolve.errors import StalledError
 from rgsolve.row_methods import block_project_step, kaczmarz_step, rgdr_step, rgrk_step
-from rgsolve.state import SolveState
+from rgsolve.selection import relaxed_greedy_set, row_losses
+from rgsolve.state import TERMINATION_REASONS, SolveState
 
 DIAG = DenseMatrix([[1.0, 0.0], [0.0, 2.0]])
 B_DIAG = np.array([1.0, 4.0])
@@ -124,8 +122,8 @@ def test_rgdr_stalls_when_direction_vanishes():
     a = DenseMatrix([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
     b = np.array([1.0, 1.0, 0.0])  # inconsistent on the first two rows
     state = fresh_state(a)
-    with pytest.raises(StalledError):
-        rgdr_step(state, a, b, np.array([0, 1]))
+    assert rgdr_step(state, a, b, np.array([0, 1])) is False
+    np.testing.assert_array_equal(state.x, np.zeros(2))
 
 
 def test_rgrk_singleton_support_deterministic():
@@ -286,6 +284,37 @@ def test_row_methods_stall_on_inconsistent_system():
                             stop=StopRule(rse_tol=1e-4, max_iters=50_000))
     assert report.termination_reason == "stalled"
     assert report.final_rse >= 1e-4
+
+
+@pytest.mark.parametrize("method", ["rgrk", "rgdr", "gbk"])
+def test_a_zero_residual_away_from_x_star_stalls(method):
+    # b is met exactly at x = (1, 2, 0), but x* = (1, 2, 1): every loss is zero, so the
+    # greedy rule has nothing left to select.
+    a = DenseMatrix([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    report = run_row_method(method, a, np.array([1.0, 2.0]), x_star=np.array([1.0, 2.0, 1.0]),
+                            seed=0)
+    assert (report.termination_reason, report.iterations) == ("stalled", 2)
+    assert report.final_rse == pytest.approx(1.0 / np.sqrt(6.0))
+    np.testing.assert_allclose(report.x_final, [1.0, 2.0, 0.0])
+
+
+def test_rgdr_stalls_at_once_when_its_direction_vanishes():
+    a = DenseMatrix([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
+    report = run_row_method("rgdr", a, np.array([1.0, 1.0, 0.0]), x_star=np.array([0.5, 0.0]))
+    assert (report.termination_reason, report.iterations) == ("stalled", 0)
+    np.testing.assert_array_equal(report.x_final, np.zeros(2))
+
+
+@pytest.mark.parametrize("method", ["rgrk", "rgdr", "gbk"])
+def test_non_finite_losses_stop_at_once(method):
+    # ||row 0||^2 overflows, so the losses are NaN and the greedy rule selects nothing.
+    a = DenseMatrix([[1e200, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = run_row_method(method, a, np.array([1e200, 2.0, 3.0]),
+                                x_star=np.array([1.0, 2.0]), seed=0)
+    assert report.termination_reason in TERMINATION_REASONS
+    assert report.iterations == 0
+    np.testing.assert_array_equal(report.x_final, np.zeros(2))
 
 
 def _first_stall(rse_trace, window):

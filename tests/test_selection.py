@@ -3,11 +3,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from rgsolve import (
-    ConvergedSignal,
-    DenseMatrix,
-    SelectionConfig,
-    UsageError,
+from rgsolve import DenseMatrix, SelectionConfig, UsageError
+from rgsolve.selection import (
+    _draw_by_square,
+    _inverse_cdf_draw,
     column_losses_from_y,
     gbk_set,
     make_partition,
@@ -15,7 +14,6 @@ from rgsolve import (
     relaxed_greedy_set,
     row_losses,
 )
-from rgsolve.selection import _draw_by_square, _inverse_cdf_draw
 
 DIAG = DenseMatrix([[1.0, 0.0], [0.0, 2.0]])
 
@@ -103,10 +101,14 @@ def test_relaxed_greedy_symmetric_ties():
         np.testing.assert_array_equal(relaxed_greedy_set(prof, theta), [0, 1])
 
 
-def test_relaxed_greedy_converged_signal():
+def assert_selects_nothing(selected):
+    assert selected.dtype == np.intp and selected.shape == (0,)
+
+
+def test_relaxed_greedy_selects_nothing_at_zero_loss():
     prof = row_losses(DIAG, np.zeros(2))
-    with pytest.raises(ConvergedSignal):
-        relaxed_greedy_set(prof, 0.5)
+    for theta in (0.0, 0.5, 1.0):
+        assert_selects_nothing(relaxed_greedy_set(prof, theta))
 
 
 def test_relaxed_greedy_properties_random():
@@ -134,6 +136,12 @@ def test_gbk_set_hand():
     np.testing.assert_array_equal(gbk_set(ties, 1.0), [0, 1])
 
 
+def test_gbk_set_selects_nothing_at_zero_loss():
+    prof = row_losses(DIAG, np.zeros(2))
+    for eta1 in (0.5, 1.0):
+        assert_selects_nothing(gbk_set(prof, eta1))
+
+
 def test_gbk_set_bounds():
     for seed in range(10):
         a, r = random_case(seed)
@@ -158,9 +166,9 @@ def test_max_distance_contains_argmax():
         assert int(np.argmax(dist)) in sel
 
 
-def test_max_distance_converged_signal():
-    with pytest.raises(ConvergedSignal):
-        max_distance_set(DIAG, np.zeros(2), 0.1)
+def test_max_distance_selects_nothing_at_zero_distance():
+    for eta2 in (0.0, 0.1):
+        assert_selects_nothing(max_distance_set(DIAG, np.zeros(2), eta2))
 
 
 @pytest.mark.parametrize("eta2", [-1.0, float("nan")])

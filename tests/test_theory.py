@@ -15,16 +15,13 @@ from rgsolve import (
     certificates_to_csv,
     certify_randomized,
     certify_run,
-    column_losses_from_y,
     flops_rgdc,
     flops_rgdr,
     gen_randn,
     gen_smatrix,
     make_consistent,
-    relaxed_greedy_set,
     rgrcd_factor,
     rgrk_factor,
-    row_losses,
     run_col_method,
     run_row_method,
     sigma_extremes,
@@ -32,6 +29,7 @@ from rgsolve import (
 )
 from rgsolve import theory
 from rgsolve.mmio import write_csv
+from rgsolve.selection import column_losses_from_y, relaxed_greedy_set, row_losses
 from rgsolve.theory import BOUND_SLACK, _aggregate_factor, _set_spectra
 
 DIAG = DenseMatrix([[1.0, 0.0], [0.0, 2.0]])
