@@ -332,7 +332,7 @@ def cmd_certify(args) -> int:
         report = _run_method(args.method, instance, config, stop, args.seed, record_steps=True)
         certificates = certify_run(report, instance.A)
         certificates_to_csv(certificates, out / "certificates.csv")
-        violations = sum(not cert.satisfied for cert in certificates)
+        violations = len(certificates) - int(certificates.satisfied.sum())
         print(
             f"{args.method} theta={args.theta:g}: {len(certificates)} certificates, "
             f"{violations} violation(s)"

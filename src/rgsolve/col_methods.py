@@ -56,7 +56,6 @@ from .state import (
     SolveState,
     StopRule,
     solve_loop,
-    residual,
 )
 
 COL_METHODS = ("cd", "rgrcd", "rgdc", "amdcd", "rbcd")
@@ -97,13 +96,10 @@ def _normal_product(a: DenseMatrix, indices, w, applied: np.ndarray | None = Non
 
 
 def cd_step(state: SolveState, a: DenseMatrix, j: int) -> None:
-    """Exactly minimize the residual along coordinate ``j``."""
-    sq = float(a.col_sqnorms[j])
-    if sq <= 0.0:
-        raise UsageError(f"zero column {j} cannot drive a coordinate step")
+    """Exactly minimize the residual along coordinate ``j``, a nonzero column."""
     y_j = float(state.y[j])
     if y_j != 0.0:
-        delta = y_j / sq
+        delta = y_j / float(a.col_sqnorms[j])
         state.x[j] += delta
         gram = a.gram
         state.y -= delta * (a.matvec_transpose(a.entries[:, j]) if gram is None else gram[j])
@@ -170,10 +166,7 @@ def amdcd_step(state: SolveState, a: DenseMatrix, indices: np.ndarray) -> None:
     Pseudoinverse-free: correlated columns in the set are not reconciled, so
     the combined move can overshoot; the rule is applied exactly as stated.
     """
-    sq = a.col_sqnorms[indices]
-    if sq.min() <= 0.0:
-        raise UsageError("zero column cannot drive a coordinate step")
-    weights = state.y[indices] / sq
+    weights = state.y[indices] / a.col_sqnorms[indices]
     state.x[indices] += weights
     state.y -= _normal_product(a, indices, weights)
 
@@ -210,7 +203,8 @@ def rbcd_block_step(state: SolveState, a: DenseMatrix, b: np.ndarray, indices: n
 @dataclass
 class _ColFamily(MethodFamily):
     """Column hooks: y = A.T r, errors in energy ``||A (x - x*)||``, and the stationarity
-    floor on ||y||."""
+    floor on ||y||. Before any step, a solve refuses an ``A.T b`` whose norm is not finite,
+    against which that floor would hold at once, and a greedy one a zero column."""
 
     kind = "column"
     methods = COL_METHODS
@@ -218,10 +212,16 @@ class _ColFamily(MethodFamily):
 
     def __post_init__(self):
         a, state = self.a, self.state
-        state.y = a.matvec_transpose(residual(a, self.b, state.x))
+        if self.method in ("rgrcd", "rgdc", "amdcd") and a.zero_col is not None:
+            raise UsageError(f"zero column {a.zero_col} unsupported by greedy selection")
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.atb = a.matvec_transpose(self.b)
+            self.atb_norm = float(np.linalg.norm(self.atb))
+        if not math.isfinite(self.atb_norm):
+            raise UsageError(f"A.T b overflows (its norm is {self.atb_norm}); scale A and b down")
         # At x = 0, r is b bit for bit, so y is A.T b; a copy, since steps update y in place.
-        self.atb = a.matvec_transpose(self.b) if state.x.any() else state.y.copy()
-        self.atb_norm = float(np.linalg.norm(self.atb))
+        state.y = (a.matvec_transpose(self.b - a.matvec(state.x)) if state.x.any()
+                   else self.atb.copy())
         self.sqnorms = a.col_sqnorms
         self.stall_window = None
         self.partition = (

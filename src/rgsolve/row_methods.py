@@ -56,12 +56,9 @@ ROW_METHODS = ("kaczmarz", "rgrk", "rgdr", "gbk", "rbk")
 
 def kaczmarz_step(state: SolveState, a: DenseMatrix, residual_i: float, i: int) -> None:
     """Project the iterate onto the hyperplane of row ``i``, whose residual entry
-    ``b_i - a_i . x`` is ``residual_i``."""
-    sq = float(a.row_sqnorms[i])
-    if sq <= 0.0:
-        raise UsageError(f"zero row {i} cannot drive a projection step")
+    ``b_i - a_i . x`` is ``residual_i``; row ``i`` is nonzero."""
     if residual_i != 0.0:
-        state.x += residual_i / sq * a.entries[i]
+        state.x += residual_i / float(a.row_sqnorms[i]) * a.entries[i]
 
 
 def rgdr_step(state: SolveState, a: DenseMatrix, r: np.ndarray, indices: np.ndarray) -> bool:
@@ -143,13 +140,16 @@ def kaczmarz_sweep(state: SolveState, a: DenseMatrix, b: np.ndarray, rows: slice
 
 @dataclass
 class _RowFamily(MethodFamily):
-    """Row hooks: errors in x and a stall window of 10*m."""
+    """Row hooks: errors in x and a stall window of 10*m. Before any step, a greedy solve
+    refuses a zero row."""
 
     kind = "row"
     methods = ROW_METHODS
     params = {"rgdr": "theta", "rgrk": "theta", "gbk": "eta1", "rbk": "block_size"}
 
     def __post_init__(self):
+        if self.method in ("rgrk", "rgdr", "gbk") and self.a.zero_row is not None:
+            raise UsageError(f"zero row {self.a.zero_row} unsupported by greedy selection")
         self.sqnorms = self.a.row_sqnorms
         self.partition = (
             make_partition(self.a.m, self.config.block_size) if self.method == "rbk" else None

@@ -7,7 +7,11 @@ energy-weighted mean, the block-Kaczmarz rule scales the maximum alone, and
 the max-distance rule admits columns within an absolute slack of the best
 scaled correlation. A rule whose largest loss or distance is zero has
 nothing left to select and returns an empty index array. All functions here
-are pure and safe to call concurrently.
+are pure and safe to call concurrently. They take validated inputs and check
+nothing per call: float arrays of the right length, a matrix with no zero row
+or column for the greedy rules, and parameters from a frozen
+``SelectionConfig``, whose constructor checks them once. A greedy solve
+refuses a zero row or column once, before its first step.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ class LossProfile:
     squares: np.ndarray
 
 
-@dataclass
+@dataclass(frozen=True)
 class SelectionConfig:
     """One parameter per selection rule: ``theta`` for rgrk/rgdr/rgrcd/rgdc (the paper's
     theta1 and theta2), ``eta1`` for gbk, ``eta2`` for amdcd, ``block_size`` for rbk/rbcd."""
@@ -79,21 +83,11 @@ def _make_profile(squares, sqnorms, weights) -> LossProfile:
 
 def row_losses(a: DenseMatrix, r) -> LossProfile:
     """Loss profile over rows: squared residual over squared row norm."""
-    r = np.asarray(r, dtype=float)
-    if r.shape != (a.m,):
-        raise UsageError(f"residual must have length {a.m}, got shape {r.shape}")
-    if a.zero_row is not None:
-        raise UsageError(f"zero row {a.zero_row} unsupported by greedy selection")
     return _make_profile(r * r, a.row_sqnorms, a.row_weights)
 
 
 def column_losses_from_y(a: DenseMatrix, y) -> LossProfile:
     """Loss profile over columns from a precomputed ``y = A.T @ r``."""
-    y = np.asarray(y, dtype=float)
-    if y.shape != (a.n,):
-        raise UsageError(f"y must have length {a.n}, got shape {y.shape}")
-    if a.zero_col is not None:
-        raise UsageError(f"zero column {a.zero_col} unsupported by greedy selection")
     return _make_profile(y * y, a.col_sqnorms, a.col_weights)
 
 
@@ -104,8 +98,6 @@ def relaxed_greedy_set(profile: LossProfile, theta: float) -> np.ndarray:
     included. The threshold is clamped to the maximum loss so rounding in the
     convex combination can never exclude the argmax.
     """
-    if not 0.0 <= theta <= 1.0:
-        raise UsageError(f"theta must lie in [0, 1], got {theta}")
     if profile.max_loss <= 0.0:
         return np.empty(0, dtype=np.intp)
     threshold = theta * profile.max_loss + (1.0 - theta) * profile.weighted_mean
@@ -115,23 +107,13 @@ def relaxed_greedy_set(profile: LossProfile, theta: float) -> np.ndarray:
 
 def gbk_set(profile: LossProfile, eta1: float) -> np.ndarray:
     """Indices whose loss reaches eta1 times the maximum loss."""
-    if not 0.0 < eta1 <= 1.0:
-        raise UsageError(f"eta1 must lie in (0, 1], got {eta1}")
     if profile.max_loss <= 0.0:
         return np.empty(0, dtype=np.intp)
-    threshold = min(eta1 * profile.max_loss, profile.max_loss)
-    return (profile.losses >= threshold).nonzero()[0]
+    return (profile.losses >= eta1 * profile.max_loss).nonzero()[0]
 
 
 def max_distance_set(a: DenseMatrix, y, eta2: float) -> np.ndarray:
     """Columns whose scaled correlation |y_j| / ||col_j|| is within eta2 of the best."""
-    if not eta2 >= 0.0:  # also NaN
-        raise UsageError(f"eta2 must be nonnegative, got {eta2}")
-    y = np.asarray(y, dtype=float)
-    if y.shape != (a.n,):
-        raise UsageError(f"y must have length {a.n}, got shape {y.shape}")
-    if a.zero_col is not None:
-        raise UsageError(f"zero column {a.zero_col} unsupported by greedy selection")
     dist = np.abs(y) / np.sqrt(a.col_sqnorms)
     d_max = float(dist.max())
     if d_max <= 0.0:
@@ -155,10 +137,7 @@ def _draw_by_square(squares: np.ndarray, indices: np.ndarray, rng: np.random.Gen
     """One of ``indices``, drawn with probability proportional to ``squares[indices]``: for
     ``squares = v * v`` (``LossProfile.squares``) the draw over ``v[indices] ** 2``, bit for bit."""
     weights = squares[indices]
-    total = float(np.add.reduce(weights))
-    if total <= 0.0:
-        raise UsageError("the vector restricted to the selected set is zero")
-    return int(indices[_inverse_cdf_draw(weights / total, rng)])
+    return int(indices[_inverse_cdf_draw(weights / np.add.reduce(weights), rng)])
 
 
 def make_partition(count: int, block_size: int) -> list[np.ndarray]:

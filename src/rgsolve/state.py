@@ -117,8 +117,9 @@ class MethodFamily:
     """What the row or the column methods supply to ``solve_loop``.
 
     ``params`` maps a method to the config field it reads, reported under
-    that name. ``__post_init__`` completes the start state (y for the column
-    methods) and sets ``sqnorms`` (summed over the zero set by step records)
+    that name. ``__post_init__`` refuses, before any step, what the method
+    cannot run on, completes the start state (y for the column methods) and
+    sets ``sqnorms`` (summed over the zero set by step records)
     and ``stall_window`` (iterations without a 0.1% RSE gain before the run
     stalls, checked after the iteration cap; None for no stall rule).
     ``err_sq(dx, dd)`` is the squared error a recorded run reads, given the

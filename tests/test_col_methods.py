@@ -1,5 +1,6 @@
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -57,13 +58,6 @@ def test_cd_stationary_column_is_noop():
     assert [v.tobytes() for v in (state.x, state.y)] == [v.tobytes() for v in before]
     rgdc_step(state, DIAG, np.array([1]))  # a stationary set
     assert [v.tobytes() for v in (state.x, state.y)] == [v.tobytes() for v in before]
-
-
-def test_cd_rejects_zero_column():
-    a = DenseMatrix([[1.0, 0.0], [1.0, 0.0]])
-    state = SolveState(x=np.zeros(2), y=a.matvec_transpose(np.ones(2)))
-    with pytest.raises(UsageError):
-        cd_step(state, a, 1)
 
 
 def test_rgdc_hand_step():
@@ -557,11 +551,28 @@ def test_refresh_reads_a_t_b_not_the_start_y(monkeypatch, start):
 
 
 @pytest.mark.parametrize("method", ["rgrcd", "rgdc", "amdcd"])
-def test_greedy_column_methods_reject_a_zero_column(method):
+def test_greedy_column_methods_reject_a_zero_column(method, monkeypatch):
     a = DenseMatrix([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 1.0]])
+    b, x_star = np.array([1.0, 2.0, 3.0]), np.array([1.0, 0.0, 2.0])
+    # Refused once, before the first step: the selection rules do not look for zero columns.
+    monkeypatch.setattr(col_methods._ColFamily, "step", None)
     with pytest.raises(UsageError, match="^zero column 1 unsupported by greedy selection$"):
-        run_col_method(method, a, np.array([1.0, 2.0, 3.0]), x_star=np.array([1.0, 0.0, 2.0]),
-                       seed=0)
+        run_col_method(method, a, b, x_star=x_star, seed=0)
+    # A run started at x* returns before the refusal.
+    at_solution = run_col_method(method, a, b, x0=x_star, x_star=x_star, seed=0)
+    assert (at_solution.termination_reason, at_solution.iterations) == ("converged", 0)
+
+
+@pytest.mark.parametrize("method", COL_METHODS)
+def test_column_methods_refuse_an_overflowing_normal_right_hand_side(method):
+    # A.T b overflows to inf, on which ||y|| <= 1e-14 ||A.T b|| would read as stationary
+    # at x = 0. The refusal comes before any step and without an overflow warning.
+    a = DenseMatrix([[1e200, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(UsageError, match=r"^A\.T b overflows \(its norm is inf\)"):
+            run_col_method(method, a, np.array([1e200, 2.0, 3.0]), x_star=np.array([1.0, 2.0]),
+                           seed=0)
 
 
 CERTIFIED = STEP_CERTIFIED + STAT_CERTIFIED

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -43,12 +45,6 @@ def test_row_losses_symmetric():
     prof = row_losses(DenseMatrix(np.eye(2)), np.array([2.0, 2.0]))
     np.testing.assert_allclose(prof.losses, [4.0, 4.0])
     assert prof.weighted_mean == 4.0
-
-
-def test_row_losses_rejects_zero_row():
-    a = DenseMatrix([[0.0, 0.0], [1.0, 1.0]])
-    with pytest.raises(UsageError, match="zero row"):
-        row_losses(a, np.array([1.0, 1.0]))
 
 
 def test_column_losses_hand():
@@ -171,12 +167,6 @@ def test_max_distance_selects_nothing_at_zero_distance():
         assert_selects_nothing(max_distance_set(DIAG, np.zeros(2), eta2))
 
 
-@pytest.mark.parametrize("eta2", [-1.0, float("nan")])
-def test_max_distance_rejects_negative_or_nan_eta2(eta2):
-    with pytest.raises(UsageError, match="eta2 must be nonnegative"):
-        max_distance_set(DIAG, np.array([1.0, 4.0]), eta2)
-
-
 def test_make_partition_cases():
     blocks = make_partition(5, 2)
     assert [list(b) for b in blocks] == [[0, 1], [2, 3], [4]]
@@ -204,10 +194,21 @@ def test_selection_config_validation():
         SelectionConfig(theta=1.5)
     with pytest.raises(UsageError):
         SelectionConfig(eta1=0.0)
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError, match="eta2 must be nonnegative"):
         SelectionConfig(eta2=-1.0)
+    with pytest.raises(UsageError, match="eta2 must be nonnegative"):
+        SelectionConfig(eta2=float("nan"))
     with pytest.raises(UsageError):
         SelectionConfig(block_size=0)
+
+
+@pytest.mark.parametrize("field", ["theta", "eta1", "eta2", "block_size"])
+def test_selection_config_is_frozen(field):
+    # Its constructor's checks hold for the object's whole life: the selection rules
+    # read its fields without checking them again.
+    config = SelectionConfig()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(config, field, getattr(config, field))
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), 2.5, "3"])
@@ -225,28 +226,6 @@ def test_zero_set_uses_relative_tolerance():
     r = np.array([1.0, 1e-20, 0.0])
     prof = row_losses(a, r)
     np.testing.assert_array_equal(prof.losses < prof.zero_tol, [False, True, True])
-
-
-def test_direct_loss_calls_still_validate_shapes():
-    a, r = random_case(0)
-    with pytest.raises(UsageError, match="residual must have length 25"):
-        row_losses(a, r[:-1])
-    with pytest.raises(UsageError, match="residual must have length 25"):
-        row_losses(a, np.zeros((25, 1)))
-    with pytest.raises(UsageError, match="y must have length 10"):
-        column_losses_from_y(a, np.zeros(11))
-    with pytest.raises(UsageError, match="y must have length 10"):
-        max_distance_set(a, np.zeros(9), 0.1)
-
-
-def test_loss_calls_reject_zero_rows_and_columns_by_index():
-    a = DenseMatrix([[1.0, 0.0, 2.0], [0.0, 0.0, 0.0], [3.0, 0.0, 1.0]])
-    with pytest.raises(UsageError, match="^zero row 1 unsupported by greedy selection$"):
-        row_losses(a, np.ones(3))
-    with pytest.raises(UsageError, match="^zero column 1 unsupported by greedy selection$"):
-        column_losses_from_y(a, np.ones(3))
-    with pytest.raises(UsageError, match="^zero column 1 unsupported by greedy selection$"):
-        max_distance_set(a, np.ones(3), 0.1)
 
 
 _WEIGHT = st.one_of(
@@ -277,5 +256,3 @@ def test_draw_by_square_is_the_inverse_cdf_draw_over_the_set():
         assert (_draw_by_square(v * v, indices, ours)
                 == indices[_inverse_cdf_draw(w / w.sum(), ref)])
         assert ours.bit_generator.state == ref.bit_generator.state
-    with pytest.raises(UsageError, match="restricted to the selected set is zero"):
-        _draw_by_square(v * v, np.array([2]), np.random.default_rng(0))
