@@ -18,12 +18,12 @@ from .errors import SubsolverError, UsageError
 from .linalg import DenseMatrix
 
 
-@dataclass
+@dataclass(frozen=True)
 class CglsConfig:
     """Tolerance on the relative normal-equations residual and iteration budget.
 
     ``max_iters`` defaults to 2 * min(rows, cols) + 10 for the matrix at hand
-    when left unset.
+    when left unset. Frozen, so the checks below hold for the config's life.
     """
 
     rel_tol: float = 1e-12

@@ -21,6 +21,7 @@ from pathlib import Path
 
 from .col_methods import COL_METHODS, run_col_method
 from .errors import GenerationError, RgsolveError, SizeGuardError, UsageError
+from .linalg import sigma_extremes
 from .mmio import read_json, write_csv, write_json
 from .problems import (
     ProblemInstance,
@@ -34,7 +35,7 @@ from .problems import (
 from .row_methods import ROW_METHODS, run_row_method
 from .selection import SelectionConfig
 from .state import RANDOMIZED_METHODS, STAT_CERTIFIED, STEP_CERTIFIED, SolveReport, StopRule
-from .theory import _check_certify_size, certificates_to_csv, certify_randomized, certify_run
+from .theory import certificates_to_csv, certify_randomized, certify_run
 
 ALL_METHODS = ROW_METHODS + COL_METHODS
 GENERATOR_KINDS = ("randn", "smatrix")
@@ -322,7 +323,10 @@ def cmd_certify(args) -> int:
         raise UsageError(
             "certification supports rgdr, rgdc (per-step) and rgrk, rgrcd (statistical)"
         )
-    _check_certify_size(instance.A)
+    if args.method in STAT_CERTIFIED and args.repeats < 2:
+        raise UsageError("statistical certification needs at least two runs")
+    # Refuses min(m, n) > 512 before the solve; the matrix keeps what certification reads.
+    sigma_extremes(instance.A)
     config = _selection_config(vars(args))
     stop = StopRule(rse_tol=args.tol, max_iters=args.max_iters)
     out = Path(args.out)

@@ -49,12 +49,11 @@ class DenseMatrix:
     """Immutable dense coefficient matrix with cached row/column squared norms.
 
     ``entries`` is the only m x n array, and building makes no other: ``A.T @ r``
-    is a transposed GEMV on it. The energy weights (squared norms over
-    ``frob_sq``) and the first zero row and column (``zero_row``,
-    ``zero_col``; None when there is none) are computed once here, so
-    selection reads them at no cost. The Gram matrix ``A.T @ A`` (n*n floats)
-    is built on the first ``gram`` access and kept, but only when n <= m,
-    where it is no larger than A.
+    is a transposed GEMV on it. The squared norms, ``frob_sq`` and the first
+    zero row and column (``zero_row``, ``zero_col``; None when there is none)
+    are computed once here, so selection reads them at no cost. The Gram
+    matrix ``A.T @ A`` (n*n floats) is built on the first ``gram`` access and
+    kept, but only when n <= m, where it is no larger than A.
 
     For ``rbk`` and ``rbcd``, ``partition_factor`` keeps the ``block_factor``
     (the inverse of the block's Gram) of each block of one ``make_partition``
@@ -92,15 +91,9 @@ class DenseMatrix:
         # frob_sq is non-finite for NaN/inf entries and for overflowing squares; only then scan.
         if not np.isfinite(self.frob_sq) and not np.all(np.isfinite(arr)):
             raise UsageError("matrix contains non-finite entries")
-        # Energy weights ||a_i||^2 / ||A||_F^2 and ||A_j||^2 / ||A||_F^2 for the greedy
-        # thresholds; an all-zero matrix has none, and selection rejects its zero rows first.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            self.row_weights = self.row_sqnorms / self.frob_sq
-            self.col_weights = self.col_sqnorms / self.frob_sq
         self.zero_row = _first_zero(self.row_sqnorms)
         self.zero_col = _first_zero(self.col_sqnorms)
-        for a in (self.entries, self.row_sqnorms, self.col_sqnorms,
-                  self.row_weights, self.col_weights):
+        for a in (self.entries, self.row_sqnorms, self.col_sqnorms):
             a.setflags(write=False)
         self._gram = self._sigma = None
         # Per axis: (block size, a slot per partition block, None until built), for

@@ -73,22 +73,24 @@ def _check_positive_int(name: str, value) -> None:
         raise UsageError(f"{name} must be a positive integer, got {value}")
 
 
-def _make_profile(squares, sqnorms, weights) -> LossProfile:
+def _make_profile(squares, sqnorms, weighted_mean: float) -> LossProfile:
     # Here and in the draw, ufunc reductions: ndarray.max/sum/cumsum without their dispatch cost.
     losses = squares / sqnorms
     max_loss = float(np.maximum.reduce(losses))
     zero_tol = max(1e-14 * max_loss, _ZERO_TOL_FLOOR)
-    return LossProfile(losses, max_loss, float(weights.dot(losses)), zero_tol, squares)
+    return LossProfile(losses, max_loss, weighted_mean, zero_tol, squares)
 
 
+# The energy-weighted mean sum_i (||a_i||^2 / ||A||_F^2) (r_i^2 / ||a_i||^2) is
+# ||r||^2 / ||A||_F^2, and likewise ||y||^2 / ||A||_F^2 over columns: one dot each.
 def row_losses(a: DenseMatrix, r) -> LossProfile:
     """Loss profile over rows: squared residual over squared row norm."""
-    return _make_profile(r * r, a.row_sqnorms, a.row_weights)
+    return _make_profile(r * r, a.row_sqnorms, float(r.dot(r)) / a.frob_sq)
 
 
 def column_losses_from_y(a: DenseMatrix, y) -> LossProfile:
     """Loss profile over columns from a precomputed ``y = A.T @ r``."""
-    return _make_profile(y * y, a.col_sqnorms, a.col_weights)
+    return _make_profile(y * y, a.col_sqnorms, float(y.dot(y)) / a.frob_sq)
 
 
 def relaxed_greedy_set(profile: LossProfile, theta: float) -> np.ndarray:

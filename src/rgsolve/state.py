@@ -40,10 +40,11 @@ class SolveState:
     k: int = 0
 
 
-@dataclass
+@dataclass(frozen=True)
 class StopRule:
     """Termination thresholds for a solve run (the column methods' stationarity floor
-    is the constant ``col_methods.STATIONARITY_REL``)."""
+    is the constant ``col_methods.STATIONARITY_REL``). Frozen, so the checks below
+    hold for the rule's life."""
 
     rse_tol: float = 1e-4
     max_iters: int = 1_000_000
@@ -53,7 +54,7 @@ class StopRule:
         if not self.rse_tol > 0.0:
             raise UsageError(f"rse_tol must be positive, got {self.rse_tol}")
         _check_positive_int("max_iters", self.max_iters)
-        self.max_iters = int(self.max_iters)
+        object.__setattr__(self, "max_iters", int(self.max_iters))
 
 
 @dataclass

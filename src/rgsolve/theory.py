@@ -19,8 +19,8 @@ square root of the largest eigenvalue of the set's Gram, the smaller of
 sets). The Grams of all the run's sets of one size are stacked and eigensolved
 in one call, in chunks of at most ``_STACK_FLOATS`` floats, and every step's bound,
 ratio and verdict comes from one pass over the run's step columns, as the columns of a
-``StepCertificates``. Certification refuses instances with a dimension above
-``CERTIFY_DIM_LIMIT``.
+``StepCertificates``. The only size guard is that of ``linalg.singular_values``,
+min(m, n) <= 512, reached through ``sigma_extremes`` before any set is gathered.
 """
 
 from __future__ import annotations
@@ -30,22 +30,19 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import SizeGuardError, UsageError
+from .errors import UsageError
 # perfbench/tracer.py patches singular_values and sigma_extremes here by name, so both stay
 # module attributes though only sigma_extremes is called.
 from .linalg import DenseMatrix, sigma_extremes, singular_values  # noqa: F401
 from .mmio import write_csv
 from .state import STAT_CERTIFIED, STEP_CERTIFIED, SolveReport
 
-# Certification requires full-matrix and per-step submatrix spectra; refuse
-# instances where either dimension exceeds this.
-CERTIFY_DIM_LIMIT = 512
-
 # Absorbs floating-point zero-set detection and spectral error in bound checks.
 BOUND_SLACK = 1e-8
 
 # Floats that one chunk of stacked set Grams, with the rows or columns it gathers, may
-# hold (8 MB): at 512x512, four times A's bytes, however long the run.
+# hold (8 MB), however long the run; a set that needs more is gathered alone, and one
+# set's gathered rows or columns are never more than A's.
 _STACK_FLOATS = 1 << 20
 
 
@@ -103,14 +100,6 @@ class AggregateCertificate:
     std_error: float
     runs: int
     satisfied: bool
-
-
-def _check_certify_size(a: DenseMatrix) -> None:
-    if max(a.m, a.n) > CERTIFY_DIM_LIMIT:
-        raise SizeGuardError(
-            f"certification is limited to instances with both dimensions <= "
-            f"{CERTIFY_DIM_LIMIT}; got {a.m}x{a.n}"
-        )
 
 
 def _clamp_factor(factor) -> np.ndarray:
@@ -236,7 +225,6 @@ def certify_run(report: SolveReport, a: DenseMatrix) -> StepCertificates:
         )
     if report.step_indices is None:
         raise UsageError("missing trace: rerun the solve with record_steps=True")
-    _check_certify_size(a)
     theta = report.params.get("theta")
     if theta is None:
         raise UsageError("no relaxation parameter available for certification")
@@ -246,9 +234,10 @@ def certify_run(report: SolveReport, a: DenseMatrix) -> StepCertificates:
     if (report.x_final is None or len(report.x_final) != a.n
             or not 0 <= flat.min() <= flat.max() < (a.m if row_kind else a.n)):
         raise UsageError(f"the report does not come from a run on this {a.m}x{a.n} instance")
+    sigma_min = sigma_extremes(a)[1]  # refuses min(m, n) > 512 before any set is gathered
     energy, sigma_max_sub = _set_spectra(a, row_kind, index_sets)
     factor, components = _aggregate_factor(a, energy, report.step_zero_mass, theta,
-                                           sigma_extremes(a)[1], sigma_max_sub)
+                                           sigma_min, sigma_max_sub)
     before, after = report.step_err_sq[:-1], report.step_err_sq[1:]
     ratio = np.divide(after, before, out=np.zeros(len(before)), where=before > 0.0)
     return StepCertificates(np.arange(len(ratio)), factor, ratio,
@@ -280,7 +269,6 @@ def certify_randomized(reports: list[SolveReport], a: DenseMatrix) -> AggregateC
         raise UsageError(f"all reports must come from runs on an instance with n = {a.n}")
     if len(reports) < 2:
         raise UsageError("statistical certification needs at least two runs")
-    _check_certify_size(a)
     theta = params["theta"]
     factor = rgrk_factor(a, theta) if method == "rgrk" else rgrcd_factor(a, theta)
 

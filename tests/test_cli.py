@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from rgsolve import DenseMatrix, ProblemInstance, save_instance
 from rgsolve.cli import main
 from rgsolve.errors import DegenerateStepError, RgsolveError
 
@@ -382,14 +383,38 @@ def test_certify_randomized_statistical(tmp_path):
     assert rows[0]["runs"] == "10"
 
 
-def test_certify_size_guard_refusal(tmp_path):
-    prob = tmp_path / "big"
-    assert run_cli("gen", "--kind", "randn", "--m", "600", "--n", "20",
-                   "--seed", "2", "--out", str(prob)) == 0
-    code = run_cli("certify", str(prob), "--method", "rgdr",
+@pytest.mark.parametrize("method", ["rgdr", "rgrk"])
+def test_certify_refuses_min_dimension_above_512(tmp_path, capsys, method):
+    # The identity keeps the 513x513 file short to write and read; nothing is solved.
+    ones = np.ones(513)
+    save_instance(ProblemInstance(DenseMatrix(np.eye(513)), ones, ones, True, 0),
+                  tmp_path / "big")
+    code = run_cli("certify", str(tmp_path / "big"), "--method", method,
                    "--out", str(tmp_path / "cert"))
     assert code == 4
+    assert "min(m, n) = 513" in capsys.readouterr().err
     assert not (tmp_path / "cert").exists()  # refused before anything is written
+
+
+def test_certify_tall_instance_beyond_512_rows(tmp_path):
+    # 600x20: refused while certification guarded max(m, n) <= 512.
+    prob = tmp_path / "tall"
+    assert run_cli("gen", "--kind", "randn", "--m", "600", "--n", "20",
+                   "--seed", "2", "--out", str(prob)) == 0
+    assert run_cli("certify", str(prob), "--method", "rgdr",
+                   "--out", str(tmp_path / "cert")) == 0
+    rows = read_csv(tmp_path / "cert" / "certificates.csv")
+    assert rows and all(row["satisfied"] == "1" for row in rows)
+
+
+@pytest.mark.parametrize("method", ["rgrk", "rgrcd"])
+def test_certify_statistical_refuses_one_repeat_before_the_solve(tmp_path, small_problem,
+                                                                  capsys, method):
+    code = run_cli("certify", str(small_problem), "--method", method, "--repeats", "1",
+                   "--out", str(tmp_path / "cert"))
+    assert code == 2
+    assert capsys.readouterr().err == "error: statistical certification needs at least two runs\n"
+    assert not (tmp_path / "cert").exists()
 
 
 def test_trace_plot_long_format(tmp_path, small_problem):

@@ -188,12 +188,13 @@ def test_singular_values_size_guard():
         singular_values(np.ones((600, 600)))
 
 
-def test_energy_weights_and_zero_facts_are_cached_read_only():
+def test_norms_and_zero_facts_are_cached_read_only():
     a = DenseMatrix([[3.0, 0.0, 0.0], [0.0, 0.0, 4.0], [0.0, 0.0, 0.0]])
-    np.testing.assert_array_equal(a.row_weights, a.row_sqnorms / a.frob_sq)
-    np.testing.assert_array_equal(a.col_weights, a.col_sqnorms / a.frob_sq)
+    np.testing.assert_array_equal(a.row_sqnorms, [9.0, 16.0, 0.0])
+    np.testing.assert_array_equal(a.col_sqnorms, [9.0, 0.0, 16.0])
+    assert a.frob_sq == 25.0
     assert (a.zero_row, a.zero_col) == (2, 1)
-    for arr in (a.row_weights, a.col_weights):
+    for arr in (a.entries, a.row_sqnorms, a.col_sqnorms):
         with pytest.raises(ValueError):
             arr[0] = 1.0
     full = DenseMatrix(np.eye(2))

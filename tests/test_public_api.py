@@ -1,11 +1,12 @@
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields
 
 import pytest
 
 import rgsolve
 from rgsolve import errors, selection
-from rgsolve import (COL_METHODS, ROW_METHODS, SelectionConfig, StopRule, gen_randn, gen_smatrix,
-                     make_consistent, make_inconsistent, run_col_method, run_row_method)
+from rgsolve import (COL_METHODS, ROW_METHODS, CglsConfig, SelectionConfig, StopRule, gen_randn,
+                     gen_smatrix, make_consistent, make_inconsistent, run_col_method,
+                     run_row_method)
 from rgsolve.cli import build_parser
 from rgsolve.state import TERMINATION_REASONS, SolveState
 
@@ -92,3 +93,14 @@ def test_run_commands_take_a_flag_for_every_config_field(command):
         flags += ["--" + f.name.replace("_", "-"), "1"]
     args = build_parser().parse_args([command, "p", "--method", "rgdr", "--out", "o", *flags])
     assert all(getattr(args, f.name) == 1 for f in fields(SelectionConfig))
+
+
+@pytest.mark.parametrize("config", [StopRule(), CglsConfig(), CglsConfig(max_iters=7)])
+def test_stop_rule_and_cgls_config_are_frozen(config):
+    # Their constructors' checks hold for their whole life: a solve reads the fields as
+    # checked once, so a NaN tolerance or a negative cap cannot be set afterwards.
+    before = [getattr(config, f.name) for f in fields(config)]
+    for f, bad in zip(fields(config), (float("nan"), -5)):
+        with pytest.raises(FrozenInstanceError):
+            setattr(config, f.name, bad)
+    assert [getattr(config, f.name) for f in fields(config)] == before

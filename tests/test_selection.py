@@ -30,7 +30,8 @@ def random_case(seed, m=25, n=10):
 def test_row_losses_hand():
     prof = row_losses(DIAG, np.array([1.0, 4.0]))
     np.testing.assert_allclose(prof.losses, [1.0, 4.0])
-    np.testing.assert_allclose(DIAG.row_weights, [0.2, 0.8])
+    # The energy-weighted mean 0.2 * 1 + 0.8 * 4 is ||r||^2 / ||A||_F^2 = 17 / 5.
+    assert prof.weighted_mean == 17.0 / DIAG.frob_sq
     assert abs(prof.weighted_mean - 3.4) < 1e-14
     assert prof.max_loss == 4.0
 
@@ -77,8 +78,12 @@ def test_loss_sum_identities_random():
         y_sq = float(y @ y)
         assert abs(float(row.losses @ a.row_sqnorms) - r_sq) <= 1e-10 * r_sq
         assert abs(float(col.losses @ a.col_sqnorms) - y_sq) <= 1e-10 * y_sq
-        assert abs(a.row_weights.sum() - 1.0) <= 1e-12
-        assert abs(a.col_weights.sum() - 1.0) <= 1e-12
+        # The energy-weighted mean of the losses is ||r||^2 / ||A||_F^2 (||y||^2 for columns).
+        assert row.weighted_mean == r_sq / a.frob_sq
+        assert col.weighted_mean == y_sq / a.frob_sq
+        for prof, sqnorms in ((row, a.row_sqnorms), (col, a.col_sqnorms)):
+            weighted = float(sqnorms @ prof.losses) / a.frob_sq
+            assert abs(prof.weighted_mean - weighted) <= 1e-12 * prof.weighted_mean
         assert row.max_loss >= row.weighted_mean
         assert col.max_loss >= col.weighted_mean
 

@@ -230,13 +230,57 @@ def test_certify_run_refuses_a_report_from_another_shape():
         certify_run(report, a)
 
 
-def test_certify_size_guard():
+def test_certification_refuses_min_dimension_above_512_before_any_svd(monkeypatch):
+    # A few recorded steps on 513x513, then certification: the guard of singular_values,
+    # min(m, n) <= 512, refuses it before any set is gathered and before any SVD runs.
+    rng = np.random.default_rng(3)
+    a = DenseMatrix(rng.standard_normal((513, 513)))
+    x_star = rng.standard_normal(513)
+    b = a.matvec(x_star)
+    stop = StopRule(rse_tol=1e-12, max_iters=2)
+    steps = [run(method, a, b, x_star=x_star, record_steps=True, stop=stop)
+             for method, run in (("rgdr", run_row_method), ("rgdc", run_col_method))]
+    stats = [[run(method, a, b, x_star=x_star, seed=seed, record_steps=True, stop=stop)
+              for seed in (1, 2)]
+             for method, run in (("rgrk", run_row_method), ("rgrcd", run_col_method))]
+    calls = []
+    monkeypatch.setattr(np.linalg, "svd", lambda *args, **kw: calls.append(args))
+    monkeypatch.setattr(theory, "_set_spectra", lambda *args: calls.append(args))
+    for report in steps:
+        with pytest.raises(SizeGuardError, match=r"min\(m, n\) = 513"):
+            certify_run(report, a)
+    for reports in stats:
+        with pytest.raises(SizeGuardError, match=r"min\(m, n\) = 513"):
+            certify_randomized(reports, a)
+    assert calls == []
+
+
+def test_tall_instance_beyond_512_rows_is_certified():
+    # 600x5, the shape that certification refused while it guarded max(m, n) <= 512.
     a = gen_randn(600, 5, 1)
     inst = make_consistent(a, 2)
-    report = run_row_method("rgdr", a, inst.b, x_star=inst.x_star, record_steps=True,
-                            stop=StopRule(rse_tol=1e-2))
-    with pytest.raises(SizeGuardError):
-        certify_run(report, a)
+    for method, run in (("rgdr", run_row_method), ("rgdc", run_col_method)):
+        report = run(method, a, inst.b, x_star=inst.x_star, record_steps=True)
+        certs = certify_run(report, a)
+        assert report.termination_reason == "converged" and len(certs) > 0
+        assert certs.satisfied.all(), method
+    for method, run in (("rgrk", run_row_method), ("rgrcd", run_col_method)):
+        reports = [run(method, a, inst.b, x_star=inst.x_star, seed=seed, record_steps=True)
+                   for seed in range(30)]
+        cert = certify_randomized(reports, a)
+        assert cert.runs == 30 and cert.satisfied, cert
+
+
+def test_wide_instance_beyond_512_columns_is_certified_without_a_gram():
+    # 20x600: rgdc certifies from gathered columns, as no Gram is kept when n > m. It meets
+    # b away from the minimum-norm x*, so it stops stationary, with every step certified.
+    a = gen_randn(20, 600, 4)
+    inst = make_consistent(a, 5)
+    report = run_col_method("rgdc", a, inst.b, x_star=inst.x_star, record_steps=True)
+    certs = certify_run(report, a)
+    assert a.gram is None
+    assert report.termination_reason == "stationary" and len(certs) > 0
+    assert certs.satisfied.all()
 
 
 def test_superiority_over_randomized_factor_per_step():
