@@ -1,8 +1,8 @@
 """Conjugate gradient on the normal equations (CGLS).
 
 The high-precision reference for minimum-norm least-squares solutions: the
-``x*`` oracle of the generators and of the solve loop when no ``x_star`` is
-given. Starting from a zero guess the returned iterate is the minimum-norm
+``x*`` oracle of the solve loop when no ``x_star`` is given (the generators
+use none). Starting from a zero guess the returned iterate is the minimum-norm
 solution. The stopping measure is the normal-equations residual
 ||M.T (rhs - M w)||, which stays well defined for inconsistent systems.
 """

@@ -53,7 +53,8 @@ class DenseMatrix:
     zero row and column (``zero_row``, ``zero_col``; None when there is none)
     are computed once here, so selection reads them at no cost. The Gram
     matrix ``A.T @ A`` (n*n floats) is built on the first ``gram`` access and
-    kept, but only when n <= m, where it is no larger than A.
+    kept, but only when n <= m, where it is no larger than A. The generators'
+    rank proof builds it, so their tall instances carry it from set-up.
 
     For ``rbk`` and ``rbcd``, ``partition_factor`` keeps the ``block_factor``
     (the inverse of the block's Gram) of each block of one ``make_partition``
@@ -78,7 +79,14 @@ class DenseMatrix:
     """
 
     def __init__(self, entries):
-        arr = np.array(entries, dtype=float)
+        self._adopt(np.array(entries, dtype=float))
+
+    @classmethod
+    def _of(cls, arr: np.ndarray) -> DenseMatrix:
+        """``DenseMatrix(arr)`` without the copy, for a new float64 array no one else holds."""
+        return cls.__new__(cls)._adopt(arr)
+
+    def _adopt(self, arr: np.ndarray) -> DenseMatrix:
         if arr.ndim != 2:
             raise UsageError(f"matrix entries must be two-dimensional, got shape {arr.shape}")
         if arr.shape[0] < 1 or arr.shape[1] < 1:
@@ -100,6 +108,7 @@ class DenseMatrix:
         # partition_factor and for _sweep_solve.
         self._factors = [(0, []), (0, [])]
         self._sweeps = [(0, []), (0, [])]
+        return self
 
     @property
     def gram(self) -> np.ndarray | None:

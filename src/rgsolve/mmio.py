@@ -29,14 +29,9 @@ def write_matrix(path, values) -> None:
     if arr.ndim != 2:
         raise UsageError(f"expected a 2-D array, got shape {arr.shape}")
     m, n = arr.shape
+    body = "".join([f"{v!r}\n" for v in arr.T.ravel().tolist()])  # column-major
     with open(path, "w", encoding="ascii") as fh:
-        fh.write("%%MatrixMarket matrix array real general\n")
-        fh.write(f"{m} {n}\n")
-        for j in range(n):
-            col = arr[:, j]
-            for i in range(m):
-                fh.write(repr(float(col[i])))
-                fh.write("\n")
+        fh.write(f"%%MatrixMarket matrix array real general\n{m} {n}\n{body}")
 
 
 def write_vector(path, v) -> None:
@@ -91,8 +86,7 @@ def read_array(path) -> np.ndarray:
     """Read a MatrixMarket array file into a 2-D float array."""
     lines = iter(read_text(path).splitlines())
     header = next(lines, "")
-    tokens = header.strip().lower().split()
-    if tuple(tokens) != _HEADER_TOKENS:
+    if tuple(header.lower().split()) != _HEADER_TOKENS:
         raise UsageError(f"{path}: unsupported MatrixMarket header: {header.strip()!r}")
     size_line = next(lines, "")
     while size_line and size_line.lstrip().startswith("%"):
@@ -103,25 +97,28 @@ def read_array(path) -> np.ndarray:
         raise UsageError(f"{path}: malformed size line: {size_line.strip()!r}") from None
     if m < 1 or n < 1:
         raise UsageError(f"{path}: matrix dimensions must be positive")
-    values = []
-    for line in lines:
-        line = line.strip()
-        if not line or line.startswith("%"):
-            continue
-        try:
-            values.extend(float(tok) for tok in line.split())
-        except ValueError:
-            raise UsageError(f"{path}: malformed value line: {line!r}") from None
+    body = list(lines)
+    try:  # numpy parses each string with float(), so this is the loop below in one call
+        values = np.array(" ".join(body).split(), dtype=float)
+    except ValueError:  # a comment line (no float starts with "%") or a malformed value
+        values = []
+        for line in map(str.strip, body):
+            if line.startswith("%"):
+                continue
+            try:
+                values.extend(float(tok) for tok in line.split())
+            except ValueError:
+                raise UsageError(f"{path}: malformed value line: {line!r}") from None
     if len(values) != m * n:
         raise UsageError(f"{path}: expected {m * n} values, found {len(values)}")
-    arr = np.array(values, dtype=float).reshape((n, m)).T
+    arr = np.asarray(values, dtype=float).reshape((n, m)).T
     if not np.all(np.isfinite(arr)):
         raise UsageError(f"{path}: file contains non-finite values")
     return np.ascontiguousarray(arr)
 
 
 def read_matrix(path) -> DenseMatrix:
-    return DenseMatrix(read_array(path))
+    return DenseMatrix._of(read_array(path))
 
 
 def read_vector(path) -> np.ndarray:

@@ -1,9 +1,9 @@
 """Synthetic test problems: Gaussian matrices, controlled-spectrum matrices,
 consistent right-hand sides, and null-space noise for inconsistent systems.
 
-All generators are deterministic under a fixed seed (numpy's PCG64 generator).
-Instances serialize to a directory holding A.mtx, b.mtx, xstar.mtx, and
-meta.json, and deserialize back bit-for-bit.
+All generators are deterministic under a fixed seed (numpy's PCG64 generator),
+and none runs an iterative solve. Instances serialize to a directory holding
+A.mtx, b.mtx, xstar.mtx, and meta.json, and deserialize back bit-for-bit.
 """
 
 from __future__ import annotations
@@ -13,13 +13,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .cgls import CglsConfig, cgls
-from .errors import GenerationError, SubsolverError, UsageError
-from .linalg import ZERO_SIGMA_REL, DenseMatrix, orthonormalize_columns
+from .cgls import cgls  # noqa: F401  (set-up calls no CGLS; perfbench's tracer patches it)
+from .errors import GenerationError, UsageError
+from .linalg import ZERO_SIGMA_REL, DenseMatrix, _full_rank, orthonormalize_columns
 from .mmio import read_json, read_matrix, read_vector, write_json, write_matrix, write_vector
 
-# Reference solutions are pinned down by the CGLS oracle at this tolerance.
-_ORACLE_TOL = 1e-12
+_GRAM_FLOOR = np.finfo(float).tiny / ZERO_SIGMA_REL
 
 
 @dataclass
@@ -44,7 +43,7 @@ def gen_randn(m: int, n: int, seed: int) -> DenseMatrix:
     if m < 1 or n < 1:
         raise UsageError("matrix dimensions must be positive")
     rng = np.random.default_rng(seed)
-    return DenseMatrix(rng.standard_normal((m, n)))
+    return DenseMatrix._of(rng.standard_normal((m, n)))
 
 
 def gen_smatrix(m: int, n: int, r: int, sigma1: float, sigma2: float, seed: int) -> DenseMatrix:
@@ -65,7 +64,7 @@ def gen_smatrix(m: int, n: int, r: int, sigma1: float, sigma2: float, seed: int)
     left = _orthonormal_draw(rng, m, r)
     right = _orthonormal_draw(rng, n, r)
     spectrum = np.concatenate([rng.uniform(sigma2, sigma1, size=r - 2), [sigma2, sigma1]])
-    return DenseMatrix((left * spectrum) @ right.T)
+    return DenseMatrix._of((left * spectrum) @ right.T)
 
 
 def _orthonormal_draw(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
@@ -78,20 +77,15 @@ def _orthonormal_draw(rng: np.random.Generator, rows: int, cols: int) -> np.ndar
 
 
 def _reference_solution(a: DenseMatrix, b: np.ndarray, x_gen: np.ndarray) -> np.ndarray:
-    """The generating vector when CGLS confirms it as the reference, else the SVD reference.
+    """The generating vector when A is proven of full column rank, else the SVD reference.
 
-    For full-column-rank matrices the minimum-norm solve reproduces the
-    generating vector, which is then exact and preferred. Otherwise (wide or
-    rank-deficient matrices, or CGLS out of budget on an ill-conditioned one)
-    the least-norm / least-squares point the solvers converge to comes from
-    LAPACK's SVD solve, since CGLS may stop far from it there.
+    ``b`` is ``A x_gen`` plus noise orthogonal to range(A), so with full column
+    rank ``x_gen`` is the least-squares point, exactly. The proof is a Cholesky
+    of the kept Gram (``_full_rank``), taken when ``frob_sq`` is finite, so no
+    partial sum of the Gram overflows, and at least ``_GRAM_FLOOR``, so lost
+    subnormal products cannot fake it. Every other matrix takes the SVD solve.
     """
-    try:
-        x_ref = cgls(a, b, CglsConfig(rel_tol=_ORACLE_TOL))
-    except SubsolverError:
-        x_ref = None
-    scale = max(float(np.linalg.norm(x_gen)), 1.0)
-    if x_ref is not None and float(np.linalg.norm(x_ref - x_gen)) <= 1e-8 * scale:
+    if a.n <= a.m and _GRAM_FLOOR <= a.frob_sq < np.inf and _full_rank(a.gram):
         return x_gen
     return np.linalg.lstsq(a.entries, b, rcond=ZERO_SIGMA_REL)[0]
 
@@ -99,9 +93,8 @@ def _reference_solution(a: DenseMatrix, b: np.ndarray, x_gen: np.ndarray) -> np.
 def make_consistent(a: DenseMatrix, seed: int, meta: dict | None = None) -> ProblemInstance:
     """Draw x* from the standard normal and set b = A x*.
 
-    For rank-deficient matrices the stored reference solution is replaced by
-    the least-norm solution so the error measure targets the point the row
-    methods actually converge to.
+    Unless A is proven of full column rank, the stored reference is the
+    least-norm solution, the point the row methods converge to.
     """
     rng = np.random.default_rng(seed)
     x_gen = rng.standard_normal(a.n)
@@ -130,19 +123,20 @@ def make_inconsistent(
     rng = np.random.default_rng(seed)
     x_gen = rng.standard_normal(a.n)
     b_range = a.matvec(x_gen)
-    range_norm = float(np.linalg.norm(b_range))
+    with np.errstate(over="ignore"):  # overflowing squares are left to LAPACK below
+        range_norm = float(np.linalg.norm(b_range))
+    if range_norm == np.inf:  # the SVD, as norm(ord=2) takes it, rescales its input
+        range_norm = float(np.linalg.norm(b_range[:, None], 2))
     if range_norm == 0.0:
         raise GenerationError("A x* vanished; cannot scale null-space noise")
     basis = np.linalg.qr(a.entries)[0]  # orthonormal, spans range(A)
-    noise = None
     for _ in range(3):
         draw = rng.standard_normal(a.m)
-        candidate = draw - basis @ (basis.T @ draw)
-        candidate -= basis @ (basis.T @ candidate)
-        if float(np.linalg.norm(candidate)) > 1e-6 * float(np.linalg.norm(draw)):
-            noise = candidate
+        noise = draw - basis @ (basis.T @ draw)
+        noise -= basis @ (basis.T @ noise)
+        if float(np.linalg.norm(noise)) > 1e-6 * float(np.linalg.norm(draw)):
             break
-    if noise is None:
+    else:
         raise GenerationError(
             "null-space projection produced a near-zero vector; "
             "the matrix has (numerically) full row rank"

@@ -38,6 +38,17 @@ def test_matvec_hand():
     np.testing.assert_allclose(a.matvec([1.0, 1.0]), [3.0, 7.0])
 
 
+def test_public_constructor_copies_and_the_private_one_adopts():
+    raw = np.random.default_rng(0).standard_normal((6, 3))
+    a = DenseMatrix(raw)
+    assert a.entries is not raw and raw.flags.writeable
+    b = DenseMatrix._of(raw)
+    assert b.entries is raw and not raw.flags.writeable
+    assert b.frob_sq == a.frob_sq and b.row_sqnorms.tobytes() == a.row_sqnorms.tobytes()
+    with pytest.raises(UsageError):
+        DenseMatrix._of(np.ones(3))  # validated on the same path
+
+
 def test_matvec_dimension_mismatch():
     a = DenseMatrix([[1.0, 2.0], [3.0, 4.0]])
     with pytest.raises(UsageError):
@@ -252,6 +263,7 @@ def test_block_solves_repeat_exactly_on_a_warmed_matrix(method, shape, block_siz
                                                         linalg_calls):
     a = gen_randn(*shape, 60)
     inst = make_consistent(a, 61)
+    linalg_calls.clear()  # the set-up's rank proof of a tall matrix is one Cholesky
     cold = _block_solve(method, a, inst, block_size)
     # Every block of these shapes is factored, each once.
     assert linalg_calls["inv"] == linalg_calls["cholesky"] > 0

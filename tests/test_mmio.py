@@ -90,3 +90,18 @@ def test_write_csv_is_ascii_with_newline_line_ends(tmp_path):
     with pytest.raises(UsageError, match="out.csv: cannot write non-ASCII text"):
         write_csv(path, ["k"], [["\u03b8"]])
     assert not path.exists()
+
+
+def test_reader_takes_several_values_per_line_and_body_comments(tmp_path):
+    path = tmp_path / "A.mtx"
+    expected = [[1.5, 0.1], [-2.5, 10.0]]
+    for body in ("1.5 -2.5\n\n0.1 1_0\n", "1.5 -2.5\n% a comment\n0.1\n1_0\n"):
+        path.write_text("%%MatrixMarket matrix array real general\n2 2\n" + body)
+        np.testing.assert_array_equal(read_array(path), expected)
+
+
+def test_reader_names_the_malformed_value_line(tmp_path):
+    path = tmp_path / "bad.mtx"
+    path.write_text("%%MatrixMarket matrix array real general\n2 1\n% a comment\n1.0\n2.0 x\n")
+    with pytest.raises(UsageError, match=r"bad.mtx: malformed value line: '2.0 x'$"):
+        read_array(path)

@@ -1,7 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
+import rgsolve.problems
 from rgsolve import (
+    DenseMatrix,
     GenerationError,
     StopRule,
     UsageError,
@@ -15,6 +19,7 @@ from rgsolve import (
     save_instance,
     singular_values,
 )
+from rgsolve.linalg import ZERO_SIGMA_REL, _full_rank
 
 
 def test_gen_randn_deterministic():
@@ -134,6 +139,73 @@ def test_make_inconsistent_noise_scale_knob():
     noise = inst.b - a.matvec(inst.x_star)
     target = 0.5 * np.linalg.norm(a.matvec(inst.x_star))
     assert abs(np.linalg.norm(noise) - target) <= 1e-6 * target
+
+
+@pytest.fixture()
+def no_cgls(monkeypatch):
+    """Set-up makes no CGLS call: ``problems.cgls`` raises if anything calls it."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("set-up called cgls")
+
+    monkeypatch.setattr(rgsolve.problems, "cgls", refuse)
+
+
+def _x_gen(n, seed):
+    return np.random.default_rng(seed).standard_normal(n)  # make_*'s first draw
+
+
+def _lstsq(a, b):
+    return np.linalg.lstsq(a.entries, b, rcond=ZERO_SIGMA_REL)[0]
+
+
+@pytest.mark.parametrize("make", [make_consistent, make_inconsistent])
+@pytest.mark.parametrize("matrix", [
+    lambda: gen_randn(200, 30, 70),
+    lambda: gen_smatrix(300, 40, 40, 1e6, 1.0, 3),  # cond 1e6: lstsq is off by about 1e-12
+], ids=["randn", "smatrix-cond-1e6"])
+def test_full_column_rank_reference_is_the_generating_vector(make, matrix, no_cgls):
+    a = matrix()
+    inst = make(a, 4)
+    assert inst.x_star.tobytes() == _x_gen(a.n, 4).tobytes()
+    assert a._gram is not None  # the proof's Gram is the one the column solves use
+    lstsq = _lstsq(a, inst.b)
+    assert np.linalg.norm(lstsq - inst.x_star) <= 1e-10 * np.linalg.norm(inst.x_star)
+
+
+@pytest.mark.parametrize("make, matrix, near", [
+    (make_consistent, lambda: gen_smatrix(120, 30, 20, 10.0, 1.0, 4), False),
+    (make_inconsistent, lambda: gen_smatrix(120, 30, 20, 10.0, 1.0, 4), False),
+    (make_consistent, lambda: gen_randn(40, 120, 3), False),
+    # Every square underflows to zero, but x_gen is still the solution to rounding.
+    (make_consistent, lambda: DenseMatrix(gen_randn(40, 6, 5).entries * 1e-170), True),
+], ids=["rank-deficient", "rank-deficient-inconsistent", "wide", "underflow"])
+def test_unproven_references_are_the_svd_solve(make, matrix, near, no_cgls):
+    a = matrix()
+    inst = make(a, 5)
+    assert inst.x_star.tobytes() == _lstsq(a, inst.b).tobytes()
+    distance = np.linalg.norm(inst.x_star - _x_gen(a.n, 5)) / np.linalg.norm(inst.x_star)
+    assert distance <= 1e-12 if near else distance > 1e-3
+
+
+def test_subnormal_gram_is_no_proof(no_cgls):
+    # This rank-11 matrix's Gram is subnormal and passes the pivot test.
+    a = DenseMatrix(gen_smatrix(60, 12, 11, 2.0, 1.0, 0).entries * 1e-156)
+    assert _full_rank(a.gram)
+    inst = make_consistent(a, 5)
+    assert inst.x_star.tobytes() == _lstsq(a, inst.b).tobytes()
+    assert np.linalg.norm(inst.x_star - _x_gen(a.n, 5)) > 1e-3 * np.linalg.norm(inst.x_star)
+
+
+@pytest.mark.parametrize("make", [make_consistent, make_inconsistent])
+def test_overflowing_squares_take_the_svd_solve_without_a_warning(make, no_cgls):
+    a = DenseMatrix([[1e200, 0.0], [0.0, 1.0], [1.0, 1.0]])  # frob_sq is inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        inst = make(a, 1)
+    assert np.isfinite(inst.b).all()
+    assert inst.x_star.tobytes() == _lstsq(a, inst.b).tobytes()
+    assert inst.x_star.tobytes() == np.array([0.345584192064786, 0.0]).tobytes()
+    assert a._gram is None  # never built: A.T @ A would overflow
 
 
 def test_column_methods_solve_inconsistent_but_row_methods_stall():
