@@ -19,7 +19,10 @@ the next partition block or refresh of y, before the first zero column, which
 raises when a block starts on it, and at its first iteration on the floor.
 No column method carries the residual r itself; y is recomputed from x every
 100 iterations, on tall matrices as ``A.T b - G x`` (O(n^2), with ``A.T b``
-kept from the start) and on wide ones as ``A.T (b - A x)``. RGDC's step
+kept from the start) and on wide ones as ``A.T (b - A x)``. The matrix keeps
+``A.T b`` and its norm for the last b a solve asked about (``_normal_rhs``),
+so a solve that repeats that b, byte for byte, starts from them after an O(m)
+comparison instead of a transposed GEMV. RGDC's step
 length divides by ``||A_S y_S||^2``, read on tall matrices as the quadratic
 form ``y_S.T G[S, S] y_S``, O(s) once y's move ``y_S.T G[S]`` is formed;
 when that form falls below ``GRAM_WEIGHT_REL`` of ``sum_j y_j^2 ||A_j||^2``
@@ -28,7 +31,9 @@ over S, the columns nearly cancel and the weight is formed from ``A_S y_S``
 data only for RGDC's step records, which read the energy error
 ``||A (x - x*)||^2`` from the solve loop's ``x - x*`` (one GEMV per recorded
 step; a recorded RGRCD run reads it only at its start and end), and in
-RBCD's least-squares fallback.
+RBCD's least-squares fallback. A tall run from x = 0 whose b repeats the kept
+one thus touches no m x n data from start to stop outside those cases and
+RGDC's cancelling-columns weight.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ from .selection import (
     SelectionConfig,
     _draw_by_square,
     column_losses_from_y,
-    make_partition,
+    make_partition,  # noqa: F401  (no solve calls it; perfbench's tracer patches it)
     max_distance_set,
     relaxed_greedy_set,
 )
@@ -214,9 +219,7 @@ class _ColFamily(MethodFamily):
         a, state = self.a, self.state
         if self.method in ("rgrcd", "rgdc", "amdcd") and a.zero_col is not None:
             raise UsageError(f"zero column {a.zero_col} unsupported by greedy selection")
-        with np.errstate(over="ignore", invalid="ignore"):
-            self.atb = a.matvec_transpose(self.b)
-            self.atb_norm = float(np.linalg.norm(self.atb))
+        self.atb, self.atb_norm = a._normal_rhs(self.b)
         if not math.isfinite(self.atb_norm):
             raise UsageError(f"A.T b overflows (its norm is {self.atb_norm}); scale A and b down")
         # At x = 0, r is b bit for bit, so y is A.T b; a copy, since steps update y in place.
@@ -224,9 +227,8 @@ class _ColFamily(MethodFamily):
                    else self.atb.copy())
         self.sqnorms = a.col_sqnorms
         self.stall_window = None
-        self.partition = (
-            make_partition(a.n, self.config.block_size) if self.method == "rbcd" else None
-        )
+        self.blocks = (a._partition_count(1, self.config.block_size)
+                       if self.method == "rbcd" else None)
 
     def refresh(self) -> None:
         """Recompute y from x, raising when the recursion has drifted from it."""
@@ -259,10 +261,9 @@ class _ColFamily(MethodFamily):
             return self._sweep(dx, dd, budget)
         state, a, config, method = self.state, self.a, self.config, self.method
         if method == "rbcd":
-            block = int(self.rng.integers(len(self.partition)))
-            selected = self.partition[block]
-            rbcd_block_step(state, a, self.b, selected,
-                            a.partition_factor(1, config.block_size, block))
+            selected, factor = a._partition_block(1, config.block_size,
+                                                  int(self.rng.integers(self.blocks)))
+            rbcd_block_step(state, a, self.b, selected, factor)
             return selected, None, (), None
         profile = None
         if method == "amdcd":

@@ -1,5 +1,5 @@
-"""Dense matrix/vector primitives: cached norms, Gram, block inverses and sweep triangles,
-orthonormalization, small-scale SVD."""
+"""Dense matrix/vector primitives: cached norms, Gram, block inverses, sweep triangles and
+``A.T b``, orthonormalization, small-scale SVD."""
 
 from __future__ import annotations
 
@@ -70,12 +70,18 @@ class DenseMatrix:
     hold at most ``2 * SWEEP_BLOCK * m`` floats and column slots
     ``2 * SWEEP_BLOCK * n``; an axis keeps none when the other dimension is
     below ``SWEEP_BLOCK``, where a block's triangle outweighs its rows or
-    columns of A (at 1e6 x 10, row slots would hold ten times A). Instances
-    are safe to share across concurrent solves and certifications: the Gram,
-    each inverse, each sweep slot and the read-only ``singular_values`` that
-    ``sigma_extremes`` keeps from its first call are published only once
-    complete, and a race at worst builds one twice (solves at two block sizes at
-    once displace each other's partition, which costs rebuilds, never a wrong factor).
+    columns of A (at 1e6 x 10, row slots would hold ten times A). For the
+    column methods, ``_normal_rhs`` keeps one entry: a read-only copy of the
+    last right-hand side b that a solve asked about, ``A.T b`` and its norm,
+    m + n floats and one scalar. A solve whose b matches the copy byte for
+    byte reuses them after an O(m) comparison; any other b replaces them.
+    Instances are safe to share across concurrent solves and certifications:
+    the Gram, each inverse, each sweep slot, the ``A.T b`` entry and the
+    read-only ``singular_values`` that ``sigma_extremes`` keeps from its first
+    call are published only once complete, and a race at worst builds one
+    twice (solves at two block sizes, or on two right-hand sides, at once
+    displace each other's partition or entry, which costs rebuilds, never a
+    wrong factor or ``A.T b``).
     """
 
     def __init__(self, entries):
@@ -103,7 +109,7 @@ class DenseMatrix:
         self.zero_col = _first_zero(self.col_sqnorms)
         for a in (self.entries, self.row_sqnorms, self.col_sqnorms):
             a.setflags(write=False)
-        self._gram = self._sigma = None
+        self._gram = self._sigma = self._rhs = None
         # Per axis: (block size, a slot per partition block, None until built), for
         # partition_factor and for _sweep_solve.
         self._factors = [(0, []), (0, [])]
@@ -117,6 +123,20 @@ class DenseMatrix:
         if gram is None and self.n <= self.m:
             gram = self._gram = _read_only(self.entries.T @ self.entries)
         return gram
+
+    def _normal_rhs(self, b: np.ndarray) -> tuple[np.ndarray, float]:
+        """Read-only ``A.T b`` and its norm (inf or NaN when they overflow) for a length-m
+        float64 ``b``, kept with a copy of ``b``: a later call whose ``b`` matches that copy
+        byte for byte (so ``-0.0`` is not ``0.0``) reuses them after an O(m) comparison.
+        Any other ``b`` replaces the entry."""
+        kept = self._rhs
+        if kept is not None and kept[0].tobytes() == b.tobytes():
+            return kept[1], kept[2]
+        with np.errstate(over="ignore", invalid="ignore"):
+            atb = _read_only(self.matvec_transpose(b))
+            norm = float(np.linalg.norm(atb))
+        self._rhs = (_read_only(b.copy()), atb, norm)
+        return atb, norm
 
     def _block_gram(self, axis: int, block) -> np.ndarray:
         """Gram of the rows (axis 0) or columns (axis 1) that ``block`` (a slice or index
@@ -144,6 +164,19 @@ class DenseMatrix:
             slots = [None] * -(-self.entries.shape[axis] // block_size)
             table[axis] = (block_size, slots)
         return slots
+
+    def _partition_count(self, axis: int, block_size: int) -> int:
+        """How many blocks ``make_partition(count, block_size)`` makes over the rows (axis 0)
+        or columns (axis 1): the slots of the ``partition_factor`` table, set to that size."""
+        return len(self._slots(self._factors, axis, int(block_size)))
+
+    def _partition_block(self, axis: int, block_size: int, index: int) -> tuple[range, object]:
+        """Block ``index`` of ``make_partition(count, block_size)`` as a range, without
+        building the partition, and its ``partition_factor``."""
+        block_size = int(block_size)
+        lo = index * block_size
+        return (range(lo, min(lo + block_size, self.entries.shape[axis])),
+                self.partition_factor(axis, block_size, index))
 
     def partition_factor(self, axis: int, block_size: int, index: int):
         """``block_factor`` of block ``index`` of ``make_partition(count, block_size)``
@@ -240,8 +273,8 @@ def _gram_inverse(gram: np.ndarray):
 
 def _block_index(indices: np.ndarray):
     """Index that gathers ``indices`` (nonempty, sorted and distinct, as ``nonzero()`` sets
-    and ``make_partition`` blocks are): ``slice(lo, hi)``, which gives a view, when they are
-    the run lo, ..., hi - 1, else the array itself. For sorted distinct integers that is
+    and the rbk/rbcd blocks, ranges, are): ``slice(lo, hi)``, which gives a view, when they
+    are the run lo, ..., hi - 1, else the array itself. For sorted distinct integers that is
     exactly when ``hi - lo`` equals their number, an O(1) test."""
     lo, hi = int(indices[0]), int(indices[-1]) + 1
     return slice(lo, hi) if hi - lo == len(indices) else indices

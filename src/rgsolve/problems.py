@@ -130,6 +130,9 @@ def make_inconsistent(
     if range_norm == 0.0:
         raise GenerationError("A x* vanished; cannot scale null-space noise")
     basis = np.linalg.qr(a.entries)[0]  # orthonormal, spans range(A)
+    if not np.isfinite(basis).all():
+        raise UsageError("the QR factorization of A overflows (its orthonormal basis is not "
+                         "finite); scale A down")
     for _ in range(3):
         draw = rng.standard_normal(a.m)
         noise = draw - basis @ (basis.T @ draw)

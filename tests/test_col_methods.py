@@ -424,27 +424,35 @@ def test_gram_is_cached_read_only_and_tall_only():
     assert wide.gram is None
 
 
-@pytest.mark.parametrize("method", ["rgdc", "rbk", "rbcd", "kaczmarz", "cd"])
-def test_concurrent_solves_share_one_matrix(method):
+@pytest.mark.parametrize("method, alternate", [
+    ("rgdc", "block size"), ("rbk", "block size"), ("rbcd", "block size"),
+    ("kaczmarz", "block size"), ("cd", "block size"), ("cd", "right-hand side"),
+], ids=["rgdc", "rbk", "rbcd", "kaczmarz", "cd", "cd-two-right-hand-sides"])
+def test_concurrent_solves_share_one_matrix(method, alternate):
     # Every thread may race to build the Gram, the block factors and the sweep blocks'
     # triangles and inverses (kaczmarz and cd pass over this matrix 4 and 10 times), and
     # threads that alternate block sizes replace each other's partition; each must still
-    # see complete factors of its own blocks.
+    # see complete factors of its own blocks. Threads that alternate right-hand sides
+    # replace each other's kept A.T b, and each must still start from, and refresh
+    # against, its own.
     a = gen_randn(300, 60, 36)
-    inst = make_consistent(a, 37)
+    if alternate == "block size":
+        insts, sizes = [make_consistent(a, 37)] * 2, (20, 25)
+    else:
+        insts, sizes = [make_consistent(a, 37), make_consistent(a, 38)], (20, 20)
     runner = run_row_method if method in ROW_METHODS else run_col_method
-    sizes = (20, 25)
 
-    def solve(matrix, block_size):
+    def solve(matrix, i):
+        inst = insts[i % 2]
         report = runner(method, matrix, inst.b, x_star=inst.x_star, seed=1,
-                        config=SelectionConfig(block_size=block_size))
+                        config=SelectionConfig(block_size=sizes[i % 2]))
         return report.iterations, report.x_final.tobytes()
 
-    serial = [solve(gen_randn(300, 60, 36), size) for size in sizes]
+    serial = [solve(gen_randn(300, 60, 36), i) for i in range(2)]
     results = [None] * 6
 
     def worker(i):
-        results[i] = solve(a, sizes[i % 2])
+        results[i] = solve(a, i)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -566,13 +574,66 @@ def test_greedy_column_methods_reject_a_zero_column(method, monkeypatch):
 @pytest.mark.parametrize("method", COL_METHODS)
 def test_column_methods_refuse_an_overflowing_normal_right_hand_side(method):
     # A.T b overflows to inf, on which ||y|| <= 1e-14 ||A.T b|| would read as stationary
-    # at x = 0. The refusal comes before any step and without an overflow warning.
+    # at x = 0. The refusal comes before any step and without an overflow warning, and
+    # again on a second solve, which reuses the kept A.T b.
     a = DenseMatrix([[1e200, 0.0], [0.0, 1.0], [1.0, 1.0]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(UsageError, match=r"^A\.T b overflows \(its norm is inf\)"):
-            run_col_method(method, a, np.array([1e200, 2.0, 3.0]), x_star=np.array([1.0, 2.0]),
-                           seed=0)
+        for _ in range(2):
+            with pytest.raises(UsageError, match=r"^A\.T b overflows \(its norm is inf\)"):
+                run_col_method(method, a, np.array([1e200, 2.0, 3.0]),
+                               x_star=np.array([1.0, 2.0]), seed=0)
+    assert a._rhs[2] == np.inf
+
+
+def _report_bytes(report):
+    return (report.iterations, report.termination_reason, report.set_size_trace,
+            [rse.hex() for rse in report.rse_trace], report.x_final.tobytes())
+
+
+@pytest.mark.parametrize("shape", [(60, 20), (20, 60)], ids=["tall", "wide"])
+@pytest.mark.parametrize("method", COL_METHODS)
+def test_a_repeated_column_solve_reuses_the_kept_normal_right_hand_side(monkeypatch, shape,
+                                                                        method):
+    a = gen_randn(*shape, 63)
+    inst = make_consistent(a, 64)
+    kwargs = dict(x_star=inst.x_star, seed=65, config=SelectionConfig(block_size=3),
+                  stop=StopRule(rse_tol=1e-8, max_iters=400))
+    first = run_col_method(method, a, inst.b, **kwargs)
+    calls = []
+    original = DenseMatrix.matvec_transpose
+
+    def counted(self, r):
+        calls.append(np.asarray(r, dtype=float).tobytes())
+        return original(self, r)
+
+    monkeypatch.setattr(DenseMatrix, "matvec_transpose", counted)
+    # Another array with the same bytes reuses A.T b: on a tall matrix the solve makes no
+    # A.T r at all, and on a wide one none of A.T b, only those of its steps and refreshes.
+    again = run_col_method(method, a, inst.b.copy(), **kwargs)
+    if a.gram is not None:
+        assert calls == []
+    assert inst.b.tobytes() not in calls
+    calls.clear()
+    fresh = run_col_method(method, DenseMatrix(a.entries), inst.b, **kwargs)
+    assert calls.count(inst.b.tobytes()) == 1
+    assert _report_bytes(again) == _report_bytes(first) == _report_bytes(fresh)
+
+
+@pytest.mark.parametrize("method", COL_METHODS)
+def test_a_right_hand_side_changed_in_place_is_read_again(method):
+    a = gen_randn(60, 20, 66)
+    inst = make_inconsistent(a, 67)
+    b = inst.b.copy()
+    kwargs = dict(seed=68, config=SelectionConfig(block_size=3),
+                  stop=StopRule(rse_tol=1e-8, max_iters=400))
+    run_col_method(method, a, b, x_star=inst.x_star, **kwargs)
+    b[: a.m // 2] = make_consistent(a, 69).b[: a.m // 2]  # the same array, other values
+    x_star = np.linalg.lstsq(a.entries, b, rcond=None)[0]
+    report = run_col_method(method, a, b, x_star=x_star, **kwargs)
+    assert a._rhs[1].tobytes() == a.matvec_transpose(b).tobytes()
+    fresh = run_col_method(method, DenseMatrix(a.entries), b, x_star=x_star, **kwargs)
+    assert _report_bytes(report) == _report_bytes(fresh)
 
 
 CERTIFIED = STEP_CERTIFIED + STAT_CERTIFIED

@@ -20,7 +20,9 @@ from rgsolve import (
     sigma_extremes,
     singular_values,
 )
+from rgsolve import col_methods, row_methods
 from rgsolve.linalg import NO_FACTOR, SWEEP_BLOCK, _block_index, orthonormalize_columns
+from rgsolve.selection import make_partition
 
 
 def test_matvec_diagonal():
@@ -111,6 +113,50 @@ def test_entries_is_the_only_full_size_array(shape):
     a.gram
     two_d = {k for k, v in vars(a).items() if isinstance(v, np.ndarray) and v.ndim == 2}
     assert two_d == ({"entries", "_gram"} if shape[0] > shape[1] else {"entries"})
+
+
+def test_kept_normal_right_hand_side_is_matched_byte_for_byte(monkeypatch):
+    a = DenseMatrix([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+    calls = []
+    original = DenseMatrix.matvec_transpose
+
+    def counted(self, r):
+        calls.append(np.asarray(r).tobytes())
+        return original(self, r)
+
+    monkeypatch.setattr(DenseMatrix, "matvec_transpose", counted)
+    b = np.array([1.0, 0.0, 2.0])
+    atb, norm = a._normal_rhs(b)
+    assert atb.tobytes() == (a.entries.T @ b).tobytes() and norm == np.linalg.norm(atb)
+    # Equal bytes in another array, strided too, are a hit: the same kept values, no GEMV.
+    for same in (b.copy(), np.array([1.0, 9.0, 0.0, 9.0, 2.0])[::2]):
+        kept_atb, kept_norm = a._normal_rhs(same)
+        assert kept_atb is atb and kept_norm == norm
+    assert len(calls) == 1
+    # -0.0 equals 0.0 as a number but not as bytes: a miss, which replaces the entry, and
+    # the one entry is then no longer b's.
+    signed = np.array([1.0, -0.0, 2.0])
+    assert np.array_equal(signed, b)
+    a._normal_rhs(signed)
+    assert calls == [b.tobytes(), signed.tobytes()]
+    assert a._rhs[0].tobytes() == signed.tobytes()
+    a._normal_rhs(b)
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("shape", [(40, 12), (12, 40)], ids=["tall", "wide"])
+def test_kept_normal_right_hand_side_holds_at_most_m_plus_n_floats(shape):
+    a = gen_randn(*shape, 5)
+    inst = make_consistent(a, 6)
+    assert a._rhs is None  # kept only once a column solve asks
+    b = inst.b.copy()
+    run_col_method("cd", a, b, x_star=inst.x_star, stop=StopRule(max_iters=10))
+    kept_b, atb, norm = a._rhs
+    assert kept_b.size + atb.size <= a.m + a.n and isinstance(norm, float)
+    assert not kept_b.flags.writeable and not atb.flags.writeable
+    assert not np.shares_memory(kept_b, b)  # a private copy: changing b cannot change it
+    b[0] += 1.0
+    assert kept_b.tobytes() == inst.b.tobytes()
 
 
 @pytest.mark.parametrize("shape", [(40, 12), (12, 40)])
@@ -271,6 +317,37 @@ def test_block_solves_repeat_exactly_on_a_warmed_matrix(method, shape, block_siz
     assert _block_solve(method, a, inst, block_size) == cold
     assert not linalg_calls  # a warm solve vets, inverts and solves nothing
     assert _block_solve(method, gen_randn(*shape, 60), inst, block_size) == cold
+
+
+@pytest.mark.parametrize("method, block_size", [("rbk", 15), ("rbcd", 5), ("rbk", 15.0)])
+def test_block_solves_draw_make_partition_blocks_without_building_it(monkeypatch, method,
+                                                                    block_size):
+    a = gen_randn(110, 37, 70)  # 8 blocks either way, the last one short
+    inst = make_consistent(a, 71)
+    runner, axis = BLOCK_SOLVES[method]
+    module, step = ((row_methods, "block_project_step") if method == "rbk"
+                    else (col_methods, "rbcd_block_step"))
+    seen = []
+    original = getattr(module, step)
+
+    def watched(state, a, b, indices, inverse):
+        seen.append(list(indices))
+        return original(state, a, b, indices, inverse)
+
+    def refuse(*args):
+        raise AssertionError("a block solve built a partition")
+
+    monkeypatch.setattr(module, step, watched)
+    monkeypatch.setattr(module, "make_partition", refuse)
+    report = runner(method, a, inst.b, x_star=inst.x_star, seed=72,
+                    config=SelectionConfig(block_size=block_size),
+                    stop=StopRule(rse_tol=1e-300, max_iters=60))
+    assert report.iterations == len(seen) == 60
+    blocks = [block.tolist() for block in make_partition(a.shape[axis], block_size)]
+    rng = np.random.default_rng(72)  # the solve's own draws: one block index per step
+    assert seen == [blocks[int(rng.integers(len(blocks)))] for _ in seen]
+    assert blocks[-1] in seen
+    assert report.set_size_trace == [len(block) for block in seen]
 
 
 def _duplicated_rows():

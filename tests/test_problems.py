@@ -133,6 +133,16 @@ def test_make_inconsistent_requires_nontrivial_complement():
         make_inconsistent(a, 2)
 
 
+def test_make_inconsistent_refuses_an_overflowing_qr_basis():
+    # Rank 2 with a nontrivial complement, but the QR of A overflows to inf and NaN: refused
+    # as such, not as a matrix of full row rank, and without an overflow warning.
+    a = DenseMatrix([[1e308, 1e308], [0.0, 1.0], [1.0, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(UsageError, match=r"^the QR factorization of A overflows"):
+            make_inconsistent(a, 1)
+
+
 def test_make_inconsistent_noise_scale_knob():
     a = gen_randn(50, 8, 33)
     inst = make_inconsistent(a, 34, noise_scale=0.5)
